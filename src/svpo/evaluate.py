@@ -17,6 +17,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .env import Env, EnvConfig, Question, TERMINAL, gen_dataset
 from .infer import SBSConfig, greedy_decode, sbs
 from .mcts import Forest, SearchConfig, build_forest
@@ -27,8 +29,8 @@ from .pairs import (
     positive_negative_ratio,
 )
 from .train import (
-    Checkpoint, TrainConfig, TrainData, default_pretrain_config,
-    default_svpo_config, implicit_reward_diff, train_loop, value_diff,
+    PAIR_CHUNK, Checkpoint, TrainConfig, TrainData, default_pretrain_config,
+    default_svpo_config, pair_prefixes, train_loop,
 )
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -91,17 +93,25 @@ def win_rate(model: Model, params: PolicyValueParams,
              ref_params: PolicyValueParams, pairs: list[PreferencePair],
              beta: float, split: str = "train") -> WinRateReport:
     """Fraction of pairs each scorer ranks the winner strictly above the
-    loser; exact ties earn half credit."""
+    loser; exact ties earn half credit. Scores PAIR_CHUNK pairs per kernel
+    call; both policies see the same rows, so equal policies tie exactly."""
     if not pairs:
         raise EmptyDataset("no pairs to evaluate")
     implicit = explicit = 0.0
-    for pair in pairs:
-        dr_pi = implicit_reward_diff(model, params, ref_params, pair, beta)
-        dr_phi = value_diff(model, params, pair)
-        implicit += 1.0 if dr_pi > 0 else (0.5 if dr_pi == 0 else 0.0)
-        explicit += 1.0 if dr_phi > 0 else (0.5 if dr_phi == 0 else 0.0)
+    for start in range(0, len(pairs), PAIR_CHUNK):
+        qids, prefixes, w, l = pair_prefixes(pairs[start:start + PAIR_CHUNK])
+        logprobs, values, _ = model.seq_logprob_grad(params, qids, prefixes)
+        ref, _, _ = model.seq_logprob_grad(ref_params, qids, prefixes)
+        ratio = logprobs - ref
+        implicit += _credit(beta * (ratio[w] - ratio[l]))
+        explicit += _credit(values[w] - values[l])
     n = len(pairs)
     return WinRateReport(implicit / n, explicit / n, n, split)
+
+
+def _credit(diff: np.ndarray) -> float:
+    return float(np.count_nonzero(diff > 0)
+                 + 0.5 * np.count_nonzero(diff == 0))
 
 
 # -- experiment configuration -------------------------------------------------
@@ -510,12 +520,3 @@ def run_gamma_sweep(config: ExperimentConfig, gammas: list[float],
                 "accuracy": eval_accuracy_suite(corpus, ckpt.params, cfg)}
     return results
 
-
-def mean_over_seeds(per_seed: dict, *path: str) -> float:
-    values = []
-    for metrics in per_seed.values():
-        node = metrics
-        for key in path:
-            node = node[key]
-        values.append(node)
-    return sum(values) / len(values)

@@ -222,10 +222,6 @@ def backup(tree: SearchTree, node_id: int, value: float) -> None:
         cur = node.parent
 
 
-def node_steps(tree: SearchTree, node_id: int) -> tuple[int, ...]:
-    return tree.nodes[node_id].state.steps
-
-
 def correct_solutions(forest: Forest) -> set[tuple[int, ...]]:
     """Distinct correct complete step sequences present in the forest."""
     found = set()

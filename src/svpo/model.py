@@ -6,6 +6,12 @@ scalar value head with a tanh activation, so values live in (-1, 1) and
 pairwise value differences in (-2, 2). All gradients are derived by hand
 and exposed analytically; nothing here depends on an autodiff framework.
 Log-probabilities are computed in log space with the usual max-shift.
+
+Search and decoding call the per-state forward pass (`legal_logprobs`,
+`value`), one state at a time. Training and win-rate scoring go through
+one batched prefix kernel, `Model.seq_logprob_grad`: it evaluates many
+(question, prefix) sequences at once and returns the gradient of any
+weighted sum of their log-probabilities and end-state values.
 """
 from __future__ import annotations
 
@@ -150,6 +156,10 @@ class Featurizer:
         """Start index of a named feature block (bias, depth, last, ...)."""
         return self._offsets[name]
 
+    def cached(self, question_id: int, steps: tuple[int, ...]):
+        """The feature row of an already featurized state, else None."""
+        return self._cache.get((question_id, steps))
+
     def features(self, question: Question, state: State) -> np.ndarray:
         key = (question.id, state.steps)
         hit = self._cache.get(key)
@@ -192,6 +202,8 @@ class Model:
         self.hidden = hidden
         self.d = self.featurizer.dim
         self.vocab_size = len(env.vocab)
+        self._answer_ids = np.array(
+            [a.id for a in env.vocab if a.kind == TERMINAL], dtype=np.intp)
 
     # -- constructors -----------------------------------------------------
 
@@ -232,21 +244,22 @@ class Model:
     def seq_logprob(self, params: PolicyValueParams, question: Question,
                     steps) -> float:
         """Sum of step log-probs over a whole prefix; 0.0 for the empty one."""
-        total = 0.0
-        state = self.env.initial_state(question)
-        for aid in steps:
-            try:
-                total += self.step_logprob(params, state, aid)
-                state = self.env.transition(state, self.env.vocab[aid])
-            except (IllegalAction, DepthExceeded) as exc:
-                raise IllegalPrefix(str(exc)) from exc
-        return total
+        logprobs, _, _ = self.seq_logprob_grad(params, [question.id], [steps])
+        return float(logprobs[0])
 
     def value(self, params: PolicyValueParams, state: State) -> float:
         question = self._question(state)
         x = self.featurizer.features(question, state)
         g = self._hidden(params, x)
         return float(np.tanh(g @ params.w_value))
+
+    def value_forward(self, params: PolicyValueParams, state: State):
+        """(value, hidden activations, features) — the pieces a caller
+        needs to assemble its own chain rule without re-featurizing."""
+        question = self._question(state)
+        x = self.featurizer.features(question, state)
+        g = self._hidden(params, x)
+        return float(np.tanh(g @ params.w_value)), g, x
 
     def sample_step(self, params: PolicyValueParams, state: State,
                     temperature: float, rng) -> int:
@@ -263,68 +276,114 @@ class Model:
         legal, logprobs, _, _ = self.legal_logprobs(params, state)
         return legal, np.exp(logprobs)
 
-    # -- backward ---------------------------------------------------------
+    # -- the batched prefix kernel: training and scoring -----------------
 
-    def seq_logprob_grad(self, params: PolicyValueParams, question: Question,
-                         steps):
-        """(seq_logprob, exact gradient). One backward pass per step; the
-        shared-layer contribution is accumulated as a single stacked matmul
-        so long prefixes stay cheap."""
-        grad = Gradients.zeros_like(params)
-        total = 0.0
-        state = self.env.initial_state(question)
-        x_rows: list[np.ndarray] = []
-        du_rows: list[np.ndarray] = []
-        for aid in steps:
-            try:
-                legal, logprobs, g, x = self.legal_logprobs(params, state)
-            except DepthExceeded as exc:
-                raise IllegalPrefix(str(exc)) from exc
-            ids = np.array([a.id for a in legal])
-            where = np.nonzero(ids == aid)[0]
-            if where.size == 0:
-                raise IllegalPrefix(
-                    f"action {aid} not legal at depth {state.depth}")
-            chosen = int(where[0])
-            total += float(logprobs[chosen])
-            # d logp(chosen) / d logit_j = delta - p_j on the legal subset
-            dlogits = -np.exp(logprobs)
-            dlogits[chosen] += 1.0
-            grad.w_policy[:, ids] += np.outer(g, dlogits)
-            dg = params.w_policy[:, ids] @ dlogits
-            x_rows.append(x)
-            du_rows.append(dg * (1.0 - g * g))
-            state = self.env.transition(state, self.env.vocab[aid])
-        if x_rows:
-            grad.w_shared += np.asarray(x_rows).T @ np.asarray(du_rows)
-        return total, grad
+    def _gather(self, question_ids, prefixes):
+        """Feature rows of a batch of prefixes, taken from the featurizer
+        cache: the state before every step, then every end state. Also
+        each step's chosen action id, the index of its prefix, and the
+        positions of the depth-0 rows."""
+        cached = self.featurizer.cached
+        rows: list[np.ndarray] = []
+        ends: list[np.ndarray] = []
+        chosen: list[int] = []
+        segment: list[int] = []
+        depth0: list[int] = []
+        for i, (qid, steps) in enumerate(zip(question_ids, prefixes)):
+            steps = tuple(steps)
+            # states come only from the Env, which refuses illegal steps,
+            # so a prefix whose states are all cached is legal; any other
+            # prefix is replayed and raises at its first illegal step
+            states = [cached(qid, steps[:t]) for t in range(len(steps) + 1)]
+            if any(x is None for x in states):
+                states = self._replay_rows(qid, steps)
+            if steps:
+                depth0.append(len(rows))
+            rows.extend(states[:-1])
+            ends.append(states[-1])
+            chosen.extend(steps)
+            segment.extend([i] * len(steps))
+        return (np.array(rows + ends).reshape(-1, self.d),
+                np.array(chosen, dtype=np.intp),
+                np.array(segment, dtype=np.intp),
+                np.array(depth0, dtype=np.intp))
 
-    def value_forward(self, params: PolicyValueParams, state: State):
-        """(value, hidden activations, features) — the pieces a caller
-        needs to assemble its own chain rule without re-featurizing."""
-        question = self._question(state)
-        x = self.featurizer.features(question, state)
-        g = self._hidden(params, x)
-        return float(np.tanh(g @ params.w_value)), g, x
+    def _replay_rows(self, question_id: int, steps) -> list[np.ndarray]:
+        """Feature rows of every state along a prefix, start to end."""
+        env = self.env
+        question = env.question(question_id)
+        state = env.initial_state(question)
+        rows = [self.featurizer.features(question, state)]
+        try:
+            for aid in steps:
+                if not 0 <= aid < len(env.vocab):
+                    raise IllegalAction(f"no action {aid} in the vocabulary")
+                state = env.transition(state, env.vocab[aid])
+                rows.append(self.featurizer.features(question, state))
+        except (IllegalAction, DepthExceeded) as exc:
+            raise IllegalPrefix(
+                f"prefix {steps} of question {question_id}: {exc}") from exc
+        return rows
+
+    def seq_logprob_grad(self, params: PolicyValueParams, question_ids,
+                         prefixes, coef=None):
+        """The batched prefix kernel: every prefix's seq_logprob and
+        end-state value in one pass, and optionally one gradient.
+
+        Prefix i is the step tuple `prefixes[i]` of question
+        `question_ids[i]`. `coef` gives per-prefix coefficients (a, b),
+        as arrays or scalars, or as a function of (logprobs, values) that
+        returns them; the gradient is then that of sum_i a_i * logprob_i +
+        b_i * value_i. The whole pass is a handful of matmuls over the
+        gathered rows: tanh(X W_s), a log-softmax masked to the legal
+        actions, G^T dL and X^T dU.
+
+        Returns (logprobs, values, Gradients or None without `coef`).
+        Raises IllegalPrefix when a prefix leaves the legal action set."""
+        x, chosen, segment, depth0 = self._gather(question_ids, prefixes)
+        n, n_steps = len(prefixes), len(chosen)
+        hidden = np.tanh(x @ params.w_shared)
+        g, g_end = hidden[:n_steps], hidden[n_steps:]
+        logits = g @ params.w_policy
+        # as in Env.legal_actions, answering needs one computation step
+        logits[np.ix_(depth0, self._answer_ids)] = -np.inf
+        logits -= logits.max(axis=1, keepdims=True)
+        logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        at = np.arange(n_steps)
+        logprobs = np.bincount(segment, weights=logp[at, chosen],
+                               minlength=n)
+        # a row-wise sum, unlike a matrix-vector product, gives equal end
+        # states bit-equal values wherever they sit in the batch
+        values = np.tanh((g_end * params.w_value).sum(axis=1))
+        if coef is None:
+            return logprobs, values, None
+        a, b = coef(logprobs, values) if callable(coef) else coef
+        a = np.broadcast_to(np.asarray(a, dtype=float), (n,))[segment]
+        dpre = np.broadcast_to(b, (n,)) * (1.0 - values * values)
+        # d logp(chosen) / d logit_j = delta - p_j on the legal subset
+        dlogits = np.exp(logp) * -a[:, None]
+        dlogits[at, chosen] += a
+        du = np.concatenate([dlogits @ params.w_policy.T,
+                             np.outer(dpre, params.w_value)])
+        du *= 1.0 - hidden * hidden
+        return logprobs, values, Gradients(x.T @ du, g.T @ dlogits,
+                                           g_end.T @ dpre)
 
     def value_grad(self, params: PolicyValueParams, state: State):
         """(value, exact gradient of the tanh value head)."""
-        v, g, x = self.value_forward(params, state)
-        grad = Gradients.zeros_like(params)
-        dpre = 1.0 - v * v
-        grad.w_value[:] = g * dpre
-        dg = params.w_value * dpre
-        du = dg * (1.0 - g * g)
-        grad.w_shared += np.outer(x, du)
-        return v, grad
+        _, values, grad = self.seq_logprob_grad(
+            params, [state.question_id], [state.steps], (0.0, 1.0))
+        return float(values[0]), grad
 
     def grads_logprob_and_value(self, params: PolicyValueParams,
                                 question: Question, steps) -> PrefixEval:
         """Evaluate one prefix: seq_logprob, end-state value, both gradients."""
-        logprob, grad_lp = self.seq_logprob_grad(params, question, steps)
-        end_state = self.env.replay(question, steps)
-        value, grad_v = self.value_grad(params, end_state)
-        return PrefixEval(logprob, value, grad_lp, grad_v)
+        logprobs, values, grad_lp = self.seq_logprob_grad(
+            params, [question.id], [steps], (1.0, 0.0))
+        _, _, grad_v = self.seq_logprob_grad(params, [question.id], [steps],
+                                             (0.0, 1.0))
+        return PrefixEval(float(logprobs[0]), float(values[0]), grad_lp,
+                          grad_v)
 
 
 def temper(logprobs: np.ndarray, temperature: float) -> np.ndarray:

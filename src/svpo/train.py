@@ -12,24 +12,30 @@ states. Its loss combines a sigmoid preference term on the implicit
 difference, a hinge pushing the explicit difference past a margin, a
 squared coupling term tying the implicit difference to the explicit one
 (the explicit side enters as a constant: the value head receives no
-gradient from it), plus the reweighted pretraining terms. In the training
-loop those carried terms range over the solution and value-target
-datasets, advancing in lockstep with the pair batches; the per-pair loss
-helpers fall back to winner-prefix forms of the same terms so a single
-pair is still scoreable in isolation. All gradients are assembled
-analytically from the model's prefix gradients; the optimizer is plain
-mini-batch gradient descent.
+gradient from it), plus the reweighted pretraining terms. In the
+training loop those carried terms range over the solutions and value
+targets of the stage's TrainData. The pipeline and the staged CLI build
+the preference stage's TrainData from pairs alone, so there both carried
+terms are exactly zero and `w_sft` and `w_mse` have no effect
+(ROADMAP.md, open item 1). Called with no datasets at all,
+`svpo_batch_grad` falls back to winner-prefix forms of the same terms.
+
+Every loss is coefficient arithmetic over one call per batch of the
+model's batched prefix kernel, `Model.seq_logprob_grad`: it returns each
+prefix's log-probability and end-state value, and the gradient of
+sum_i a_i * logprob_i + b_i * value_i for per-prefix coefficients that
+the loss derives from them. Reference log-probabilities are computed
+once per stage. The optimizer is plain mini-batch gradient descent.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .env import Env, Question, Solution
+from .env import Solution
 from .model import (
     Gradients, Model, PolicyValueParams, params_from_record, params_to_record,
     spawn_generator,
@@ -130,283 +136,166 @@ class TrainData:
     value_targets: list[ValueTarget] = field(default_factory=list)
 
 
-# -- pair-level quantities --------------------------------------------------
+# -- prefix batches ------------------------------------------------------------
 
-def implicit_reward_diff(model: Model, params: PolicyValueParams,
-                         ref_params: PolicyValueParams, pair: PreferencePair,
-                         beta: float) -> float:
-    """beta-scaled difference of policy log-ratios between the winner and
-    loser prefixes, measured against the frozen reference policy."""
-    question = model.env.question(pair.question_id)
-    w = model.seq_logprob(params, question, pair.winner) \
-        - model.seq_logprob(ref_params, question, pair.winner)
-    l = model.seq_logprob(params, question, pair.loser) \
-        - model.seq_logprob(ref_params, question, pair.loser)
-    return beta * (w - l)
+PAIR_CHUNK = 256  # pairs per kernel call in whole-dataset passes
 
 
-def value_diff(model: Model, params: PolicyValueParams,
-               pair: PreferencePair) -> float:
-    """Explicit value gap between the winner and loser end states; the
-    tanh head bounds it inside (-2, 2)."""
-    question = model.env.question(pair.question_id)
-    v_w = model.value(params, model.env.replay(question, pair.winner))
-    v_l = model.value(params, model.env.replay(question, pair.loser))
-    return v_w - v_l
+def pair_prefixes(pairs: list[PreferencePair]):
+    """(question ids, prefixes) of the distinct winner and loser prefixes
+    of a pair list, and each pair's winner and loser index among them."""
+    index: dict[tuple[int, tuple[int, ...]], int] = {}
+    winners = [index.setdefault((p.question_id, p.winner), len(index))
+               for p in pairs]
+    losers = [index.setdefault((p.question_id, p.loser), len(index))
+              for p in pairs]
+    return ([qid for qid, _ in index], [steps for _, steps in index],
+            np.array(winners, dtype=np.intp), np.array(losers, dtype=np.intp))
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def pair_logprobs(model: Model, params: PolicyValueParams,
+                  pairs: list[PreferencePair]) -> np.ndarray:
+    """(len(pairs), 2) winner and loser prefix log-probs, PAIR_CHUNK pairs
+    per kernel call."""
+    out = np.empty((len(pairs), 2))
+    for start in range(0, len(pairs), PAIR_CHUNK):
+        qids, prefixes, w, l = pair_prefixes(pairs[start:start + PAIR_CHUNK])
+        logprobs, _, _ = model.seq_logprob_grad(params, qids, prefixes)
+        out[start:start + PAIR_CHUNK, 0] = logprobs[w]
+        out[start:start + PAIR_CHUNK, 1] = logprobs[l]
+    return out
 
 
-def _softplus(x: float) -> float:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _softplus(x: np.ndarray) -> np.ndarray:
     # log(1 + e^x), overflow-safe
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-class _RefCache:
-    """Reference log-probabilities never change during a run; cache them."""
-
-    def __init__(self, model: Model, ref_params: PolicyValueParams):
-        self.model = model
-        self.ref_params = ref_params
-        self._logprobs: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    def seq_logprob(self, question: Question, steps: tuple[int, ...]) -> float:
-        key = (question.id, steps)
-        if key not in self._logprobs:
-            self._logprobs[key] = self.model.seq_logprob(
-                self.ref_params, question, steps)
-        return self._logprobs[key]
+def _dataset_prefixes(solutions: list[Solution], targets: list[ValueTarget]):
+    """(question ids, prefixes): the solutions, then the value targets."""
+    return ([s.question_id for s in solutions]
+            + [t.question_id for t in targets],
+            [s.steps for s in solutions] + [t.prefix for t in targets])
 
 
-def svpo_pair_terms(model: Model, params: PolicyValueParams,
-                    ref_params: PolicyValueParams, pair: PreferencePair,
-                    config: TrainConfig, ref_cache: _RefCache | None = None,
-                    eval_cache: dict | None = None):
-    """Per-pair loss terms and their unweighted analytic gradients.
-
-    Returns (LossBreakdown, {term: Gradients}). The coupling term's
-    gradient flows only through the implicit difference: the explicit
-    value gap is treated as a constant there, so its gradient never
-    touches the value head.
-    """
-    question = model.env.question(pair.question_id)
-
-    def prefix_eval(steps):
-        if eval_cache is not None and (question.id, steps) in eval_cache:
-            return eval_cache[(question.id, steps)]
-        ev = model.grads_logprob_and_value(params, question, steps)
-        if eval_cache is not None:
-            eval_cache[(question.id, steps)] = ev
-        return ev
-
-    w_ev = prefix_eval(pair.winner)
-    l_ev = prefix_eval(pair.loser)
-    if ref_cache is not None:
-        ref_w = ref_cache.seq_logprob(question, pair.winner)
-        ref_l = ref_cache.seq_logprob(question, pair.loser)
-    else:
-        ref_w = model.seq_logprob(ref_params, question, pair.winner)
-        ref_l = model.seq_logprob(ref_params, question, pair.loser)
-
-    dr_pi = config.beta * ((w_ev.logprob - ref_w) - (l_ev.logprob - ref_l))
-    dr_phi = w_ev.value - l_ev.value
-
-    dpo = _softplus(-dr_pi)
-    margin = max(0.0, config.gamma - dr_phi)
-    reg = (dr_pi - dr_phi) ** 2
-    sft = -w_ev.logprob
-    mse = (w_ev.value - pair.q_w) ** 2
-    breakdown = LossBreakdown(
-        dpo=dpo, margin=margin, reg=reg, sft=sft, mse=mse,
-        total=combine_total(config, dpo, margin, reg, sft, mse))
-
-    grads: dict[str, Gradients] = {}
-
-    def from_pi(coef: float) -> Gradients:
-        g = Gradients.zeros_like(params)
-        g.add_scaled(w_ev.grad_logprob, coef * config.beta)
-        g.add_scaled(l_ev.grad_logprob, -coef * config.beta)
-        return g
-
-    def from_phi(coef: float) -> Gradients:
-        g = Gradients.zeros_like(params)
-        g.add_scaled(w_ev.grad_value, coef)
-        g.add_scaled(l_ev.grad_value, -coef)
-        return g
-
-    grads["dpo"] = from_pi(_sigmoid(dr_pi) - 1.0)
-    grads["margin"] = from_phi(-1.0 if dr_phi < config.gamma else 0.0)
-    grads["reg"] = from_pi(2.0 * (dr_pi - dr_phi))
-    g_sft = Gradients.zeros_like(params)
-    g_sft.add_scaled(w_ev.grad_logprob, -1.0)
-    grads["sft"] = g_sft
-    g_mse = Gradients.zeros_like(params)
-    g_mse.add_scaled(w_ev.grad_value, 2.0 * (w_ev.value - pair.q_w))
-    grads["mse"] = g_mse
-    return breakdown, grads, dr_pi
+def _dataset_loss(config: TrainConfig, sol_logprobs: np.ndarray,
+                  tgt_values: np.ndarray, targets: list[ValueTarget]):
+    """Mean solution NLL and value-target squared error, and their weighted
+    kernel coefficients (a, b) over the solutions, then the targets."""
+    n_sol, n_tgt = len(sol_logprobs), len(tgt_values)
+    err = tgt_values - np.array([t.target for t in targets], dtype=float)
+    sft = float(-sol_logprobs.sum() / n_sol) if n_sol else 0.0
+    mse = float((err * err).sum() / n_tgt) if n_tgt else 0.0
+    a = np.zeros(n_sol + n_tgt)
+    b = np.zeros(n_sol + n_tgt)
+    if n_sol:
+        a[:n_sol] = -config.w_sft / n_sol
+    if n_tgt:
+        b[n_sol:] = config.w_mse * 2.0 * err / n_tgt
+    return sft, mse, a, b
 
 
-def svpo_loss(model: Model, params: PolicyValueParams,
-              ref_params: PolicyValueParams, pair: PreferencePair,
-              config: TrainConfig) -> LossBreakdown:
-    breakdown, _, _ = svpo_pair_terms(model, params, ref_params, pair, config)
-    return breakdown
-
+# -- batch losses and gradients ----------------------------------------------
 
 def svpo_batch_grad(model: Model, params: PolicyValueParams,
                     ref_params: PolicyValueParams,
                     batch: list[PreferencePair], config: TrainConfig,
-                    ref_cache: _RefCache | None = None,
+                    ref_logprobs: np.ndarray | None = None,
                     solutions: list[Solution] | None = None,
                     targets: list[ValueTarget] | None = None):
     """Mean loss terms and mean weighted gradient for one svpo step.
 
     The preference terms (dpo, margin, reg) always come from the pair
     batch. The carried pretraining terms come from the solution and
-    value-target batches when those are given — the production training
-    mix — and fall back to the pair-derived forms (winner NLL, winner
-    end-state error against its stored q) when both are omitted.
+    value-target batches when either is given, even as an empty list,
+    which is how the training loop calls it; when both are None they fall
+    back to the pair-derived forms (winner NLL, winner end-state error
+    against its stored q).
+
+    `ref_logprobs` holds the batch's reference log-probs as pair_logprobs
+    returns them; without it they are computed from `ref_params` here.
 
     Also reports the largest |implicit difference| seen: the probability
     ratio bound never binds while this stays inside the value range.
 
-    The per-term weights are folded into scalar coefficients per pair
-    (winner/loser x log-prob/value), which keeps the arithmetic identical
-    to weighting svpo_pair_terms output but skips the per-term gradient
-    objects. The coupling term's coefficient lands on the log-prob path
-    only, so the value head stays structurally untouched by it."""
+    Every term folds into per-prefix coefficients of one kernel call over
+    the distinct winner and loser prefixes plus the carried datasets. The
+    coupling term's coefficient lands on the log-prob path only, so the
+    value head stays structurally untouched by it."""
     if not batch:
         raise EmptyBatch("empty pair batch")
-    from_datasets = solutions is not None or targets is not None
-    acc = Gradients.zeros_like(params)
-    sums = dict(dpo=0.0, margin=0.0, reg=0.0, sft=0.0, mse=0.0)
-    eval_cache: dict = {}
-    max_abs_dr = 0.0
-    for pair in batch:
-        question = model.env.question(pair.question_id)
-        w_ev = eval_cache.get((question.id, pair.winner))
-        if w_ev is None:
-            w_ev = model.grads_logprob_and_value(params, question, pair.winner)
-            eval_cache[(question.id, pair.winner)] = w_ev
-        l_ev = eval_cache.get((question.id, pair.loser))
-        if l_ev is None:
-            l_ev = model.grads_logprob_and_value(params, question, pair.loser)
-            eval_cache[(question.id, pair.loser)] = l_ev
-        if ref_cache is not None:
-            ref_w = ref_cache.seq_logprob(question, pair.winner)
-            ref_l = ref_cache.seq_logprob(question, pair.loser)
-        else:
-            ref_w = model.seq_logprob(ref_params, question, pair.winner)
-            ref_l = model.seq_logprob(ref_params, question, pair.loser)
+    pair_derived = solutions is None and targets is None
+    solutions, targets = solutions or [], targets or []
+    if ref_logprobs is None:
+        ref_logprobs = pair_logprobs(model, ref_params, batch)
+    qids, prefixes, w, l = pair_prefixes(batch)
+    data_qids, data_prefixes = _dataset_prefixes(solutions, targets)
+    n, n_pre, n_sol = len(batch), len(prefixes), len(solutions)
+    q_w = np.array([p.q_w for p in batch], dtype=float)
+    terms: dict = {}
 
-        dr_pi = config.beta * ((w_ev.logprob - ref_w) - (l_ev.logprob - ref_l))
-        dr_phi = w_ev.value - l_ev.value
-        max_abs_dr = max(max_abs_dr, abs(dr_pi))
+    def coef(logprobs, values):
+        lp, v = logprobs[:n_pre], values[:n_pre]
+        dr_pi = config.beta * ((lp[w] - ref_logprobs[:, 0])
+                               - (lp[l] - ref_logprobs[:, 1]))
+        dr_phi = v[w] - v[l]
+        pi = config.beta * ((_sigmoid(dr_pi) - 1.0)
+                            + config.w_reg * 2.0 * (dr_pi - dr_phi))
+        hinge = np.where(dr_phi < config.gamma, -config.w_margin, 0.0)
+        sft, mse, a_data, b_data = _dataset_loss(
+            config, logprobs[n_pre:n_pre + n_sol], values[n_pre + n_sol:],
+            targets)
+        a_w, b_w = pi, hinge
+        if pair_derived:
+            a_w = pi - config.w_sft
+            b_w = hinge + config.w_mse * 2.0 * (v[w] - q_w)
+            sft = float(-lp[w].sum() / n)
+            mse = float(((v[w] - q_w) ** 2).sum() / n)
+        terms.update(
+            dpo=float(_softplus(-dr_pi).sum() / n),
+            margin=float(np.maximum(0.0, config.gamma - dr_phi).sum() / n),
+            reg=float(((dr_pi - dr_phi) ** 2).sum() / n), sft=sft, mse=mse)
+        terms["max_abs_dr"] = float(np.abs(dr_pi).max())
+        a = np.zeros(n_pre)
+        b = np.zeros(n_pre)
+        np.add.at(a, w, a_w / n)
+        np.add.at(a, l, -pi / n)
+        np.add.at(b, w, b_w / n)
+        np.add.at(b, l, -hinge / n)
+        return np.concatenate([a, a_data]), np.concatenate([b, b_data])
 
-        sums["dpo"] += _softplus(-dr_pi)
-        sums["margin"] += max(0.0, config.gamma - dr_phi)
-        sums["reg"] += (dr_pi - dr_phi) ** 2
-
-        pi_coef = config.beta * ((_sigmoid(dr_pi) - 1.0)
-                                 + config.w_reg * 2.0 * (dr_pi - dr_phi))
-        hinge = -config.w_margin if dr_phi < config.gamma else 0.0
-        sft_coef = 0.0 if from_datasets else -config.w_sft
-        mse_coef = 0.0
-        if not from_datasets:
-            sums["sft"] += -w_ev.logprob
-            sums["mse"] += (w_ev.value - pair.q_w) ** 2
-            mse_coef = config.w_mse * 2.0 * (w_ev.value - pair.q_w)
-        acc.add_scaled(w_ev.grad_logprob, pi_coef + sft_coef)
-        acc.add_scaled(l_ev.grad_logprob, -pi_coef)
-        acc.add_scaled(w_ev.grad_value, hinge + mse_coef)
-        acc.add_scaled(l_ev.grad_value, -hinge)
-    n = len(batch)
-    acc.scale(1.0 / n)
-    means = {k: v / n for k, v in sums.items()}
-    if from_datasets:
-        means["sft"], means["mse"] = _dataset_terms(
-            model, params, solutions or [], targets or [], config, acc)
-    breakdown = LossBreakdown(total=combine_total(config, **means), **means)
-    return breakdown, acc, max_abs_dr
-
-
-def _dataset_terms(model: Model, params: PolicyValueParams,
-                   solutions: list[Solution], targets: list[ValueTarget],
-                   config: TrainConfig, acc: Gradients) -> tuple[float, float]:
-    """Mean solution NLL and value-target error, with their weighted
-    gradients added to `acc` in place. Shared by the svpo stage (carried
-    pretraining terms) and kept consistent with pretrain_batch_grad."""
-    sft = 0.0
-    for sol in solutions:
-        question = model.env.question(sol.question_id)
-        logprob, grad = model.seq_logprob_grad(params, question, sol.steps)
-        sft -= logprob
-        acc.add_scaled(grad, -config.w_sft / len(solutions))
-    sft = sft / len(solutions) if solutions else 0.0
-    mse = 0.0
-    x_rows: list[np.ndarray] = []
-    du_rows: list[np.ndarray] = []
-    for tgt in targets:
-        question = model.env.question(tgt.question_id)
-        state = model.env.replay(question, tgt.prefix)
-        v, g, x = model.value_forward(params, state)
-        mse += (v - tgt.target) ** 2
-        coef = config.w_mse * 2.0 * (v - tgt.target) / len(targets)
-        dpre = coef * (1.0 - v * v)
-        acc.w_value += dpre * g
-        x_rows.append(x)
-        du_rows.append((dpre * params.w_value) * (1.0 - g * g))
-    if x_rows:
-        acc.w_shared += np.asarray(x_rows).T @ np.asarray(du_rows)
-    mse = mse / len(targets) if targets else 0.0
-    return sft, mse
-
-
-# -- pretraining quantities -------------------------------------------------
-
-def pretrain_loss(model: Model, params: PolicyValueParams,
-                  solutions: list[Solution], targets: list[ValueTarget],
-                  config: TrainConfig) -> LossBreakdown:
-    """Mean solution NLL plus weighted mean squared value error."""
-    if not solutions and not targets:
-        raise EmptyBatch("nothing to pretrain on")
-    sft = 0.0
-    for sol in solutions:
-        question = model.env.question(sol.question_id)
-        sft -= model.seq_logprob(params, question, sol.steps)
-    sft = sft / len(solutions) if solutions else 0.0
-    mse = 0.0
-    for tgt in targets:
-        question = model.env.question(tgt.question_id)
-        state = model.env.replay(question, tgt.prefix)
-        mse += (model.value(params, state) - tgt.target) ** 2
-    mse = mse / len(targets) if targets else 0.0
-    return LossBreakdown(sft=sft, mse=mse,
-                         total=combine_total(config, 0, 0, 0, sft, mse))
+    _, _, grad = model.seq_logprob_grad(params, qids + data_qids,
+                                        prefixes + data_prefixes, coef)
+    max_abs_dr = terms.pop("max_abs_dr")
+    breakdown = LossBreakdown(total=combine_total(config, **terms), **terms)
+    return breakdown, grad, max_abs_dr
 
 
 def pretrain_batch_grad(model: Model, params: PolicyValueParams,
                         solutions: list[Solution],
                         targets: list[ValueTarget], config: TrainConfig):
+    """Mean solution NLL plus weighted mean squared value error, and its
+    gradient, from one kernel call."""
     if not solutions and not targets:
         raise EmptyBatch("nothing to pretrain on")
-    acc = Gradients.zeros_like(params)
-    sft, mse = _dataset_terms(model, params, solutions, targets, config, acc)
-    breakdown = LossBreakdown(sft=sft, mse=mse,
-                              total=combine_total(config, 0, 0, 0, sft, mse))
-    return breakdown, acc
+    n_sol = len(solutions)
+    terms: dict = {}
 
+    def coef(logprobs, values):
+        terms["sft"], terms["mse"], a, b = _dataset_loss(
+            config, logprobs[:n_sol], values[n_sol:], targets)
+        return a, b
 
-def max_abs_implicit_diff(model: Model, params: PolicyValueParams,
-                          ref_params: PolicyValueParams,
-                          pairs: list[PreferencePair], beta: float) -> float:
-    return max(abs(implicit_reward_diff(model, params, ref_params, p, beta))
-               for p in pairs)
+    _, _, grad = model.seq_logprob_grad(
+        params, *_dataset_prefixes(solutions, targets), coef)
+    breakdown = LossBreakdown(total=combine_total(config, 0, 0, 0, **terms),
+                              **terms)
+    return breakdown, grad
 
 
 # -- the loop -----------------------------------------------------------------
@@ -414,6 +303,10 @@ def max_abs_implicit_diff(model: Model, params: PolicyValueParams,
 def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
     order = rng.permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
+
+
+def _order(n: int, rng) -> np.ndarray:
+    return rng.permutation(n) if n else np.array([], int)
 
 
 def train_loop(model: Model, data: TrainData, config: TrainConfig,
@@ -425,63 +318,51 @@ def train_loop(model: Model, data: TrainData, config: TrainConfig,
     result); its params become both the starting point and the frozen
     reference policy. Deterministic in (data, config, rng_seed, init).
     """
-    if config.stage == SVPO:
+    svpo = config.stage == SVPO
+    if svpo:
         if init is None:
             raise MissingCheckpoint("svpo stage needs a pretrain checkpoint")
         if not data.pairs:
             raise EmptyBatch("svpo stage needs preference pairs")
         params = init.params.copy()
         ref_params = init.params.copy()
-        ref_cache = _RefCache(model, ref_params)
+        ref_logprobs = pair_logprobs(model, ref_params, data.pairs)
     else:
         if not data.solutions and not data.value_targets:
             raise EmptyBatch("pretrain stage needs solutions or targets")
         params = init.params.copy() if init else model.init_params(
             seed=rng_seed)
         ref_params = None
-        ref_cache = None
 
     checkpoints: list[Checkpoint] = []
     step = init.step if init else 0
+    size = config.batch_size
+    n_sol, n_tgt = len(data.solutions), len(data.value_targets)
     for epoch in range(config.epochs):
         rng = spawn_generator(_TRAIN_STREAM, rng_seed, epoch)
-        if config.stage == SVPO:
-            # pairs set the epoch length; the carried pretraining datasets
-            # cycle alongside them (permutations drawn in a fixed order)
-            pair_batches = _batches(len(data.pairs), config.batch_size, rng)
-            n_sol = len(data.solutions)
-            n_tgt = len(data.value_targets)
-            sol_order = rng.permutation(n_sol) if n_sol else np.array([], int)
-            tgt_order = rng.permutation(n_tgt) if n_tgt else np.array([], int)
-            for b, idx in enumerate(pair_batches):
-                batch = [data.pairs[i] for i in idx]
-                sols = _cycle_slice(data.solutions, sol_order, b,
-                                    config.batch_size)
-                tgts = _cycle_slice(data.value_targets, tgt_order, b,
-                                    config.batch_size)
+        # pair batches (preference stage only) set the epoch length there,
+        # the larger dataset sets it in pretraining; the solution and
+        # target datasets cycle alongside (permutations drawn in this order)
+        pair_batches = _batches(len(data.pairs), size, rng) if svpo else []
+        sol_order = _order(n_sol, rng)
+        tgt_order = _order(n_tgt, rng)
+        n_steps = len(pair_batches) if svpo else max(
+            _ceil_div(n_sol, size), _ceil_div(n_tgt, size))
+        for b in range(n_steps):
+            sols = _cycle_slice(data.solutions, sol_order, b, size)
+            tgts = _cycle_slice(data.value_targets, tgt_order, b, size)
+            if svpo:
+                idx = pair_batches[b]
                 breakdown, grad, max_dr = svpo_batch_grad(
-                    model, params, ref_params, batch, config, ref_cache,
-                    solutions=sols, targets=tgts)
-                _apply(params, grad, config.lr)
-                step += 1
-                _log_row(log, step, config.stage, breakdown, grad, max_dr)
-        else:
-            n_sol = len(data.solutions)
-            n_tgt = len(data.value_targets)
-            sol_order = rng.permutation(n_sol) if n_sol else np.array([], int)
-            tgt_order = rng.permutation(n_tgt) if n_tgt else np.array([], int)
-            n_steps = max(_ceil_div(n_sol, config.batch_size),
-                          _ceil_div(n_tgt, config.batch_size))
-            for b in range(n_steps):
-                sols = _cycle_slice(data.solutions, sol_order, b,
-                                    config.batch_size)
-                tgts = _cycle_slice(data.value_targets, tgt_order, b,
-                                    config.batch_size)
+                    model, params, ref_params, [data.pairs[i] for i in idx],
+                    config, ref_logprobs[idx], solutions=sols, targets=tgts)
+            else:
                 breakdown, grad = pretrain_batch_grad(model, params, sols,
                                                       tgts, config)
-                _apply(params, grad, config.lr)
-                step += 1
-                _log_row(log, step, config.stage, breakdown, grad, 0.0)
+                max_dr = 0.0
+            _apply(params, grad, config.lr)
+            step += 1
+            _log_row(log, step, config.stage, breakdown, grad, max_dr)
         checkpoints.append(Checkpoint(
             params=params.copy(),
             ref_params=ref_params.copy() if ref_params is not None else None,

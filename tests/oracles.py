@@ -1,8 +1,8 @@
 """Independent check machinery shared across test modules.
 
 Everything here is deliberately written against the public contracts only
-(scalar loss evaluations, feature block offsets, dumped JSON), not against
-the implementations it checks.
+(scalar loss evaluations, feature block offsets, dumped JSON, one-prefix
+model helpers), not against the implementations it checks.
 """
 from __future__ import annotations
 
@@ -11,8 +11,10 @@ import math
 import numpy as np
 
 from svpo.model import (
-    Model, PolicyValueParams, grads_to_vec, params_to_vec, vec_to_params,
+    Gradients, Model, PolicyValueParams, grads_to_vec, params_to_vec,
+    vec_to_params,
 )
+from svpo.train import EmptyBatch, LossBreakdown, combine_total
 
 FD_EPS = 1e-5
 
@@ -67,3 +69,193 @@ def value_bump_params(model: Model, feature_index: int, unit: int = 0,
     params.w_shared[feature_index, unit] = gain
     params.w_value[unit] = pre / math.tanh(gain)
     return params
+
+
+# -- one-at-a-time reference losses -----------------------------------------
+# The batched training losses and win rates are checked against these
+# loops, which score one pair, solution or value target at a time through
+# the model's one-prefix helpers.
+
+def implicit_reward_diff(model: Model, params: PolicyValueParams,
+                         ref_params: PolicyValueParams, pair,
+                         beta: float) -> float:
+    """beta-scaled difference of policy log-ratios between the winner and
+    loser prefixes, measured against the frozen reference policy."""
+    question = model.env.question(pair.question_id)
+    w = model.seq_logprob(params, question, pair.winner) \
+        - model.seq_logprob(ref_params, question, pair.winner)
+    l = model.seq_logprob(params, question, pair.loser) \
+        - model.seq_logprob(ref_params, question, pair.loser)
+    return beta * (w - l)
+
+
+def value_diff(model: Model, params: PolicyValueParams, pair) -> float:
+    """Explicit value gap between the winner and loser end states."""
+    question = model.env.question(pair.question_id)
+    v_w = model.value(params, model.env.replay(question, pair.winner))
+    v_l = model.value(params, model.env.replay(question, pair.loser))
+    return v_w - v_l
+
+
+def max_abs_implicit_diff(model: Model, params: PolicyValueParams,
+                          ref_params: PolicyValueParams, pairs,
+                          beta: float) -> float:
+    return max(abs(implicit_reward_diff(model, params, ref_params, p, beta))
+               for p in pairs)
+
+
+def _sigmoid(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def _softplus(x: float) -> float:
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+
+
+def svpo_pair_terms(model: Model, params: PolicyValueParams,
+                    ref_params: PolicyValueParams, pair, config):
+    """Per-pair loss terms and their unweighted analytic gradients.
+
+    Returns (LossBreakdown, {term: Gradients}, implicit difference). The
+    coupling term's gradient flows only through the implicit difference:
+    the explicit value gap is treated as a constant there. sft and mse
+    are the pair-derived forms (winner NLL, winner end-state error
+    against its stored q)."""
+    question = model.env.question(pair.question_id)
+    w_ev = model.grads_logprob_and_value(params, question, pair.winner)
+    l_ev = model.grads_logprob_and_value(params, question, pair.loser)
+    ref_w = model.seq_logprob(ref_params, question, pair.winner)
+    ref_l = model.seq_logprob(ref_params, question, pair.loser)
+
+    dr_pi = config.beta * ((w_ev.logprob - ref_w) - (l_ev.logprob - ref_l))
+    dr_phi = w_ev.value - l_ev.value
+    dpo = _softplus(-dr_pi)
+    margin = max(0.0, config.gamma - dr_phi)
+    reg = (dr_pi - dr_phi) ** 2
+    sft = -w_ev.logprob
+    mse = (w_ev.value - pair.q_w) ** 2
+    breakdown = LossBreakdown(
+        dpo=dpo, margin=margin, reg=reg, sft=sft, mse=mse,
+        total=combine_total(config, dpo, margin, reg, sft, mse))
+
+    def combo(*parts) -> Gradients:
+        g = Gradients.zeros_like(params)
+        for grad, scale in parts:
+            g.add_scaled(grad, scale)
+        return g
+
+    def from_pi(coef: float) -> Gradients:
+        return combo((w_ev.grad_logprob, coef * config.beta),
+                     (l_ev.grad_logprob, -coef * config.beta))
+
+    def from_phi(coef: float) -> Gradients:
+        return combo((w_ev.grad_value, coef), (l_ev.grad_value, -coef))
+
+    grads = {
+        "dpo": from_pi(_sigmoid(dr_pi) - 1.0),
+        "margin": from_phi(-1.0 if dr_phi < config.gamma else 0.0),
+        "reg": from_pi(2.0 * (dr_pi - dr_phi)),
+        "sft": combo((w_ev.grad_logprob, -1.0)),
+        "mse": combo((w_ev.grad_value, 2.0 * (w_ev.value - pair.q_w))),
+    }
+    return breakdown, grads, dr_pi
+
+
+def svpo_loss(model: Model, params: PolicyValueParams,
+              ref_params: PolicyValueParams, pair, config) -> LossBreakdown:
+    breakdown, _, _ = svpo_pair_terms(model, params, ref_params, pair, config)
+    return breakdown
+
+
+def pretrain_loss(model: Model, params: PolicyValueParams, solutions,
+                  targets, config) -> LossBreakdown:
+    """Mean solution NLL plus weighted mean squared value error."""
+    if not solutions and not targets:
+        raise EmptyBatch("nothing to pretrain on")
+    sft = 0.0
+    for sol in solutions:
+        question = model.env.question(sol.question_id)
+        sft -= model.seq_logprob(params, question, sol.steps)
+    sft = sft / len(solutions) if solutions else 0.0
+    mse = 0.0
+    for tgt in targets:
+        question = model.env.question(tgt.question_id)
+        state = model.env.replay(question, tgt.prefix)
+        mse += (model.value(params, state) - tgt.target) ** 2
+    mse = mse / len(targets) if targets else 0.0
+    return LossBreakdown(sft=sft, mse=mse,
+                         total=combine_total(config, 0, 0, 0, sft, mse))
+
+
+def dataset_grad(model: Model, params: PolicyValueParams, solutions,
+                 targets, config) -> Gradients:
+    """Gradient of w_sft * mean NLL + w_mse * mean squared value error,
+    one solution or value target at a time."""
+    grad = Gradients.zeros_like(params)
+    for sol in solutions:
+        question = model.env.question(sol.question_id)
+        ev = model.grads_logprob_and_value(params, question, sol.steps)
+        grad.add_scaled(ev.grad_logprob, -config.w_sft / len(solutions))
+    for tgt in targets:
+        question = model.env.question(tgt.question_id)
+        v, g = model.value_grad(params, model.env.replay(question, tgt.prefix))
+        grad.add_scaled(g, config.w_mse * 2.0 * (v - tgt.target)
+                        / len(targets))
+    return grad
+
+
+def svpo_batch_oracle(model: Model, params: PolicyValueParams,
+                      ref_params: PolicyValueParams, batch, config,
+                      solutions=None, targets=None):
+    """svpo_batch_grad's (mean terms, gradient, max |implicit diff|), one
+    pair at a time. The carried terms are pair-derived when both datasets
+    are None, dataset-derived (zero when empty) otherwise."""
+    pair_derived = solutions is None and targets is None
+    names = ["dpo", "margin", "reg"] + (["sft", "mse"] if pair_derived
+                                        else [])
+    weights = {"dpo": 1.0, "margin": config.w_margin, "reg": config.w_reg,
+               "sft": config.w_sft, "mse": config.w_mse}
+    sums = dict.fromkeys(["dpo", "margin", "reg", "sft", "mse"], 0.0)
+    grad = Gradients.zeros_like(params)
+    max_abs_dr = 0.0
+    for pair in batch:
+        breakdown, grads, dr = svpo_pair_terms(model, params, ref_params,
+                                               pair, config)
+        max_abs_dr = max(max_abs_dr, abs(dr))
+        for name in names:
+            sums[name] += getattr(breakdown, name) / len(batch)
+            grad.add_scaled(grads[name], weights[name] / len(batch))
+    if not pair_derived and (solutions or targets):
+        carried = pretrain_loss(model, params, solutions or [],
+                                targets or [], config)
+        sums["sft"], sums["mse"] = carried.sft, carried.mse
+        grad.add_scaled(dataset_grad(model, params, solutions or [],
+                                     targets or [], config))
+    return sums, grad, max_abs_dr
+
+
+def win_rate_oracle(model: Model, params: PolicyValueParams,
+                    ref_params: PolicyValueParams, pairs,
+                    beta: float) -> tuple[float, float]:
+    """(implicit, explicit) win rates, one pair at a time; exact ties earn
+    half credit."""
+    def credit(diff: float) -> float:
+        return 1.0 if diff > 0 else (0.5 if diff == 0 else 0.0)
+
+    implicit = sum(credit(implicit_reward_diff(model, params, ref_params, p,
+                                               beta)) for p in pairs)
+    explicit = sum(credit(value_diff(model, params, p)) for p in pairs)
+    return implicit / len(pairs), explicit / len(pairs)
+
+
+def mean_over_seeds(per_seed: dict, *path: str) -> float:
+    values = []
+    for metrics in per_seed.values():
+        node = metrics
+        for key in path:
+            node = node[key]
+        values.append(node)
+    return sum(values) / len(values)

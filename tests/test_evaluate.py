@@ -10,16 +10,20 @@ from svpo.evaluate import (
     ARMS, Corpus, EmptyDataset, ExperimentConfig, StageFailure, WinRateReport,
     accuracy, apply_ablation, build_corpus, build_heldout_pairs,
     eval_accuracy_suite, experiment_config_from_dict,
-    experiment_config_to_dict, mean_over_seeds, run_matrix, run_pipeline,
+    experiment_config_to_dict, run_matrix, run_pipeline,
     solution_level_pairs, summary_text, win_rate,
 )
 from svpo.infer import SBSConfig
-from svpo.mcts import SearchConfig
+from svpo.mcts import SearchConfig, build_forest
 from svpo.model import Model
-from svpo.pairs import PairCounts, PreferencePair
-from svpo.train import default_pretrain_config, default_svpo_config
+from svpo.pairs import (
+    PairCounts, PreferencePair, extract_pairs, label_correct,
+)
+from svpo.train import PAIR_CHUNK, default_pretrain_config, default_svpo_config
 
-from oracles import scripted_params, value_bump_params
+from oracles import (
+    mean_over_seeds, scripted_params, value_bump_params, win_rate_oracle,
+)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -126,6 +130,37 @@ def test_win_rate_random_params_near_half(small_world):
         accs.append(win_rate(model, params, params, pairs,
                              beta=0.1).explicit_acc)
     assert 0.45 < float(np.mean(accs)) < 0.55
+
+
+def test_batched_win_rate_matches_per_pair_scoring(small_world):
+    env, model, questions = small_world
+    pairs = []
+    for question in questions[:4]:
+        forest = build_forest(model, question, model.zeros_params(),
+                              SearchConfig(max_simulations=40), rng_seed=3)
+        pairs.extend(extract_pairs(label_correct(forest), PairCounts(), 3))
+    # two commuting adds before a shared last step reach states with equal
+    # features, so the value head ties on this pair exactly
+    q = questions[0]
+    adds = [a.id for a in env.vocab if a.op == "add"]
+    tie = PreferencePair(q.id, (adds[0], adds[1], adds[2]),
+                         (adds[1], adds[0], adds[2]), "cousin", 0.0, 0.0, 2)
+    pairs.append(tie)
+    # more than one kernel chunk
+    pairs = pairs * (PAIR_CHUNK // len(pairs) + 1)
+    assert len(pairs) > PAIR_CHUNK
+    params = model.init_params(seed=5, scale=0.5)
+    ref = model.init_params(seed=6, scale=0.5)
+    report = win_rate(model, params, ref, pairs, beta=0.1)
+    implicit, explicit = win_rate_oracle(model, params, ref, pairs, 0.1)
+    assert (report.implicit_acc, report.explicit_acc) == (implicit, explicit)
+    assert report.n_pairs == len(pairs)
+    assert win_rate(model, params, ref, [tie], beta=0.1).explicit_acc == 0.5
+    # zero params tie every pair on both scorers
+    zero = model.zeros_params()
+    report = win_rate(model, zero, zero, pairs, beta=0.1)
+    assert (report.implicit_acc, report.explicit_acc) == (0.5, 0.5)
+    assert win_rate_oracle(model, zero, zero, pairs, 0.1) == (0.5, 0.5)
 
 
 def test_heldout_pairs_disjointness_and_determinism(small_world):

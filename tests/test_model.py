@@ -206,7 +206,8 @@ def test_seq_logprob_gradient_finite_difference(setup):
         params = model.init_params(seed=500 + trial, scale=0.8)
         q = questions[int(rng.integers(len(questions)))]
         steps, _ = random_prefix(env, q, rng)
-        _, grad = model.seq_logprob_grad(params, q, steps)
+        _, _, grad = model.seq_logprob_grad(params, [q.id], [steps],
+                                            (1.0, 0.0))
         err = fd_relative_error(
             lambda p, q=q, steps=steps: model.seq_logprob(p, q, steps),
             params, grad, rng)
@@ -240,7 +241,8 @@ def test_policy_grad_invariant_to_uniform_logit_shift(setup):
         params = model.init_params(seed=40 + trial, scale=1.0)
         q = questions[int(rng.integers(len(questions)))]
         steps, _ = random_prefix(env, q, rng)
-        _, grad = model.seq_logprob_grad(params, q, steps)
+        _, _, grad = model.seq_logprob_grad(params, [q.id], [steps],
+                                            (1.0, 0.0))
         assert np.allclose(grad.w_policy.sum(axis=1), 0.0, atol=1e-12)
 
 
@@ -251,7 +253,8 @@ def test_grads_logprob_and_value_consistent(setup):
     params = model.init_params(seed=77, scale=0.6)
     steps, state = random_prefix(env, q, rng)
     ev = model.grads_logprob_and_value(params, q, steps)
-    lp, glp = model.seq_logprob_grad(params, q, steps)
+    (lp,), _, glp = model.seq_logprob_grad(params, [q.id], [steps],
+                                           (1.0, 0.0))
     v, gv = model.value_grad(params, state)
     assert ev.logprob == lp and ev.value == v
     assert np.array_equal(ev.grad_logprob.w_shared, glp.w_shared)
@@ -261,7 +264,8 @@ def test_grads_logprob_and_value_consistent(setup):
 def test_gradients_accumulate_and_norm(setup):
     env, model, questions = setup
     params = model.init_params(seed=8, scale=0.3)
-    _, grad = model.seq_logprob_grad(params, questions[0], (0,))
+    _, _, grad = model.seq_logprob_grad(params, [questions[0].id], [(0,)],
+                                        (1.0, 0.0))
     acc = Gradients.zeros_like(params)
     acc.add_scaled(grad, 2.0)
     acc.add_scaled(grad, -2.0)

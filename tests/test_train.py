@@ -1,27 +1,31 @@
 """Loss terms, analytic gradients, and the two-stage training loop."""
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from svpo.env import Env, EnvConfig, gen_dataset
+from svpo.env import TERMINAL, Env, EnvConfig, gen_dataset
 from svpo.mcts import SearchConfig, build_forest
-from svpo.model import Model, params_to_record
+from svpo.model import IllegalPrefix, Model, params_to_record
 from svpo.pairs import (
-    PairCounts, extract_pairs, extract_sft_solutions, extract_value_targets,
-    label_correct,
+    PairCounts, PreferencePair, ValueTarget, extract_pairs,
+    extract_sft_solutions, extract_value_targets, label_correct,
 )
 from svpo.train import (
     Checkpoint, EmptyBatch, MissingCheckpoint, TrainConfig, TrainData,
     default_pretrain_config, default_svpo_config, format_kv_text,
-    implicit_reward_diff, load_checkpoint, load_train_config,
-    max_abs_implicit_diff, parse_kv_text, pretrain_batch_grad, pretrain_loss,
-    save_checkpoint, save_train_config, svpo_batch_grad, svpo_loss,
-    svpo_pair_terms, train_loop, value_diff,
+    load_checkpoint, load_train_config, pair_logprobs, parse_kv_text,
+    pretrain_batch_grad, save_checkpoint, save_train_config, svpo_batch_grad,
+    train_loop,
 )
 
-from oracles import fd_relative_error
+from oracles import (
+    dataset_grad, fd_relative_error, implicit_reward_diff,
+    max_abs_implicit_diff, pretrain_loss, svpo_batch_oracle, svpo_loss,
+    svpo_pair_terms, value_diff,
+)
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +197,117 @@ def test_coupling_gradient_never_touches_value_head(corpus):
                                  default_svpo_config(w_reg=1.0))
     assert np.array_equal(g_off.w_value, g_on.w_value)
     assert not np.array_equal(g_off.w_shared, g_on.w_shared)
+
+
+# -- the batched kernel against one-at-a-time oracles -----------------------
+
+
+def _assert_grads_close(actual, expected):
+    for name in ("w_shared", "w_policy", "w_value"):
+        want = getattr(expected, name)
+        np.testing.assert_allclose(getattr(actual, name), want, rtol=1e-10,
+                                   atol=1e-13 * max(1.0, np.abs(want).max()))
+
+
+@pytest.fixture(scope="module")
+def kernel_case(corpus):
+    """A pair batch with repeated prefixes, the empty prefix and prefixes
+    that end in an answer, plus solution and target batches."""
+    env, model, pairs, solutions, targets = corpus
+    question = env.question(pairs[0].question_id)
+    answer = next(a.id for a in env.vocab if a.kind == TERMINAL)
+    op = question.chain[0]
+    batch = pairs[:12] + [pairs[0], pairs[3],
+                          PreferencePair(question.id, (op,), (), "sibling",
+                                         0.4, -0.2, 0),
+                          PreferencePair(question.id, (op, answer), (op,),
+                                         "terminal", 1.0, 0.1, 1)]
+    prefixes = [(p.question_id, s) for p in batch for s in (p.winner,
+                                                            p.loser)]
+    assert len(set(prefixes)) < len(prefixes)
+    assert any(not s for _, s in prefixes)
+    assert any(s and env.vocab[s[-1]].kind == TERMINAL for _, s in prefixes)
+    tgts = targets[:9] + [ValueTarget(question.id, (), 0.25)]
+    params = model.init_params(seed=21, scale=0.4)
+    ref = model.init_params(seed=22, scale=0.4)
+    return model, params, ref, batch, solutions[:6], tgts
+
+
+@pytest.mark.parametrize("carried", ["pair_derived", "empty", "datasets"])
+def test_batched_svpo_grad_matches_per_pair_oracle(kernel_case, carried):
+    model, params, ref, batch, sols, tgts = kernel_case
+    config = default_svpo_config()
+    kwargs = {"pair_derived": {}, "empty": dict(solutions=[], targets=[]),
+              "datasets": dict(solutions=sols, targets=tgts)}[carried]
+    breakdown, grad, max_dr = svpo_batch_grad(model, params, ref, batch,
+                                              config, **kwargs)
+    terms, want, want_dr = svpo_batch_oracle(model, params, ref, batch,
+                                             config, **kwargs)
+    for name, value in terms.items():
+        assert getattr(breakdown, name) == pytest.approx(value, rel=1e-10,
+                                                         abs=1e-14)
+    if carried == "empty":
+        assert breakdown.sft == breakdown.mse == 0.0
+    assert max_dr == pytest.approx(want_dr, rel=1e-10)
+    _assert_grads_close(grad, want)
+    # the precomputed reference vector the training loop passes gives the
+    # same step
+    _, from_vector, _ = svpo_batch_grad(
+        model, params, ref, batch, config,
+        pair_logprobs(model, ref, batch), **kwargs)
+    _assert_grads_close(from_vector, want)
+
+
+def test_batched_pretrain_grad_matches_per_solution_oracle(kernel_case):
+    model, params, _, _, sols, tgts = kernel_case
+    config = default_pretrain_config()
+    breakdown, grad = pretrain_batch_grad(model, params, sols, tgts, config)
+    want = pretrain_loss(model, params, sols, tgts, config)
+    assert breakdown.sft == pytest.approx(want.sft, rel=1e-10)
+    assert breakdown.mse == pytest.approx(want.mse, rel=1e-10)
+    assert breakdown.total == pytest.approx(want.total, rel=1e-10)
+    _assert_grads_close(grad, dataset_grad(model, params, sols, tgts, config))
+    # either dataset alone
+    _, only_sols = pretrain_batch_grad(model, params, sols, [], config)
+    _assert_grads_close(only_sols,
+                        dataset_grad(model, params, sols, [], config))
+    _, only_tgts = pretrain_batch_grad(model, params, [], tgts, config)
+    _assert_grads_close(only_tgts,
+                        dataset_grad(model, params, [], tgts, config))
+
+
+def test_fd_pretrain_batch_gradient(kernel_case):
+    model, params, _, _, sols, tgts = kernel_case
+    # weight the value term up so both paths carry comparable gradient
+    config = default_pretrain_config(w_mse=1.0)
+    _, analytic = pretrain_batch_grad(model, params, sols, tgts, config)
+
+    def f(p):
+        return pretrain_loss(model, p, sols, tgts, config).total
+
+    rng = np.random.default_rng(43)
+    assert fd_relative_error(f, params, analytic, rng, n_coords=20) < 1e-4
+
+
+def test_batched_entry_points_raise_illegal_prefix(kernel_case):
+    model, params, ref, batch, sols, _ = kernel_case
+    env = model.env
+    qid = batch[0].question_id
+    answer = next(a.id for a in env.vocab if a.kind == TERMINAL)
+    too_long = (0,) * (env.config.max_depth + 1)
+    for bad in [(answer,), too_long, (0, -1), (0, len(env.vocab))]:
+        with pytest.raises(IllegalPrefix):
+            model.seq_logprob_grad(params, [qid, qid], [batch[0].winner, bad],
+                                   (1.0, 1.0))
+        pair = PreferencePair(qid, batch[0].winner, bad, "sibling", 0.0,
+                              0.0, 0)
+        with pytest.raises(IllegalPrefix):
+            svpo_batch_grad(model, params, ref, batch[:3] + [pair],
+                            default_svpo_config())
+        solution = dataclasses.replace(sols[0], steps=bad)
+        with pytest.raises(IllegalPrefix):
+            pretrain_batch_grad(model, params, sols[:2] + [solution], [],
+                                default_pretrain_config())
 
 
 # -- the training loop -------------------------------------------------------
