@@ -195,6 +195,14 @@ class Env:
     def question(self, question_id: int) -> Question:
         return self._questions[question_id]
 
+    def action(self, action_id: int) -> Action:
+        """The vocabulary entry with this id; raises IllegalAction for an
+        id outside the vocabulary (a negative id would otherwise index
+        from the end)."""
+        if not 0 <= action_id < len(self.vocab):
+            raise IllegalAction(f"no action {action_id} in the vocabulary")
+        return self.vocab[action_id]
+
     def initial_state(self, question: Question) -> State:
         return State(question.id, (), question.start, 0)
 
@@ -236,18 +244,21 @@ class Env:
 
     def replay(self, question: Question, steps) -> State:
         """Re-run a step sequence from the initial state. Raises on any
-        illegal step, so a returned state is always reachable."""
+        illegal step or unknown id, so a returned state is always
+        reachable."""
         state = self.initial_state(question)
         for aid in steps:
-            state = self.transition(state, self.vocab[aid])
+            state = self.transition(state, self.action(aid))
         return state
 
     def solution_reward(self, question: Question, steps) -> int | None:
-        """Reward of a complete episode, or None if it never answers."""
-        if not steps or self.vocab[steps[-1]].kind != TERMINAL:
+        """Reward of a complete episode, or None if it never answers.
+        Raises IllegalAction if any step id is outside the vocabulary."""
+        actions = [self.action(aid) for aid in steps]
+        if not actions or actions[-1].kind != TERMINAL:
             return None
         before = self.replay(question, steps[:-1])
-        return self.terminal_reward(before, self.vocab[steps[-1]])
+        return self.terminal_reward(before, actions[-1])
 
     def build_solution(self, question: Question, steps) -> Solution:
         reward = self.solution_reward(question, steps)

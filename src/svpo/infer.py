@@ -9,6 +9,11 @@ it answered from, since the true reward is not observable at inference
 time. The final result is the parked-or-live candidate with the highest
 score, so a run that never answers comes back as an unfinished, incorrect
 solution rather than an error.
+
+Sampling goes through `model.sample_distinct`, which MCTS expansion uses
+too; each of its draws is `model.draw`, the algorithm of
+`Generator.choice` without choice's argument checks, so a seed gives the
+same picks and leaves the generator in the same state as choice would.
 """
 from __future__ import annotations
 
@@ -19,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .env import Question, Solution, State, TERMINAL
-from .model import Model, PolicyValueParams, spawn_generator, temper
+from .model import (Model, PolicyValueParams, sample_distinct,
+                    spawn_generator, temper)
 
 _SBS_STREAM = 0x5B5
 
@@ -68,22 +74,6 @@ def greedy_decode(model: Model, params: PolicyValueParams,
     return env.build_solution(question, steps)
 
 
-def _sample_distinct(logprobs: np.ndarray, temperature: float, k: int,
-                     rng: np.random.Generator) -> list[int]:
-    """k distinct indices drawn sequentially without replacement from the
-    tempered distribution. If the remaining mass underflows to zero (very
-    low temperatures), the leftovers are treated as uniform."""
-    weights = temper(np.asarray(logprobs, dtype=float), temperature)
-    remaining = list(range(len(weights)))
-    picks: list[int] = []
-    for _ in range(min(k, len(remaining))):
-        w = weights[remaining]
-        total = w.sum()
-        p = w / total if total > 0 else np.full(len(w), 1.0 / len(w))
-        picks.append(remaining.pop(int(rng.choice(len(remaining), p=p))))
-    return picks
-
-
 def sbs_best(model: Model, params: PolicyValueParams, question: Question,
              config: SBSConfig, rng_seed: int,
              trace: list | None = None) -> BeamCandidate:
@@ -104,8 +94,8 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
             legal, logprobs, _, _ = model.legal_logprobs(params, state)
             rng = spawn_generator(_SBS_STREAM, rng_seed, question.id, level,
                                   beam_idx)
-            picks = _sample_distinct(logprobs, config.temperature,
-                                     config.b2, rng)
+            picks = sample_distinct(temper(logprobs, config.temperature),
+                                    config.b2, rng)
             if trace is not None:
                 trace.append(("expand", level, beam_idx, beam.prefix,
                               tuple(legal[i].id for i in picks)))

@@ -10,6 +10,16 @@ answer's reward (the rollout node is kept in the tree), and anything else
 is worth 0. Backup is the incremental-mean update along the path to the
 root. A forest stacks trees for one question until enough distinct
 correct solutions exist or the tree budget runs out.
+
+`build_forest` keeps one policy memo per forest: the legal actions,
+probabilities and tempered probabilities of every state the forest has
+evaluated, keyed by its steps. A node's rollout distribution is reused
+when the node is expanded, and every tree after the first reuses the
+states the earlier trees reached, so the policy runs at most once per
+distinct state. The memo lives for one call, which has one question and
+one `params`, so it never outlives the parameters it was computed from.
+Every categorical draw goes through `model.draw`, which consumes the
+generator exactly as `Generator.choice` would.
 """
 from __future__ import annotations
 
@@ -20,8 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import TERMINAL, Env, Question, State
-from .model import Model, PolicyValueParams, spawn_generator
+from .env import TERMINAL, DepthExceeded, Env, Question, State
+from .model import (Model, PolicyValueParams, draw, sample_distinct,
+                    spawn_generator, temper)
 
 _TREE_STREAM = 0x7EE
 
@@ -31,10 +42,6 @@ class MCTSError(Exception):
 
 
 class AlreadyExpanded(MCTSError):
-    pass
-
-
-class DepthExceeded(MCTSError):
     pass
 
 
@@ -140,9 +147,15 @@ def puct_score(child: TreeNode, parent_n: int, c_puct: float) -> float:
 
 def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
                         params: PolicyValueParams, config: SearchConfig,
-                        rng: np.random.Generator) -> list[tuple[int, float]]:
+                        rng: np.random.Generator,
+                        memo: dict | None = None) -> list[tuple[int, float]]:
     """Create sampled children of a non-terminal leaf and return the
-    (node_id, leaf value) pairs the caller must back up."""
+    (node_id, leaf value) pairs the caller must back up.
+
+    `memo` is the forest's policy memo (see the module docstring); without
+    one, every distribution is computed afresh. Raises AlreadyExpanded for
+    a node with children or a terminal node, and env.DepthExceeded for a
+    node at the depth budget."""
     node = tree.nodes[node_id]
     if node.children:
         raise AlreadyExpanded(f"node {node_id} already has children")
@@ -150,12 +163,13 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
         raise AlreadyExpanded(f"node {node_id} is terminal")
     if node.state.depth >= config.max_depth:
         raise DepthExceeded(f"node {node_id} is at the depth budget")
+    if memo is None:
+        memo = {}
     env = model.env
-    legal, probs = model.action_distribution(params, node.state)
-    picks = _sample_distinct(probs, config.temperature,
-                             min(config.n_children, len(legal)), rng)
+    legal, probs, tempered = _policy(model, params, node.state,
+                                     config.temperature, memo)
     results: list[tuple[int, float]] = []
-    for idx in picks:
+    for idx in sample_distinct(tempered, config.n_children, rng):
         action = legal[idx]
         child_state = env.transition(node.state, action)
         if action.kind == TERMINAL:
@@ -173,9 +187,9 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
             continue
         child = tree.add_node(node_id, action.id, child_state,
                               float(probs[idx]))
-        r_legal, r_probs = model.action_distribution(params, child_state)
-        r_idx = int(rng.choice(len(r_legal),
-                               p=_temper_probs(r_probs, config.temperature)))
+        r_legal, r_probs, r_tempered = _policy(model, params, child_state,
+                                               config.temperature, memo)
+        r_idx = draw(r_tempered, rng)
         r_action = r_legal[r_idx]
         if r_action.kind == TERMINAL:
             reward = env.terminal_reward(child_state, r_action)
@@ -189,26 +203,16 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
     return results
 
 
-def _temper_probs(probs: np.ndarray, temperature: float) -> np.ndarray:
-    z = np.log(np.maximum(probs, 1e-300)) / temperature
-    z -= z.max()
-    p = np.exp(z)
-    return p / p.sum()
-
-
-def _sample_distinct(probs: np.ndarray, temperature: float, k: int,
-                     rng: np.random.Generator) -> list[int]:
-    """k distinct indices, drawn sequentially without replacement from the
-    tempered distribution."""
-    tempered = _temper_probs(probs, temperature)
-    remaining = list(range(len(tempered)))
-    picks = []
-    for _ in range(k):
-        weights = tempered[remaining]
-        weights = weights / weights.sum()
-        j = int(rng.choice(len(remaining), p=weights))
-        picks.append(remaining.pop(j))
-    return picks
+def _policy(model: Model, params: PolicyValueParams, state: State,
+            temperature: float, memo: dict):
+    """(legal actions, probabilities, tempered probabilities) of a state,
+    read from the memo or computed once and stored there."""
+    hit = memo.get(state.steps)
+    if hit is None:
+        legal, logprobs, _, _ = model.legal_logprobs(params, state)
+        hit = memo[state.steps] = (legal, np.exp(logprobs),
+                                   temper(logprobs, temperature))
+    return hit
 
 
 def backup(tree: SearchTree, node_id: int, value: float) -> None:
@@ -239,15 +243,17 @@ def build_forest(model: Model, question: Question, params: PolicyValueParams,
     correct solutions exist or max_trees is exhausted.
 
     Tree t draws from an independent generator seeded by (rng_seed, t), so
-    forests are reproducible and trees are order-independent. When `trace`
-    is given, every backup is logged as (tree_index, node_id, value) for
-    replay-style verification.
+    forests are reproducible and trees are order-independent; the trees
+    share one policy memo, whose entries depend only on the state. When
+    `trace` is given, every backup is logged as (tree_index, node_id,
+    value) for replay-style verification.
     """
     run_config = SearchConfig(**{**config.__dict__,
                                  "max_depth": min(config.max_depth,
                                                   model.env.config.max_depth)})
     forest = Forest(question_id=question.id)
     found: set[tuple[int, ...]] = set()
+    memo: dict = {}
     for t in range(config.max_trees):
         rng = spawn_generator(_TREE_STREAM, rng_seed, t)
         tree = new_tree(model.env, question)
@@ -258,7 +264,7 @@ def build_forest(model: Model, question: Question, params: PolicyValueParams,
                 updates = [(leaf_id, float(leaf.reward))]
             else:
                 updates = expand_and_evaluate(tree, leaf_id, model, params,
-                                              run_config, rng)
+                                              run_config, rng, memo)
             for nid, value in updates:
                 backup(tree, nid, value)
                 if trace is not None:
@@ -299,7 +305,8 @@ def forest_from_record(env: Env, rec: dict) -> Forest:
                 state = env.initial_state(question)
             else:
                 parent_state = tree.nodes[parent].state
-                state = env.transition(parent_state, env.vocab[nrec["action"]])
+                state = env.transition(parent_state,
+                                       env.action(nrec["action"]))
             node = tree.add_node(parent, nrec["action"], state, nrec["prior"],
                                  terminal=nrec["terminal"],
                                  reward=nrec["reward"])

@@ -8,7 +8,9 @@ and exposed analytically; nothing here depends on an autodiff framework.
 Log-probabilities are computed in log space with the usual max-shift.
 
 Search and decoding call the per-state forward pass (`legal_logprobs`,
-`value`), one state at a time. Training and win-rate scoring go through
+`value`), one state at a time, and sample through `draw` and
+`sample_distinct`, which consume a generator exactly as
+`Generator.choice` does. Training and win-rate scoring go through
 one batched prefix kernel, `Model.seq_logprob_grad`: it evaluates many
 (question, prefix) sequences at once and returns the gradient of any
 weighted sum of their log-probabilities and end-state values.
@@ -266,10 +268,9 @@ class Model:
         """Sample a legal action id at the given temperature (> 0)."""
         if temperature <= 0:
             raise ValueError("temperature must be > 0")
-        rng = as_generator(rng)
         legal, logprobs, _, _ = self.legal_logprobs(params, state)
-        probs = temper(logprobs, temperature)
-        return int(legal[rng.choice(len(legal), p=probs)].id)
+        return legal[draw(temper(logprobs, temperature),
+                          as_generator(rng))].id
 
     def action_distribution(self, params: PolicyValueParams, state: State):
         """(legal actions, untempered probabilities)."""
@@ -316,9 +317,7 @@ class Model:
         rows = [self.featurizer.features(question, state)]
         try:
             for aid in steps:
-                if not 0 <= aid < len(env.vocab):
-                    raise IllegalAction(f"no action {aid} in the vocabulary")
-                state = env.transition(state, env.vocab[aid])
+                state = env.transition(state, env.action(aid))
                 rows.append(self.featurizer.features(question, state))
         except (IllegalAction, DepthExceeded) as exc:
             raise IllegalPrefix(
@@ -392,6 +391,34 @@ def temper(logprobs: np.ndarray, temperature: float) -> np.ndarray:
     z -= z.max()
     p = np.exp(z)
     return p / p.sum()
+
+
+def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """One index drawn from the distribution `probs`.
+
+    This is the algorithm `rng.choice(len(probs), p=probs)` runs, so it
+    returns the same index and leaves `rng` in the same state. It skips
+    choice's validation of `p`, which is most of choice's cost; `probs`
+    must be a float array with a positive sum."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def sample_distinct(weights: np.ndarray, k: int,
+                    rng: np.random.Generator) -> list[int]:
+    """min(k, len(weights)) distinct indices, drawn one by one without
+    replacement, each in proportion to the weights still left. If the
+    remaining mass underflows to zero (very low temperatures), the
+    leftovers are treated as uniform."""
+    remaining = list(range(len(weights)))
+    picks: list[int] = []
+    for _ in range(min(k, len(remaining))):
+        w = weights[remaining]
+        total = w.sum()
+        p = w / total if total > 0 else np.full(len(w), 1.0 / len(w))
+        picks.append(remaining.pop(draw(p, rng)))
+    return picks
 
 
 def as_generator(rng) -> np.random.Generator:

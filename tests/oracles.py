@@ -10,9 +10,11 @@ import math
 
 import numpy as np
 
+from svpo import mcts
+from svpo.env import TERMINAL
 from svpo.model import (
     Gradients, Model, PolicyValueParams, grads_to_vec, params_to_vec,
-    vec_to_params,
+    spawn_generator, vec_to_params,
 )
 from svpo.train import EmptyBatch, LossBreakdown, combine_total
 
@@ -259,3 +261,103 @@ def mean_over_seeds(per_seed: dict, *path: str) -> float:
             node = node[key]
         values.append(node)
     return sum(values) / len(values)
+
+
+# -- reference search: Generator.choice draws, no policy memo ---------------
+# The search samplers draw through `model.draw` and MCTS reuses one policy
+# memo per forest; both must leave every seeded stream as it was when each
+# draw was `rng.choice(n, p=p)` and every distribution was recomputed.
+
+def choice_sample_distinct(weights: np.ndarray, k: int,
+                           rng: np.random.Generator) -> list[int]:
+    """Distinct indices drawn one by one with `rng.choice`, uniform once
+    the remaining mass underflows."""
+    remaining = list(range(len(weights)))
+    picks = []
+    for _ in range(min(k, len(remaining))):
+        w = weights[remaining]
+        total = w.sum()
+        p = w / total if total > 0 else np.full(len(w), 1.0 / len(w))
+        picks.append(remaining.pop(int(rng.choice(len(remaining), p=p))))
+    return picks
+
+
+def _temper_probs(probs: np.ndarray, temperature: float) -> np.ndarray:
+    z = np.log(np.maximum(probs, 1e-300)) / temperature
+    z -= z.max()
+    p = np.exp(z)
+    return p / p.sum()
+
+
+def reference_expand(tree, node_id: int, model: Model,
+                     params: PolicyValueParams, config,
+                     rng: np.random.Generator) -> list[tuple[int, float]]:
+    """MCTS expansion with a fresh policy evaluation for the node and for
+    every rollout, probabilities tempered in probability space, and
+    `rng.choice` draws."""
+    env = model.env
+    node = tree.nodes[node_id]
+    legal, probs = model.action_distribution(params, node.state)
+    picks = choice_sample_distinct(_temper_probs(probs, config.temperature),
+                                   min(config.n_children, len(legal)), rng)
+    results = []
+    for idx in picks:
+        action = legal[idx]
+        child_state = env.transition(node.state, action)
+        if action.kind == TERMINAL:
+            reward = env.terminal_reward(node.state, action)
+            child = tree.add_node(node_id, action.id, child_state,
+                                  float(probs[idx]), terminal=True,
+                                  reward=reward)
+            results.append((child.id, float(reward)))
+            continue
+        if child_state.depth >= config.max_depth:
+            child = tree.add_node(node_id, action.id, child_state,
+                                  float(probs[idx]), terminal=True, reward=-1)
+            results.append((child.id, -1.0))
+            continue
+        child = tree.add_node(node_id, action.id, child_state,
+                              float(probs[idx]))
+        r_legal, r_probs = model.action_distribution(params, child_state)
+        r_idx = int(rng.choice(len(r_legal),
+                               p=_temper_probs(r_probs, config.temperature)))
+        r_action = r_legal[r_idx]
+        if r_action.kind == TERMINAL:
+            reward = env.terminal_reward(child_state, r_action)
+            grand = tree.add_node(child.id, r_action.id,
+                                  env.transition(child_state, r_action),
+                                  float(r_probs[r_idx]), terminal=True,
+                                  reward=reward)
+            results.append((grand.id, float(reward)))
+        else:
+            results.append((child.id, 0.0))
+    return results
+
+
+def reference_forest(model: Model, question, params: PolicyValueParams,
+                     config, rng_seed: int):
+    """`build_forest` over `reference_expand`: tree t draws from the
+    generator seeded by (tree stream, rng_seed, t)."""
+    run_config = mcts.SearchConfig(**{
+        **config.__dict__,
+        "max_depth": min(config.max_depth, model.env.config.max_depth)})
+    forest = mcts.Forest(question_id=question.id)
+    found = set()
+    for t in range(config.max_trees):
+        rng = spawn_generator(mcts._TREE_STREAM, rng_seed, t)
+        tree = mcts.new_tree(model.env, question)
+        for _ in range(config.max_simulations):
+            leaf_id = mcts.select(tree, config.c_puct)
+            leaf = tree.nodes[leaf_id]
+            if leaf.terminal:
+                updates = [(leaf_id, float(leaf.reward))]
+            else:
+                updates = reference_expand(tree, leaf_id, model, params,
+                                           run_config, rng)
+            for nid, value in updates:
+                mcts.backup(tree, nid, value)
+        forest.trees.append(tree)
+        found |= mcts.correct_solutions(mcts.Forest(question.id, [tree]))
+        if len(found) >= config.target_correct:
+            break
+    return forest

@@ -215,6 +215,25 @@ def test_solution_reward_and_build_solution():
     assert not unfinished.correct and unfinished.predicted is None
 
 
+def test_out_of_vocabulary_ids_are_illegal():
+    """An id outside [0, len(vocab)) is refused, never read from the end
+    of the vocabulary (-1 used to replay as the last answer action)."""
+    env = Env()
+    q = Question(id=9, start=1, chain=(0,), truth=2, difficulty="easy")
+    env.register([q])
+    n = len(env.vocab)
+    for steps in [(0, -1), (0, n), (-1,), (-n - 1,), (-1, 0), (0, -1, 0)]:
+        with pytest.raises(IllegalAction):
+            env.replay(q, steps)
+        with pytest.raises(IllegalAction):
+            env.solution_reward(q, steps)
+        with pytest.raises(IllegalAction):
+            env.build_solution(q, steps)
+    with pytest.raises(IllegalAction):
+        env.action(n)
+    assert env.action(n - 1) is env.vocab[-1]
+
+
 def test_dataset_serialization_round_trip(tmp_path):
     questions = gen_dataset(seed=11, n=40, difficulty="hard")
     path = tmp_path / "questions.jsonl"

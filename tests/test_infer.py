@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from svpo import infer
 from svpo.env import Env, EnvConfig, Question, TERMINAL, gen_dataset
 from svpo.infer import (
     SBSConfig, greedy_decode, inference_record, load_inference_records,
@@ -12,7 +13,8 @@ from svpo.model import Model
 from svpo.pairs import extract_value_targets, label_correct
 from svpo.train import spawn_generator
 
-from oracles import scripted_params, value_bump_params
+from oracles import (choice_sample_distinct, scripted_params,
+                     value_bump_params)
 
 
 @pytest.fixture(scope="module")
@@ -288,3 +290,26 @@ def test_inference_records_and_roundtrip(tmp_path, setup):
     path = tmp_path / "results.jsonl"
     save_inference_records([greedy_rec, sbs_rec], path)
     assert load_inference_records(path) == [greedy_rec, sbs_rec]
+
+
+def test_sbs_matches_choice_reference(setup, monkeypatch):
+    """SBS traces and winners are those of the choice-based sampler, at a
+    usual temperature and at one low enough to hit the uniform fallback."""
+    env, model, questions = setup
+    params = model.init_params(seed=3, scale=1.0)
+    configs = [SBSConfig(b1=b1, b2=5, temperature=t)
+               for b1 in (1, 3) for t in (0.8, 1e-3)]
+
+    def run():
+        out = []
+        for config in configs:
+            for q in questions[:4]:
+                trace = []
+                best = sbs_best(model, params, q, config, rng_seed=9,
+                                trace=trace)
+                out.append((trace, best))
+        return out
+
+    got = run()
+    monkeypatch.setattr(infer, "sample_distinct", choice_sample_distinct)
+    assert got == run()

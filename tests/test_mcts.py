@@ -2,10 +2,13 @@
 replay-log bookkeeping, determinism, and dump/load fidelity."""
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from svpo import env as envmod
 from svpo.env import Env, EnvConfig, Question, TERMINAL, gen_dataset
 from svpo.mcts import (
     AlreadyExpanded, DepthExceeded, Forest, SearchConfig, SearchTree,
@@ -15,7 +18,7 @@ from svpo.mcts import (
 )
 from svpo.model import Model, spawn_generator
 
-from oracles import scripted_params
+from oracles import reference_forest, scripted_params
 
 
 @pytest.fixture()
@@ -383,3 +386,75 @@ def test_search_config_validation():
         SearchConfig(n_children=0)
     with pytest.raises(ValueError):
         SearchConfig(max_depth=1)
+
+
+def test_depth_exceeded_is_the_env_class():
+    # one class, so a caller catching the Env's error also catches search's
+    assert DepthExceeded is envmod.DepthExceeded
+
+
+@pytest.mark.parametrize("difficulty", ["easy", "hard"])
+def test_build_forest_matches_choice_reference(difficulty):
+    """The draw primitive and the per-forest policy memo leave every
+    forest as the choice-based, memo-free expansion builds it."""
+    questions = gen_dataset(seed=31, n=3, difficulty=difficulty)
+    env = Env(questions=questions)
+    model = Model(env)
+    for p_seed, scale in ((0, 0.05), (1, 1.0)):
+        params = model.init_params(seed=p_seed, scale=scale)
+        for temperature in (1.0, 0.7):
+            config = SearchConfig(temperature=temperature)
+            for q in questions:
+                got = build_forest(model, q, params, config, rng_seed=q.id)
+                want = reference_forest(model, q, params, config,
+                                        rng_seed=q.id)
+                assert forest_to_record(got) == forest_to_record(want)
+
+
+def test_build_forest_evaluates_each_state_once(toy, monkeypatch):
+    env, model, questions = toy
+    params = model.init_params(seed=5, scale=0.5)
+    calls = []
+    inner = model.legal_logprobs
+
+    def counted(p, state):
+        calls.append(state.steps)
+        return inner(p, state)
+
+    monkeypatch.setattr(model, "legal_logprobs", counted)
+    config = SearchConfig(target_correct=99)  # build every tree
+    for q in questions[:3]:
+        calls.clear()
+        forest = build_forest(model, q, params, config, rng_seed=q.id)
+        assert len(forest.trees) == config.max_trees
+        assert calls and len(calls) == len(set(calls))
+        # the memo spans trees: later roots are not evaluated again
+        assert calls.count(()) == 1
+
+
+_FRESH_FOREST = """
+import json, sys
+from svpo.env import Env, gen_dataset
+from svpo.mcts import SearchConfig, build_forest, forest_to_record
+from svpo.model import Model
+q = gen_dataset(seed=21, n=5, difficulty="easy")[1]
+model = Model(Env(questions=[q]))
+params = model.init_params(seed=int(sys.argv[1]), scale=1.0)
+print(json.dumps(forest_to_record(
+    build_forest(model, q, params, SearchConfig(), rng_seed=3))))
+"""
+
+
+def test_forests_do_not_depend_on_earlier_params(toy):
+    """Successive forests under changing params (as between training
+    stages) equal forests built in fresh processes."""
+    env, model, questions = toy
+    here = [json.dumps(forest_to_record(build_forest(
+        model, questions[1], model.init_params(seed=s, scale=1.0),
+        SearchConfig(), rng_seed=3))) for s in (7, 8, 7)]
+    assert here[0] != here[1] and here[0] == here[2]
+    for p_seed, got in zip((7, 8), here):
+        fresh = subprocess.run([sys.executable, "-c", _FRESH_FOREST,
+                                str(p_seed)], capture_output=True,
+                               text=True, check=True)
+        assert fresh.stdout.strip() == got

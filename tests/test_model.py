@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from svpo.env import Env, Question, gen_dataset
 from svpo.model import (
-    Featurizer, Model, Gradients, IllegalPrefix, as_generator, load_params,
-    params_from_record, params_to_record, save_params, spawn_generator,
-    temper,
+    Featurizer, Model, Gradients, IllegalPrefix, as_generator, draw,
+    load_params, params_from_record, params_to_record, sample_distinct,
+    save_params, spawn_generator, temper,
 )
 
 from oracles import fd_relative_error, scripted_params, value_bump_params
@@ -188,6 +188,38 @@ def test_temperature_validation(setup):
     env, model, questions = setup
     with pytest.raises(ValueError):
         model.sample_step(model.zeros_params(), env.initial_state(questions[0]), 0.0, 1)
+
+
+_WEIGHT = st.one_of(st.floats(0.0, 1.0), st.floats(1e-300, 1e-12),
+                    st.just(0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(_WEIGHT, min_size=1, max_size=11),
+       one_hot=st.booleans(), hot=st.integers(0, 10),
+       seed=st.integers(0, 2**63))
+def test_draw_matches_generator_choice(weights, one_hot, hot, seed):
+    """draw is choice's algorithm: same index, same generator state after."""
+    w = np.array(weights)
+    if one_hot or w.sum() == 0:
+        w = np.zeros(len(w))
+        w[hot % len(w)] = 1.0
+    p = w / w.sum()
+    mine, theirs = spawn_generator(seed), spawn_generator(seed)
+    for _ in range(3):
+        assert draw(p, mine) == int(theirs.choice(len(p), p=p))
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def test_sample_distinct_underflow_is_uniform():
+    rng = spawn_generator(4)
+    counts = np.zeros(4)
+    for _ in range(3000):
+        picks = sample_distinct(np.array([1.0, 0.0, 0.0, 0.0]), 2, rng)
+        assert picks[0] == 0 and len(set(picks)) == 2
+        counts[picks[1]] += 1
+    assert counts[0] == 0 and counts[1:].min() > 900
+    assert sorted(sample_distinct(np.ones(3), 9, rng)) == [0, 1, 2]
 
 
 def test_temper_is_shift_safe():
