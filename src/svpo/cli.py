@@ -1,37 +1,48 @@
 """Command-line front end.
 
-Staged subcommands (gen, annotate, pairs, pretrain, svpo, infer, eval)
-read and write documented filenames under --out, so a run can be driven
-piecewise or resumed. ablate, sweep, and pipeline are self-contained
-drivers. Exit codes: 0 success, 2 configuration error, 3 stage failure.
+The staged subcommands run the pipeline one stage at a time. Each reads
+its inputs from --out, calls the stage function `svpo pipeline` calls
+and writes that stage's files, so gen, annotate, pairs, pretrain, svpo
+and eval in turn leave every file `svpo pipeline` writes, byte for byte,
+plus pretrain_log.csv, which the pipeline does not write:
+
+    gen       reads  -
+              writes questions_train.jsonl, questions_test.jsonl
+    annotate  reads  questions_*.jsonl
+              writes forests.jsonl
+    pairs     reads  questions_*.jsonl, forests.jsonl
+              writes pairs.jsonl, value_targets.jsonl, solutions.jsonl,
+                     pair_stats.json
+    pretrain  reads  questions_*.jsonl, pairs.jsonl, value_targets.jsonl,
+                     solutions.jsonl, pair_stats.json
+              writes ckpt_pretrain.json, pretrain_log.csv
+    svpo      reads  what pretrain reads, ckpt_pretrain.json
+              writes ckpt_svpo.json, svpo_log.csv
+    eval      reads  what svpo reads, ckpt_svpo.json, svpo_log.csv
+              writes pairs_heldout.jsonl, summary.json
+
+infer decodes the test split with a checkpoint (inference_*.jsonl).
+ablate, sweep, and pipeline are self-contained drivers. Exit codes: 0
+success, 2 configuration error, 3 stage failure.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .env import Env, EnvConfig, gen_dataset, load_dataset, save_dataset
 from .evaluate import (
-    ARMS, ExperimentConfig, StageFailure, _stage, build_corpus,
-    build_heldout_pairs, eval_accuracy_suite, eval_win_rates,
-    experiment_config_from_dict, experiment_config_to_dict, run_gamma_sweep,
-    run_matrix, run_pipeline, summary_text,
+    ARMS, ExperimentConfig, StageFailure, _round, annotate_stage,
+    eval_stage, experiment_config_from_dict, gen_stage, heldout_stage,
+    load_corpus, load_training_checkpoint, load_training_log, pairs_stage,
+    pretrain_stage, run_gamma_sweep, run_matrix, run_pipeline, save_corpus,
+    save_eval, save_training, seed_config, summary_text, svpo_stage,
 )
-from .infer import SBSConfig, inference_record, save_inference_records
-from .mcts import build_forest, load_forests, save_forests
-from .model import Model
-from .pairs import (
-    extract_pairs, extract_sft_solutions, extract_value_targets,
-    label_correct, load_pairs, load_solutions, load_value_targets,
-    positive_negative_ratio, save_pairs, save_solutions, save_value_targets,
-)
-from .train import (
-    Checkpoint, TrainData, load_checkpoint, parse_kv_text, save_checkpoint,
-    save_log_csv, train_loop,
-)
+from .infer import inference_record, save_inference_records
+from .train import load_checkpoint, parse_kv_text
 
 DEFAULT_SEEDS = "0,1,2,3,4"
 DEFAULT_GAMMAS = "0,0.25,0.5,0.75,1.0"
@@ -42,169 +53,79 @@ def load_experiment_config(args) -> ExperimentConfig:
     if args.config:
         items = parse_kv_text(Path(args.config).read_text())
     config = experiment_config_from_dict(items)
-    if args.seed is not None:
-        import dataclasses
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
-
-
-def _env_and_model(out: Path, splits=("train",)):
-    env = Env(EnvConfig())
-    questions = {}
-    for split in splits:
-        qs = load_dataset(out / f"questions_{split}.jsonl")
-        env.register(qs)
-        questions[split] = qs
-    return env, Model(env), questions
+    return config if args.seed is None else seed_config(config, args.seed)
 
 
 def cmd_gen(args, config: ExperimentConfig, out: Path) -> int:
-    from .evaluate import _dataset_seeds
-    train_seed, test_seed = _dataset_seeds(config)
-    with _stage("gen"):
-        save_dataset(gen_dataset(train_seed, config.n_train,
-                                 config.difficulty),
-                     out / "questions_train.jsonl")
-        save_dataset(gen_dataset(test_seed, config.n_test,
-                                 config.difficulty),
-                     out / "questions_test.jsonl")
+    save_corpus(gen_stage(config), out, ("gen",))
     print(f"wrote questions_train.jsonl and questions_test.jsonl to {out}")
     return 0
 
 
 def cmd_annotate(args, config: ExperimentConfig, out: Path) -> int:
-    env, model, questions = _env_and_model(out)
-    with _stage("annotate"):
-        params = model.init_params(seed=config.seed)
-        forests = []
-        for question in questions["train"]:
-            forest = build_forest(model, question, params, config.search,
-                                  rng_seed=config.seed + question.id)
-            forests.append(label_correct(forest))
-        save_forests(forests, out / "forests.jsonl")
-    print(f"annotated {len(forests)} questions -> forests.jsonl")
+    corpus = load_corpus(out, config)
+    annotate_stage(corpus, config)
+    save_corpus(corpus, out, ("annotate",))
+    print(f"annotated {len(corpus.forests)} questions -> forests.jsonl")
     return 0
 
 
 def cmd_pairs(args, config: ExperimentConfig, out: Path) -> int:
-    env, _, _ = _env_and_model(out)
-    with _stage("pairs"):
-        forests = load_forests(env, out / "forests.jsonl")
-        pairs, targets, solutions = [], [], []
-        for forest in forests:
-            pairs.extend(extract_pairs(forest, config.counts,
-                                       rng_seed=config.seed))
-            targets.extend(extract_value_targets(forest))
-            solutions.extend(extract_sft_solutions(env, forest,
-                                                   config.sft_k))
-        save_pairs(pairs, out / "pairs.jsonl")
-        save_value_targets(targets, out / "value_targets.jsonl")
-        save_solutions(solutions, out / "solutions.jsonl")
-        stats = {"n_pairs": len(pairs), "n_value_targets": len(targets),
-                 "n_solutions": len(solutions),
-                 "pos_neg_ratio": round(positive_negative_ratio(pairs), 4)
-                 if pairs else 0.0}
-        (out / "pair_stats.json").write_text(
-            json.dumps(stats, sort_keys=True, indent=2) + "\n")
-    print(f"extracted {len(pairs)} pairs "
-          f"(1:{stats['pos_neg_ratio']}) -> pairs.jsonl")
+    corpus = load_corpus(out, config, ("gen", "annotate"))
+    pairs_stage(corpus, config)
+    save_corpus(corpus, out, ("pairs",))
+    print(f"extracted {len(corpus.pairs)} pairs "
+          f"(1:{corpus.pos_neg_ratio:.4f}) -> pairs.jsonl")
     return 0
 
 
 def cmd_pretrain(args, config: ExperimentConfig, out: Path) -> int:
-    env, model, _ = _env_and_model(out)
-    with _stage("pretrain"):
-        data = TrainData(
-            solutions=load_solutions(out / "solutions.jsonl"),
-            value_targets=load_value_targets(out / "value_targets.jsonl"))
-        init = Checkpoint(params=model.init_params(seed=config.seed),
-                          ref_params=None, step=0,
-                          config=dict(vars(config.pretrain)))
-        log: list = []
-        ckpt = train_loop(model, data, config.pretrain, rng_seed=config.seed,
-                          init=init, log=log)[-1]
-        save_checkpoint(ckpt, out / "ckpt_pretrain.json")
-        save_log_csv(log, out / "pretrain_log.csv")
+    corpus = load_corpus(out, config, ("gen", "pairs"))
+    log: list = []
+    ckpt = pretrain_stage(corpus, config, log=log)
+    save_training(out, "pretrain", ckpt, log)
     print(f"pretrained for {ckpt.step} steps -> ckpt_pretrain.json")
     return 0
 
 
 def cmd_svpo(args, config: ExperimentConfig, out: Path) -> int:
-    from .evaluate import apply_ablation, solution_level_pairs
-    env, model, _ = _env_and_model(out)
-    with _stage("svpo"):
-        pairs = load_pairs(out / "pairs.jsonl")
-        if config.solution_level_only:
-            pairs = solution_level_pairs(env, pairs)
-        init = load_checkpoint(out / "ckpt_pretrain.json")
-        log: list = []
-        ckpt = train_loop(model, TrainData(pairs=pairs),
-                          apply_ablation(config), rng_seed=config.seed,
-                          init=init, log=log)[-1]
-        save_checkpoint(ckpt, out / "ckpt_svpo.json")
-        save_log_csv(log, out / "svpo_log.csv")
+    corpus = load_corpus(out, config, ("gen", "pairs"))
+    sft_ckpt = load_training_checkpoint(out, "pretrain")
+    log: list = []
+    ckpt = svpo_stage(corpus, sft_ckpt, config, log=log)
+    save_training(out, "svpo", ckpt, log)
     print(f"preference-trained to step {ckpt.step} -> ckpt_svpo.json")
     return 0
 
 
 def cmd_infer(args, config: ExperimentConfig, out: Path) -> int:
-    env, model, questions = _env_and_model(out, splits=("test",))
-    with _stage("infer"):
-        ckpt = load_checkpoint(out / args.ckpt)
-        sbs_config = None
-        name = f"inference_{args.mode}.jsonl"
-        if args.mode == "sbs":
-            import dataclasses
-            sbs_config = dataclasses.replace(config.sbs, b1=args.b1)
-            name = f"inference_sbs_b{args.b1}.jsonl"
-        records = [inference_record(model, ckpt.params, q, args.mode,
-                                    sbs_config, rng_seed=config.seed)
-                   for q in questions["test"]]
-        save_inference_records(records, out / name)
-        acc = sum(r["correct"] for r in records) / len(records)
+    corpus = load_corpus(out, config)
+    ckpt = load_checkpoint(out / args.ckpt)
+    sbs_config = None
+    name = f"inference_{args.mode}.jsonl"
+    if args.mode == "sbs":
+        sbs_config = dataclasses.replace(config.sbs, b1=args.b1)
+        name = f"inference_sbs_b{args.b1}.jsonl"
+    records = [inference_record(corpus.model, ckpt.params, q, args.mode,
+                                sbs_config, rng_seed=config.seed)
+               for q in corpus.test_questions]
+    save_inference_records(records, out / name)
+    acc = sum(r["correct"] for r in records) / len(records)
     print(f"{args.mode} accuracy {acc:.4f} over {len(records)} questions "
           f"-> {name}")
     return 0
 
 
 def cmd_eval(args, config: ExperimentConfig, out: Path) -> int:
-    env, model, questions = _env_and_model(out, splits=("train", "test"))
-    with _stage("eval"):
-        sft_ckpt = load_checkpoint(out / "ckpt_pretrain.json")
-        svpo_ckpt = load_checkpoint(out / "ckpt_svpo.json")
-        pairs = load_pairs(out / "pairs.jsonl")
-        train_ids = {q.id for q in questions["train"]}
-        heldout = build_heldout_pairs(model, sft_ckpt.params,
-                                      questions["test"], config.search,
-                                      config.counts, config.seed, train_ids)
-        save_pairs(heldout, out / "pairs_heldout.jsonl")
-
-        from .evaluate import Corpus
-        corpus = Corpus(env, model, questions["train"], questions["test"],
-                        [], pairs, [], [], 0.0, sft_ckpt.params)
-        report = {
-            "accuracy": {
-                "sft": eval_accuracy_suite(corpus, sft_ckpt.params, config),
-                "svpo": eval_accuracy_suite(corpus, svpo_ckpt.params, config),
-            },
-            "win_rate": _rates(eval_win_rates(
-                corpus, svpo_ckpt.params, svpo_ckpt.ref_params, heldout,
-                config.svpo.beta)),
-        }
-        (out / "eval.json").write_text(
-            json.dumps(_round4(report), sort_keys=True, indent=2) + "\n")
-    print(json.dumps(_round4(report["accuracy"]), sort_keys=True))
+    corpus = load_corpus(out, config, ("gen", "pairs"))
+    sft_ckpt = load_training_checkpoint(out, "pretrain")
+    svpo_ckpt = load_training_checkpoint(out, "svpo")
+    heldout = heldout_stage(corpus, sft_ckpt, config)
+    summary = eval_stage(corpus, sft_ckpt, svpo_ckpt, heldout,
+                         load_training_log(out, "svpo"), config)
+    save_eval(out, heldout, summary)
+    print(json.dumps(summary["metrics"]["accuracy"], sort_keys=True))
     return 0
-
-
-def _rates(rates: dict) -> dict:
-    from .evaluate import _win_rates_dict
-    return _win_rates_dict(rates)
-
-
-def _round4(value):
-    from .evaluate import _round
-    return _round(value)
 
 
 def _seed_list(text: str) -> list[int]:
@@ -238,7 +159,7 @@ def cmd_ablate(args, config: ExperimentConfig, out: Path) -> int:
             rows.append(row)
     _write_csv(out / "ablation.csv", rows)
     (out / "ablation.json").write_text(
-        json.dumps(_round4(_stringify_keys(results)), sort_keys=True,
+        json.dumps(_round(_stringify_keys(results)), sort_keys=True,
                    indent=2) + "\n")
     print(f"ablation over arms {arms} and seeds {seeds} -> ablation.csv")
     return 0
@@ -253,7 +174,7 @@ def cmd_sweep(args, config: ExperimentConfig, out: Path) -> int:
             for gamma in gammas for seed in seeds]
     _write_csv(out / "sweep.csv", rows)
     (out / "sweep.json").write_text(
-        json.dumps(_round4(_stringify_keys(results)), sort_keys=True,
+        json.dumps(_round(_stringify_keys(results)), sort_keys=True,
                    indent=2) + "\n")
     print(f"gamma sweep over {gammas} -> sweep.csv")
     return 0

@@ -254,19 +254,22 @@ class Env:
     def solution_reward(self, question: Question, steps) -> int | None:
         """Reward of a complete episode, or None if it never answers.
         Raises IllegalAction if any step id is outside the vocabulary."""
-        actions = [self.action(aid) for aid in steps]
-        if not actions or actions[-1].kind != TERMINAL:
+        solution = self.build_solution(question, steps)
+        if solution.predicted is None:
             return None
-        before = self.replay(question, steps[:-1])
-        return self.terminal_reward(before, actions[-1])
+        return 1 if solution.correct else -1
 
     def build_solution(self, question: Question, steps) -> Solution:
-        reward = self.solution_reward(question, steps)
-        predicted = None
-        if reward is not None:
-            before = self.replay(question, steps[:-1])
-            predicted = self.proposed_answer(before, self.vocab[steps[-1]])
-        return Solution(question.id, tuple(steps), predicted, reward == 1)
+        """The episode with its proposed answer (None if it never answers)
+        and whether it earns reward +1; replays the prefix once."""
+        steps = tuple(steps)
+        actions = [self.action(aid) for aid in steps]
+        if not actions or actions[-1].kind != TERMINAL:
+            return Solution(question.id, steps, None, False)
+        before = self.replay(question, steps[:-1])
+        return Solution(question.id, steps,
+                        self.proposed_answer(before, actions[-1]),
+                        self.terminal_reward(before, actions[-1]) == 1)
 
 
 def question_to_record(q: Question) -> dict:

@@ -11,6 +11,7 @@ ablations stay comparable.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 from contextlib import contextmanager
@@ -19,18 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import Env, EnvConfig, Question, TERMINAL, gen_dataset
+from .env import Env, EnvConfig, Question, TERMINAL, gen_dataset, load_dataset
 from .infer import SBSConfig, greedy_decode, sbs
-from .mcts import Forest, SearchConfig, build_forest
+from .mcts import Forest, SearchConfig, build_forest, load_forests
 from .model import Model, PolicyValueParams
 from .pairs import (
     PairCounts, PreferencePair, ValueTarget, extract_pairs,
-    extract_sft_solutions, extract_value_targets, label_correct,
-    positive_negative_ratio,
+    extract_sft_solutions, extract_value_targets, label_correct, load_pairs,
+    load_solutions, load_value_targets, positive_negative_ratio,
 )
 from .train import (
     PAIR_CHUNK, Checkpoint, TrainConfig, TrainData, default_pretrain_config,
-    default_svpo_config, pair_prefixes, train_loop,
+    default_svpo_config, load_checkpoint, pair_prefixes, train_loop,
 )
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -220,69 +221,90 @@ def solution_level_pairs(env: Env,
 
 @dataclass
 class Corpus:
+    """One seed's questions, model and training data. The gen stage fills
+    the fields up to init_params, annotate adds the forests and pairs the
+    rest."""
     env: Env
     model: Model
     train_questions: list[Question]
     test_questions: list[Question]
-    forests: list[Forest]
-    pairs: list[PreferencePair]
-    solutions: list
-    value_targets: list[ValueTarget]
-    pos_neg_ratio: float
     init_params: PolicyValueParams
+    forests: list[Forest] = field(default_factory=list)
+    pairs: list[PreferencePair] = field(default_factory=list)
+    solutions: list = field(default_factory=list)
+    value_targets: list[ValueTarget] = field(default_factory=list)
+    pos_neg_ratio: float = 0.0
 
 
-def _dataset_seeds(config: ExperimentConfig) -> tuple[int, int]:
-    # even/odd split keeps question ids disjoint across splits and seeds
-    return config.seed * 2, config.seed * 2 + 1
-
-
-def build_corpus(config: ExperimentConfig) -> Corpus:
-    """Generate both splits and annotate the training split with search
-    under the initial (untrained) policy."""
-    train_seed, test_seed = _dataset_seeds(config)
-    env = Env(EnvConfig())
-    with _stage("gen"):
-        train_questions = gen_dataset(train_seed, config.n_train,
-                                      config.difficulty)
-        test_questions = gen_dataset(test_seed, config.n_test,
-                                     config.difficulty)
-        env.register(train_questions)
-        env.register(test_questions)
+def new_corpus(config: ExperimentConfig, train_questions: list[Question],
+               test_questions: list[Question]) -> Corpus:
+    """A corpus over both splits with its Env, Model and initial params."""
+    env = Env(EnvConfig(), train_questions + test_questions)
     model = Model(env)
-    init_params = model.init_params(seed=config.seed)
-    forests, pairs, solutions, targets = [], [], [], []
+    return Corpus(env, model, train_questions, test_questions,
+                  model.init_params(seed=config.seed))
+
+
+def gen_stage(config: ExperimentConfig) -> Corpus:
+    with _stage("gen"):
+        # even/odd split keeps question ids disjoint across splits and seeds
+        seed = config.seed * 2
+        return new_corpus(
+            config, gen_dataset(seed, config.n_train, config.difficulty),
+            gen_dataset(seed + 1, config.n_test, config.difficulty))
+
+
+def annotate_stage(corpus: Corpus, config: ExperimentConfig) -> None:
+    """Search every training question under the initial policy."""
     with _stage("annotate"):
-        for question in train_questions:
-            # mixing the id keeps per-question search entropy independent
-            forest = build_forest(model, question, init_params, config.search,
-                                  rng_seed=config.seed + question.id)
-            label_correct(forest)
-            forests.append(forest)
+        # mixing the id keeps per-question search entropy independent
+        corpus.forests = [
+            label_correct(build_forest(corpus.model, question,
+                                       corpus.init_params, config.search,
+                                       rng_seed=config.seed + question.id))
+            for question in corpus.train_questions]
+
+
+def pairs_stage(corpus: Corpus, config: ExperimentConfig) -> None:
+    """Extract the preference pairs, value targets and SFT solutions."""
     with _stage("pairs"):
-        for forest in forests:
+        pairs, targets, solutions = [], [], []
+        for forest in corpus.forests:
             pairs.extend(extract_pairs(forest, config.counts,
                                        rng_seed=config.seed))
             targets.extend(extract_value_targets(forest))
-            solutions.extend(extract_sft_solutions(env, forest, config.sft_k))
-        ratio = positive_negative_ratio(pairs) if pairs else 0.0
+            solutions.extend(extract_sft_solutions(corpus.env, forest,
+                                                   config.sft_k))
         if config.max_value_targets and len(targets) > config.max_value_targets:
             # deterministic thinning keeps the pretrain stage bounded
             stride = len(targets) / config.max_value_targets
             targets = [targets[int(i * stride)]
                        for i in range(config.max_value_targets)]
-    return Corpus(env, model, train_questions, test_questions, forests,
-                  pairs, solutions, targets, ratio, init_params)
+        corpus.pairs, corpus.value_targets, corpus.solutions = (
+            pairs, targets, solutions)
+        # counted here: the ratio needs each pair's tree, which the pairs
+        # file does not keep
+        corpus.pos_neg_ratio = positive_negative_ratio(pairs)
 
 
-def pretrain_stage(corpus: Corpus, config: ExperimentConfig) -> Checkpoint:
+def build_corpus(config: ExperimentConfig) -> Corpus:
+    """Generate both splits, annotate the training split with search under
+    the initial (untrained) policy and extract the training data."""
+    corpus = gen_stage(config)
+    annotate_stage(corpus, config)
+    pairs_stage(corpus, config)
+    return corpus
+
+
+def pretrain_stage(corpus: Corpus, config: ExperimentConfig,
+                   log: list | None = None) -> Checkpoint:
     with _stage("pretrain"):
         data = TrainData(solutions=corpus.solutions,
                          value_targets=corpus.value_targets)
         init = Checkpoint(params=corpus.init_params, ref_params=None, step=0,
                           config=dict(vars(config.pretrain)))
         return train_loop(corpus.model, data, config.pretrain,
-                          rng_seed=config.seed, init=init)[-1]
+                          rng_seed=config.seed, init=init, log=log)[-1]
 
 
 def svpo_stage(corpus: Corpus, sft_ckpt: Checkpoint,
@@ -377,15 +399,20 @@ def summary_text(summary: dict) -> str:
     return json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
 
-def run_pipeline(config: ExperimentConfig,
-                 out_dir: str | Path | None = None) -> ReportBundle:
-    corpus = build_corpus(config)
-    sft_ckpt = pretrain_stage(corpus, config)
-    log: list = []
-    svpo_ckpt = svpo_stage(corpus, sft_ckpt, config, log=log)
-    heldout = heldout_stage(corpus, sft_ckpt, config)
+def pair_stats(corpus: Corpus) -> dict:
+    return {"n_pairs": len(corpus.pairs),
+            "n_value_targets": len(corpus.value_targets),
+            "n_solutions": len(corpus.solutions),
+            "pos_neg_ratio": corpus.pos_neg_ratio}
+
+
+def eval_stage(corpus: Corpus, sft_ckpt: Checkpoint, svpo_ckpt: Checkpoint,
+               heldout: list[PreferencePair], svpo_log: list[dict],
+               config: ExperimentConfig) -> dict:
+    """Score both checkpoints; returns the contents of summary.json.
+    `svpo_log` holds the preference stage's log rows, as train_loop
+    appends them or as read back from svpo_log.csv."""
     with _stage("eval"):
-        beta = config.svpo.beta
         metrics = {
             "accuracy": {
                 "sft": eval_accuracy_suite(corpus, sft_ckpt.params, config),
@@ -393,25 +420,28 @@ def run_pipeline(config: ExperimentConfig,
             },
             "win_rate": _win_rates_dict(eval_win_rates(
                 corpus, svpo_ckpt.params, svpo_ckpt.ref_params, heldout,
-                beta)),
-            "max_abs_dr": max((row["max_abs_dr"] for row in log),
+                config.svpo.beta)),
+            "max_abs_dr": max((float(row["max_abs_dr"]) for row in svpo_log),
                               default=0.0),
         }
-    summary = {
+    return _round({
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "config": experiment_config_to_dict(config),
-        "data": {
-            "n_train": len(corpus.train_questions),
-            "n_test": len(corpus.test_questions),
-            "n_pairs": len(corpus.pairs),
-            "n_heldout_pairs": len(heldout),
-            "n_solutions": len(corpus.solutions),
-            "n_value_targets": len(corpus.value_targets),
-            "pos_neg_ratio": corpus.pos_neg_ratio,
-        },
+        "data": {"n_train": len(corpus.train_questions),
+                 "n_test": len(corpus.test_questions),
+                 "n_heldout_pairs": len(heldout), **pair_stats(corpus)},
         "metrics": metrics,
-    }
-    summary = _round(summary)
+    })
+
+
+def run_pipeline(config: ExperimentConfig,
+                 out_dir: str | Path | None = None) -> ReportBundle:
+    corpus = build_corpus(config)
+    sft_ckpt = pretrain_stage(corpus, config)
+    log: list = []
+    svpo_ckpt = svpo_stage(corpus, sft_ckpt, config, log=log)
+    heldout = heldout_stage(corpus, sft_ckpt, config)
+    summary = eval_stage(corpus, sft_ckpt, svpo_ckpt, heldout, log, config)
     bundle = ReportBundle(config, summary, None, corpus, sft_ckpt, svpo_ckpt,
                           heldout)
     if out_dir is not None:
@@ -431,26 +461,87 @@ def _win_rates_dict(rates: dict) -> dict:
     return out
 
 
-def _write_artifacts(bundle: ReportBundle, log: list) -> None:
+# -- artifacts ----------------------------------------------------------------
+# Every file a run leaves under its output directory is written and read
+# here, by run_pipeline and the staged CLI commands alike. The save_*
+# functions are imported when called, so a wrapper installed on their
+# modules (as svpobench's tracing does) sees every write.
+
+def save_corpus(corpus: Corpus, out: Path,
+                stages=("gen", "annotate", "pairs")) -> None:
+    """gen: questions_{train,test}.jsonl; annotate: forests.jsonl; pairs:
+    pairs.jsonl, value_targets.jsonl, solutions.jsonl, pair_stats.json."""
     from .env import save_dataset
     from .mcts import save_forests
     from .pairs import save_pairs, save_solutions, save_value_targets
+
+    if "gen" in stages:
+        save_dataset(corpus.train_questions, out / "questions_train.jsonl")
+        save_dataset(corpus.test_questions, out / "questions_test.jsonl")
+    if "annotate" in stages:
+        save_forests(corpus.forests, out / "forests.jsonl")
+    if "pairs" in stages:
+        save_pairs(corpus.pairs, out / "pairs.jsonl")
+        save_value_targets(corpus.value_targets, out / "value_targets.jsonl")
+        save_solutions(corpus.solutions, out / "solutions.jsonl")
+        (out / "pair_stats.json").write_text(summary_text(pair_stats(corpus)))
+
+
+def load_corpus(out: Path, config: ExperimentConfig,
+                stages=("gen",)) -> Corpus:
+    """The corpus as save_corpus left it for the given stages ("gen" is
+    always read); forest-free stages skip the large forests file."""
+    corpus = new_corpus(config, load_dataset(out / "questions_train.jsonl"),
+                        load_dataset(out / "questions_test.jsonl"))
+    if "annotate" in stages:
+        corpus.forests = load_forests(corpus.env, out / "forests.jsonl")
+    if "pairs" in stages:
+        corpus.pairs = load_pairs(out / "pairs.jsonl")
+        corpus.value_targets = load_value_targets(out / "value_targets.jsonl")
+        corpus.solutions = load_solutions(out / "solutions.jsonl")
+        stats = json.loads((out / "pair_stats.json").read_text())
+        corpus.pos_neg_ratio = stats["pos_neg_ratio"]
+    return corpus
+
+
+def save_training(out: Path, stage: str, ckpt: Checkpoint,
+                  log: list[dict] | None) -> None:
+    """ckpt_<stage>.json, and <stage>_log.csv when a log is given."""
     from .train import save_checkpoint, save_log_csv
 
+    save_checkpoint(ckpt, out / f"ckpt_{stage}.json")
+    if log is not None:
+        save_log_csv(log, out / f"{stage}_log.csv")
+
+
+def load_training_checkpoint(out: Path, stage: str) -> Checkpoint:
+    return load_checkpoint(out / f"ckpt_{stage}.json")
+
+
+def load_training_log(out: Path, stage: str) -> list[dict]:
+    """A training stage's log rows, values as strings."""
+    with open(out / f"{stage}_log.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def save_eval(out: Path, heldout: list[PreferencePair],
+              summary: dict) -> None:
+    """pairs_heldout.jsonl and summary.json."""
+    from .pairs import save_pairs
+
+    save_pairs(heldout, out / "pairs_heldout.jsonl")
+    (out / "summary.json").write_text(summary_text(summary))
+
+
+def _write_artifacts(bundle: ReportBundle, svpo_log: list[dict]) -> None:
+    # no pretrain_log.csv yet: svpobench's tracing test pins ten wrapped
+    # artifact writes per run (ROADMAP item 5)
     out = bundle.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    corpus = bundle.corpus
-    save_dataset(corpus.train_questions, out / "questions_train.jsonl")
-    save_dataset(corpus.test_questions, out / "questions_test.jsonl")
-    save_forests(corpus.forests, out / "forests.jsonl")
-    save_pairs(corpus.pairs, out / "pairs.jsonl")
-    save_pairs(bundle.heldout, out / "pairs_heldout.jsonl")
-    save_value_targets(corpus.value_targets, out / "value_targets.jsonl")
-    save_solutions(corpus.solutions, out / "solutions.jsonl")
-    save_checkpoint(bundle.sft_ckpt, out / "ckpt_pretrain.json")
-    save_checkpoint(bundle.svpo_ckpt, out / "ckpt_svpo.json")
-    save_log_csv(log, out / "svpo_log.csv")
-    (out / "summary.json").write_text(summary_text(bundle.summary))
+    save_corpus(bundle.corpus, out)
+    save_training(out, "pretrain", bundle.sft_ckpt, None)
+    save_training(out, "svpo", bundle.svpo_ckpt, svpo_log)
+    save_eval(out, bundle.heldout, bundle.summary)
 
 
 # -- seed-averaged experiment matrices ---------------------------------------

@@ -140,11 +140,6 @@ def select(tree: SearchTree, c_puct: float = 1.25) -> int:
     return node.id
 
 
-def puct_score(child: TreeNode, parent_n: int, c_puct: float) -> float:
-    """Q plus exploration bonus; exposed for direct numeric checks."""
-    return child.Q + c_puct * child.prior * math.sqrt(parent_n) / (1 + child.N)
-
-
 def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
                         params: PolicyValueParams, config: SearchConfig,
                         rng: np.random.Generator,

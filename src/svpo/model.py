@@ -235,14 +235,6 @@ class Model:
         logz = np.log(np.exp(shifted).sum())
         return legal, shifted - logz, g, x
 
-    def step_logprob(self, params: PolicyValueParams, state: State,
-                     action_id: int) -> float:
-        legal, logprobs, _, _ = self.legal_logprobs(params, state)
-        for i, a in enumerate(legal):
-            if a.id == action_id:
-                return float(logprobs[i])
-        raise IllegalAction(f"action {action_id} not legal at depth {state.depth}")
-
     def seq_logprob(self, params: PolicyValueParams, question: Question,
                     steps) -> float:
         """Sum of step log-probs over a whole prefix; 0.0 for the empty one."""
@@ -271,11 +263,6 @@ class Model:
         legal, logprobs, _, _ = self.legal_logprobs(params, state)
         return legal[draw(temper(logprobs, temperature),
                           as_generator(rng))].id
-
-    def action_distribution(self, params: PolicyValueParams, state: State):
-        """(legal actions, untempered probabilities)."""
-        legal, logprobs, _, _ = self.legal_logprobs(params, state)
-        return legal, np.exp(logprobs)
 
     # -- the batched prefix kernel: training and scoring -----------------
 

@@ -459,19 +459,3 @@ def _coerce(value: str):
     except ValueError:
         pass
     return value
-
-
-def format_kv_text(items: dict) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in items.items())
-
-
-def load_train_config(path: str | Path) -> TrainConfig:
-    fields = parse_kv_text(Path(path).read_text())
-    try:
-        return TrainConfig(**fields)
-    except TypeError as exc:
-        raise ValueError(f"bad train config: {exc}") from exc
-
-
-def save_train_config(config: TrainConfig, path: str | Path) -> None:
-    Path(path).write_text(format_kv_text(vars(config)))

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from svpo import mcts
-from svpo.env import TERMINAL
+from svpo.env import TERMINAL, IllegalAction
 from svpo.model import (
     Gradients, Model, PolicyValueParams, grads_to_vec, params_to_vec,
     spawn_generator, vec_to_params,
@@ -71,6 +71,29 @@ def value_bump_params(model: Model, feature_index: int, unit: int = 0,
     params.w_shared[feature_index, unit] = gain
     params.w_value[unit] = pre / math.tanh(gain)
     return params
+
+
+# -- one-state policy and search helpers ------------------------------------
+
+def step_logprob(model: Model, params: PolicyValueParams, state,
+                 action_id: int) -> float:
+    """Log-prob of one legal action in one state."""
+    legal, logprobs, _, _ = model.legal_logprobs(params, state)
+    for i, a in enumerate(legal):
+        if a.id == action_id:
+            return float(logprobs[i])
+    raise IllegalAction(f"action {action_id} not legal at depth {state.depth}")
+
+
+def action_distribution(model: Model, params: PolicyValueParams, state):
+    """(legal actions, untempered probabilities)."""
+    legal, logprobs, _, _ = model.legal_logprobs(params, state)
+    return legal, np.exp(logprobs)
+
+
+def puct_score(child, parent_n: int, c_puct: float) -> float:
+    """Q plus exploration bonus, the score mcts.select maximises."""
+    return child.Q + c_puct * child.prior * math.sqrt(parent_n) / (1 + child.N)
 
 
 # -- one-at-a-time reference losses -----------------------------------------
@@ -297,7 +320,7 @@ def reference_expand(tree, node_id: int, model: Model,
     `rng.choice` draws."""
     env = model.env
     node = tree.nodes[node_id]
-    legal, probs = model.action_distribution(params, node.state)
+    legal, probs = action_distribution(model, params, node.state)
     picks = choice_sample_distinct(_temper_probs(probs, config.temperature),
                                    min(config.n_children, len(legal)), rng)
     results = []
@@ -318,7 +341,7 @@ def reference_expand(tree, node_id: int, model: Model,
             continue
         child = tree.add_node(node_id, action.id, child_state,
                               float(probs[idx]))
-        r_legal, r_probs = model.action_distribution(params, child_state)
+        r_legal, r_probs = action_distribution(model, params, child_state)
         r_idx = int(rng.choice(len(r_legal),
                                p=_temper_probs(r_probs, config.temperature)))
         r_action = r_legal[r_idx]

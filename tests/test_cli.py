@@ -20,6 +20,12 @@ max_value_targets = 1200
 """
 
 
+def run_staged(config, out):
+    for command in ("gen", "annotate", "pairs", "pretrain", "svpo", "eval"):
+        assert main([command, "--config", str(config),
+                     "--out", str(out)]) == 0, command
+
+
 @pytest.fixture(scope="module")
 def staged(tmp_path_factory):
     """Run the staged flow once; individual tests inspect the leftovers."""
@@ -27,12 +33,10 @@ def staged(tmp_path_factory):
     config = root / "tiny.cfg"
     config.write_text(TINY)
     out = root / "out"
+    run_staged(config, out)
     base = ["--config", str(config), "--out", str(out)]
-    for command in ("gen", "annotate", "pairs", "pretrain", "svpo"):
-        assert main([command] + base) == 0, command
     assert main(["infer"] + base + ["--mode", "greedy"]) == 0
     assert main(["infer"] + base + ["--mode", "sbs", "--b1", "3"]) == 0
-    assert main(["eval"] + base) == 0
     return config, out
 
 
@@ -44,7 +48,7 @@ def test_staged_flow_artifacts(staged):
                  "ckpt_pretrain.json", "pretrain_log.csv",
                  "ckpt_svpo.json", "svpo_log.csv",
                  "inference_greedy.jsonl", "inference_sbs_b3.jsonl",
-                 "pairs_heldout.jsonl", "eval.json"]:
+                 "pairs_heldout.jsonl", "summary.json"]:
         assert (out / name).exists(), name
 
 
@@ -57,9 +61,26 @@ def test_staged_flow_contents(staged):
                (out / "inference_greedy.jsonl").read_text().splitlines()]
     assert len(records) == 8
     assert all(r["mode"] == "greedy" for r in records)
-    report = json.loads((out / "eval.json").read_text())
+    report = json.loads((out / "summary.json").read_text())["metrics"]
     assert 0.0 <= report["accuracy"]["svpo"]["greedy"] <= 1.0
     assert 0.0 <= report["win_rate"]["heldout"]["explicit"] <= 1.0
+
+
+@pytest.mark.parametrize("extra", ["", "solution_level_only = true\n"])
+def test_staged_flow_equals_pipeline(tmp_path, capsys, extra):
+    """Every file `svpo pipeline` writes, the staged commands write with
+    the same bytes."""
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY + extra)
+    run_staged(config, tmp_path / "staged")
+    assert main(["pipeline", "--config", str(config),
+                 "--out", str(tmp_path / "pipeline")]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in (tmp_path / "pipeline").iterdir())
+    assert {"summary.json", "pair_stats.json"} <= set(names)
+    for name in names:
+        assert (tmp_path / "staged" / name).read_bytes() == \
+            (tmp_path / "pipeline" / name).read_bytes(), name
 
 
 def test_pipeline_command_deterministic(tmp_path, capsys):

@@ -215,6 +215,27 @@ def test_solution_reward_and_build_solution():
     assert not unfinished.correct and unfinished.predicted is None
 
 
+def test_build_solution_replays_once(monkeypatch):
+    """A finished episode's prefix is replayed once for both its reward
+    and its proposed answer."""
+    env = Env()
+    q = Question(id=9, start=1, chain=(0,), truth=2, difficulty="easy")
+    env.register([q])
+    calls = []
+    replay = Env.replay
+
+    def counting(self, question, steps):
+        calls.append(tuple(steps))
+        return replay(self, question, steps)
+
+    monkeypatch.setattr(Env, "replay", counting)
+    ans0 = next(a for a in env.vocab if a.name == "ans+0")
+    for steps in [(0, ans0.id), (0, ans0.id + 1), (0, 1, ans0.id)]:
+        calls.clear()
+        env.build_solution(q, steps)
+        assert calls == [steps[:-1]], steps
+
+
 def test_out_of_vocabulary_ids_are_illegal():
     """An id outside [0, len(vocab)) is refused, never read from the end
     of the vocabulary (-1 used to replay as the last answer action)."""

@@ -244,7 +244,7 @@ def test_pipeline_artifacts_written(tiny_bundle):
     _, out = tiny_bundle
     expected = ["questions_train.jsonl", "questions_test.jsonl",
                 "forests.jsonl", "pairs.jsonl", "pairs_heldout.jsonl",
-                "value_targets.jsonl", "solutions.jsonl",
+                "value_targets.jsonl", "solutions.jsonl", "pair_stats.json",
                 "ckpt_pretrain.json", "ckpt_svpo.json", "svpo_log.csv",
                 "summary.json"]
     for name in expected:

@@ -13,12 +13,12 @@ from svpo.env import Env, EnvConfig, Question, TERMINAL, gen_dataset
 from svpo.mcts import (
     AlreadyExpanded, DepthExceeded, Forest, SearchConfig, SearchTree,
     backup, build_forest, correct_solutions, expand_and_evaluate,
-    forest_from_record, forest_to_record, load_forests, new_tree, puct_score,
+    forest_from_record, forest_to_record, load_forests, new_tree,
     save_forests, select,
 )
 from svpo.model import Model, spawn_generator
 
-from oracles import reference_forest, scripted_params
+from oracles import puct_score, reference_forest, scripted_params
 
 
 @pytest.fixture()

@@ -13,7 +13,10 @@ from svpo.model import (
     save_params, spawn_generator, temper,
 )
 
-from oracles import fd_relative_error, scripted_params, value_bump_params
+from oracles import (
+    action_distribution, fd_relative_error, scripted_params, step_logprob,
+    value_bump_params,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,11 +47,11 @@ def test_zero_params_uniform_logprobs(setup):
     q = questions[0]
     s0 = env.initial_state(q)
     k0 = len(env.legal_actions(s0))
-    assert model.step_logprob(params, s0, env.legal_actions(s0)[0].id) == pytest.approx(math.log(1 / k0), abs=1e-12)
+    assert step_logprob(model, params, s0, env.legal_actions(s0)[0].id) == pytest.approx(math.log(1 / k0), abs=1e-12)
     s1 = env.transition(s0, env.legal_actions(s0)[0])
     k1 = len(env.legal_actions(s1))
     for a in env.legal_actions(s1):
-        assert model.step_logprob(params, s1, a.id) == pytest.approx(math.log(1 / k1), abs=1e-12)
+        assert step_logprob(model, params, s1, a.id) == pytest.approx(math.log(1 / k1), abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -72,7 +75,7 @@ def test_dominant_logit_probability(setup):
     s0 = env.initial_state(q)
     target = env.legal_actions(s0)[2]
     params = scripted_params(model, {0: target.id})
-    legal, probs = model.action_distribution(params, s0)
+    legal, probs = action_distribution(model, params, s0)
     k = len(legal)
     idx = [a.id for a in legal].index(target.id)
     expected = math.exp(10.0) / (math.exp(10.0) + (k - 1))
@@ -91,7 +94,7 @@ def test_seq_logprob_additivity(setup):
         state = env.initial_state(q)
         by_hand = 0.0
         for aid in steps:
-            by_hand += model.step_logprob(params, state, aid)
+            by_hand += step_logprob(model, params, state, aid)
             state = env.transition(state, env.vocab[aid])
         assert total == pytest.approx(by_hand, abs=1e-12)
     assert model.seq_logprob(model.zeros_params(), questions[0], ()) == 0.0
@@ -150,7 +153,7 @@ def test_sampling_near_zero_temperature_is_argmax(setup):
         params = model.init_params(seed=100 + trial, scale=1.0)
         q = questions[int(rng.integers(len(questions)))]
         _, state = random_prefix(env, q, rng, allow_terminal=False)
-        legal, probs = model.action_distribution(params, state)
+        legal, probs = action_distribution(model, params, state)
         best = legal[int(np.argmax(probs))].id
         for draw in range(5):
             got = model.sample_step(params, state, 1e-8, spawn_generator(trial, draw))
