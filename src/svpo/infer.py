@@ -10,10 +10,13 @@ time. The final result is the parked-or-live candidate with the highest
 score, so a run that never answers comes back as an unfinished, incorrect
 solution rather than an error.
 
-Sampling goes through `model.sample_distinct`, which MCTS expansion uses
-too; each of its draws is `model.draw`, the algorithm of
-`Generator.choice` without choice's argument checks, so a seed gives the
-same picks and leaves the generator in the same state as choice would.
+Beam search scores the root, and then all non-answering children of a
+level, in one batched forward (`Model.policy_value`) per level. A
+retained beam keeps its row's log-probs, from which the next level
+samples, so no state is evaluated twice. Greedy decoding evaluates one
+state per step. Sampling goes through `model.sample_distinct`, which
+MCTS expansion uses too: a seed gives the same picks and leaves the
+generator in the same state as that many `Generator.choice` calls would.
 """
 from __future__ import annotations
 
@@ -84,14 +87,15 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
     """
     env = model.env
     root = env.initial_state(question)
-    live: list[tuple[BeamCandidate, State]] = [
-        (BeamCandidate((), 0.0, model.value(params, root), False), root)]
+    logp, values, _, _ = model.policy_value(params, [root])
+    # live beams: (candidate, state, its whole-vocabulary log-prob row)
+    live = [(BeamCandidate((), 0.0, float(values[0]), False), root, logp[0])]
     parked: list[BeamCandidate] = []
     level = 0
     while live and level < config.max_depth:
-        pool: list[tuple[BeamCandidate, State, int]] = []
-        for beam_idx, (beam, state) in enumerate(live):
-            legal, logprobs, _, _ = model.legal_logprobs(params, state)
+        children: list[tuple[tuple[int, ...], float, State, int]] = []
+        for beam_idx, (beam, state, row) in enumerate(live):
+            legal, logprobs = model.legal_rows(state, row)
             rng = spawn_generator(_SBS_STREAM, rng_seed, question.id, level,
                                   beam_idx)
             picks = sample_distinct(temper(logprobs, config.temperature),
@@ -109,17 +113,21 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
                         prefix, logprob, beam.value_score, True,
                         env.terminal_reward(state, action)))
                     continue
-                child = env.transition(state, action)
-                cand = BeamCandidate(prefix, logprob,
-                                     model.value(params, child), False)
-                pool.append((cand, child, beam_idx))
-        pool.sort(key=lambda t: (-t[0].value_score, -t[0].logprob, t[2]))
-        live = [(cand, state) for cand, state, _ in pool[:config.b1]]
+                children.append((prefix, logprob,
+                                 env.transition(state, action), beam_idx))
+        logp, values, _, _ = model.policy_value(
+            params, [state for _, _, state, _ in children])
+        pool = [(BeamCandidate(prefix, logprob, float(value), False),
+                 state, row, beam_idx)
+                for (prefix, logprob, state, beam_idx), value, row
+                in zip(children, values, logp)]
+        pool.sort(key=lambda t: (-t[0].value_score, -t[0].logprob, t[3]))
+        live = [(cand, state, row) for cand, state, row, _ in pool[:config.b1]]
         if trace is not None:
             trace.append(("retain", level,
-                          tuple(cand.prefix for cand, _ in live)))
+                          tuple(cand.prefix for cand, _, _ in live)))
         level += 1
-    candidates = parked + [cand for cand, _ in live]
+    candidates = parked + [cand for cand, _, _ in live]
     return max(candidates, key=lambda c: (c.value_score, c.logprob))
 
 

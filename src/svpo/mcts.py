@@ -13,13 +13,17 @@ correct solutions exist or the tree budget runs out.
 
 `build_forest` keeps one policy memo per forest: the legal actions,
 probabilities and tempered probabilities of every state the forest has
-evaluated, keyed by its steps. A node's rollout distribution is reused
-when the node is expanded, and every tree after the first reuses the
-states the earlier trees reached, so the policy runs at most once per
-distinct state. The memo lives for one call, which has one question and
-one `params`, so it never outlives the parameters it was computed from.
-Every categorical draw goes through `model.draw`, which consumes the
-generator exactly as `Generator.choice` would.
+evaluated, keyed by its steps. An expansion evaluates all of its new
+rollout children that the memo lacks in one batched forward
+(`Model.policy_value`) and draws their rollout steps row-wise from one
+`rng.random(m)` call. A node's rollout distribution is reused when the
+node is expanded, and every tree after the first reuses the states the
+earlier trees reached, so the policy runs at most once per distinct
+state. The memo lives for one call, which has one question and one
+`params`, so it never outlives the parameters it was computed from.
+Every categorical draw consumes the generator exactly as
+`Generator.choice` would (see `model.sample_distinct` and
+`model.draw_rows`).
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import TERMINAL, DepthExceeded, Env, Question, State
-from .model import (Model, PolicyValueParams, draw, sample_distinct,
+from .model import (Model, PolicyValueParams, draw_rows, sample_distinct,
                     spawn_generator, temper)
 
 _TREE_STREAM = 0x7EE
@@ -161,30 +165,36 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
     if memo is None:
         memo = {}
     env = model.env
-    legal, probs, tempered = _policy(model, params, node.state,
-                                     config.temperature, memo)
+    [(legal, probs, tempered)] = _policies(model, params, [node.state],
+                                           config.temperature, memo)
+    children = [(legal[i], float(probs[i]),
+                 env.transition(node.state, legal[i]))
+                for i in sample_distinct(tempered, config.n_children, rng)]
+    rollout = [state for action, _, state in children
+               if action.kind != TERMINAL and state.depth < config.max_depth]
+    rollouts = iter(())
+    if rollout:
+        policies = _policies(model, params, rollout, config.temperature,
+                             memo)
+        picks = draw_rows(np.array([t for _, _, t in policies]),
+                          rng.random(len(rollout)))
+        rollouts = iter(zip(policies, picks))
     results: list[tuple[int, float]] = []
-    for idx in sample_distinct(tempered, config.n_children, rng):
-        action = legal[idx]
-        child_state = env.transition(node.state, action)
+    for action, prior, child_state in children:
         if action.kind == TERMINAL:
             reward = env.terminal_reward(node.state, action)
-            child = tree.add_node(node_id, action.id, child_state,
-                                  float(probs[idx]), terminal=True,
-                                  reward=reward)
+            child = tree.add_node(node_id, action.id, child_state, prior,
+                                  terminal=True, reward=reward)
             results.append((child.id, float(reward)))
             continue
         if child_state.depth >= config.max_depth:
             # depth cutoff without an answer counts as an incorrect terminal
-            child = tree.add_node(node_id, action.id, child_state,
-                                  float(probs[idx]), terminal=True, reward=-1)
+            child = tree.add_node(node_id, action.id, child_state, prior,
+                                  terminal=True, reward=-1)
             results.append((child.id, -1.0))
             continue
-        child = tree.add_node(node_id, action.id, child_state,
-                              float(probs[idx]))
-        r_legal, r_probs, r_tempered = _policy(model, params, child_state,
-                                               config.temperature, memo)
-        r_idx = draw(r_tempered, rng)
+        child = tree.add_node(node_id, action.id, child_state, prior)
+        (r_legal, r_probs, _), r_idx = next(rollouts)
         r_action = r_legal[r_idx]
         if r_action.kind == TERMINAL:
             reward = env.terminal_reward(child_state, r_action)
@@ -198,16 +208,18 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
     return results
 
 
-def _policy(model: Model, params: PolicyValueParams, state: State,
-            temperature: float, memo: dict):
-    """(legal actions, probabilities, tempered probabilities) of a state,
-    read from the memo or computed once and stored there."""
-    hit = memo.get(state.steps)
-    if hit is None:
-        legal, logprobs, _, _ = model.legal_logprobs(params, state)
-        hit = memo[state.steps] = (legal, np.exp(logprobs),
-                                   temper(logprobs, temperature))
-    return hit
+def _policies(model: Model, params: PolicyValueParams, states,
+              temperature: float, memo: dict) -> list[tuple]:
+    """(legal actions, probabilities, tempered probabilities) of each
+    state, read from the memo; the states it lacks are evaluated in one
+    batched forward and stored there."""
+    missing = [s for s in states if s.steps not in memo]
+    if missing:
+        logp, _, _, _ = model.policy_value(params, missing)
+        for state, p, t in zip(missing, np.exp(logp),
+                               temper(logp, temperature)):
+            memo[state.steps] = model.legal_rows(state, p, t)
+    return [memo[s.steps] for s in states]
 
 
 def backup(tree: SearchTree, node_id: int, value: float) -> None:
@@ -265,9 +277,7 @@ def build_forest(model: Model, question: Question, params: PolicyValueParams,
                 if trace is not None:
                     trace.append((t, nid, value))
         forest.trees.append(tree)
-        for node in tree.nodes:
-            if node.terminal and node.reward == 1:
-                found.add(node.state.steps)
+        found |= correct_solutions(Forest(question.id, [tree]))
         if len(found) >= config.target_correct:
             break
     return forest

@@ -7,18 +7,23 @@ pairwise value differences in (-2, 2). All gradients are derived by hand
 and exposed analytically; nothing here depends on an autodiff framework.
 Log-probabilities are computed in log space with the usual max-shift.
 
-Search and decoding call the per-state forward pass (`legal_logprobs`,
-`value`), one state at a time, and sample through `draw` and
-`sample_distinct`, which consume a generator exactly as
-`Generator.choice` does. Training and win-rate scoring go through
-one batched prefix kernel, `Model.seq_logprob_grad`: it evaluates many
-(question, prefix) sequences at once and returns the gradient of any
-weighted sum of their log-probabilities and end-state values.
+Search and decoding evaluate whole rows of states at once through
+`Model.policy_value`: MCTS scores all new rollout children of an
+expansion in one call and SBS all children of a level. `legal_logprobs`,
+`value` and `value_forward` are one-row calls into it. Sampling goes
+through `draw`, `draw_rows` and `sample_distinct`, which consume a
+generator exactly as `Generator.choice` does. Training and win-rate
+scoring go through one batched prefix kernel, `Model.seq_logprob_grad`:
+it evaluates many (question, prefix) sequences at once and returns the
+gradient of any weighted sum of their log-probabilities and end-state
+values.
 """
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -217,23 +222,49 @@ class Model:
 
     # -- forward ----------------------------------------------------------
 
-    def _hidden(self, params: PolicyValueParams, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x @ params.w_shared)
+    def policy_value(self, params: PolicyValueParams, states):
+        """The batched forward over a list of states, one row each.
 
-    def _question(self, state: State) -> Question:
-        return self.env.question(state.question_id)
+        Row i of the log-probs spans the whole vocabulary; answers are
+        -inf in a depth-0 state, where Env.legal_actions forbids them
+        (`legal_rows` restricts a row to the legal actions). Feature rows
+        come from `Featurizer.features`.
+
+        Returns (log-probs (n, vocab), values (n,), hidden (n, h),
+        features (n, d))."""
+        features = self.featurizer.features
+        question = self.env.question
+        x = np.array([features(question(s.question_id), s)
+                      for s in states]).reshape(-1, self.d)
+        hidden = np.tanh(x @ params.w_shared)
+        depth0 = [i for i, s in enumerate(states) if s.depth == 0]
+        logp = self._log_softmax(hidden @ params.w_policy, depth0)
+        values = np.tanh((hidden * params.w_value).sum(axis=1))
+        return logp, values, hidden, x
+
+    def _log_softmax(self, logits: np.ndarray, depth0) -> np.ndarray:
+        """Row-wise log-softmax in place, with the answers masked out of
+        the rows `depth0` (answering needs one computation step)."""
+        if len(depth0):
+            logits[np.ix_(depth0, self._answer_ids)] = -np.inf
+        logits -= logits.max(axis=1, keepdims=True)
+        logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        return logits
+
+    def legal_rows(self, state: State, *rows: np.ndarray):
+        """(legal actions of `state`, each whole-vocabulary row restricted
+        to them). Raises env.DepthExceeded at the depth budget."""
+        legal = self.env.legal_actions(state)
+        if len(legal) < self.vocab_size:
+            ids = [a.id for a in legal]
+            rows = tuple(row[ids] for row in rows)
+        return (legal, *rows)
 
     def legal_logprobs(self, params: PolicyValueParams, state: State):
         """(legal actions, their log-probs, hidden activations, features)."""
-        question = self._question(state)
-        x = self.featurizer.features(question, state)
-        g = self._hidden(params, x)
-        legal = self.env.legal_actions(state)
-        ids = np.array([a.id for a in legal])
-        logits = g @ params.w_policy[:, ids]
-        shifted = logits - logits.max()
-        logz = np.log(np.exp(shifted).sum())
-        return legal, shifted - logz, g, x
+        logp, _, hidden, x = self.policy_value(params, [state])
+        legal, logprobs = self.legal_rows(state, logp[0])
+        return legal, logprobs, hidden[0], x[0]
 
     def seq_logprob(self, params: PolicyValueParams, question: Question,
                     steps) -> float:
@@ -242,18 +273,13 @@ class Model:
         return float(logprobs[0])
 
     def value(self, params: PolicyValueParams, state: State) -> float:
-        question = self._question(state)
-        x = self.featurizer.features(question, state)
-        g = self._hidden(params, x)
-        return float(np.tanh(g @ params.w_value))
+        return float(self.policy_value(params, [state])[1][0])
 
     def value_forward(self, params: PolicyValueParams, state: State):
         """(value, hidden activations, features) — the pieces a caller
         needs to assemble its own chain rule without re-featurizing."""
-        question = self._question(state)
-        x = self.featurizer.features(question, state)
-        g = self._hidden(params, x)
-        return float(np.tanh(g @ params.w_value)), g, x
+        _, values, hidden, x = self.policy_value(params, [state])
+        return float(values[0]), hidden[0], x[0]
 
     def sample_step(self, params: PolicyValueParams, state: State,
                     temperature: float, rng) -> int:
@@ -330,11 +356,7 @@ class Model:
         n, n_steps = len(prefixes), len(chosen)
         hidden = np.tanh(x @ params.w_shared)
         g, g_end = hidden[:n_steps], hidden[n_steps:]
-        logits = g @ params.w_policy
-        # as in Env.legal_actions, answering needs one computation step
-        logits[np.ix_(depth0, self._answer_ids)] = -np.inf
-        logits -= logits.max(axis=1, keepdims=True)
-        logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        logp = self._log_softmax(g @ params.w_policy, depth0)
         at = np.arange(n_steps)
         logprobs = np.bincount(segment, weights=logp[at, chosen],
                                minlength=n)
@@ -373,11 +395,12 @@ class Model:
 
 
 def temper(logprobs: np.ndarray, temperature: float) -> np.ndarray:
-    """Renormalized softmax of logprobs / temperature, overflow-safe."""
+    """Renormalized softmax of logprobs / temperature along the last
+    axis, overflow-safe; -inf entries get probability 0."""
     z = logprobs / temperature
-    z -= z.max()
+    z -= z.max(axis=-1, keepdims=True)
     p = np.exp(z)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -387,9 +410,32 @@ def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     returns the same index and leaves `rng` in the same state. It skips
     choice's validation of `p`, which is most of choice's cost; `probs`
     must be a float array with a positive sum."""
+    return _index(probs, rng.random())
+
+
+def _index(probs: np.ndarray, u: float) -> int:
+    """choice's pick for the uniform u: the cdf divided by its last
+    entry, searched to the right."""
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(cdf.searchsorted(u, side="right"))
+
+
+def draw_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row i's index for the uniform u[i], by `draw`'s arithmetic on each
+    row (cumsum, divided by the last entry, entries <= u counted), so it
+    equals `draw(probs[i], rng)` when rng yields u[i]."""
+    cdf = probs.cumsum(axis=1)
+    cdf = cdf / cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
+# a pick this close to a cdf boundary, relative to the mass left, is
+# redone in choice's arithmetic. Both cdfs of n weights lie within about
+# n ulps of the exact one, so a pick further out is the same in both for
+# any n below several thousand
+_BOUNDARY = 1e-12
+_NORMAL = float(np.finfo(float).tiny)
 
 
 def sample_distinct(weights: np.ndarray, k: int,
@@ -397,14 +443,35 @@ def sample_distinct(weights: np.ndarray, k: int,
     """min(k, len(weights)) distinct indices, drawn one by one without
     replacement, each in proportion to the weights still left. If the
     remaining mass underflows to zero (very low temperatures), the
-    leftovers are treated as uniform."""
+    leftovers are treated as uniform.
+
+    The picks and the generator's end state are those of one `draw` per
+    pick over the normalized weights left. All uniforms come from one
+    `rng.random(n)` call, which yields the values n `random()` calls
+    would. Each pick scales its uniform by the mass left and bisects the
+    running sums in Python floats. A pick whose scaled uniform lies
+    within 1e-12 times that mass of a boundary, or whose mass is zero or
+    subnormal, is redone in `draw`'s numpy arithmetic."""
+    n = min(k, len(weights))
+    if n <= 0:
+        return []
     remaining = list(range(len(weights)))
+    left = weights.tolist()
     picks: list[int] = []
-    for _ in range(min(k, len(remaining))):
-        w = weights[remaining]
-        total = w.sum()
-        p = w / total if total > 0 else np.full(len(w), 1.0 / len(w))
-        picks.append(remaining.pop(draw(p, rng)))
+    for u in rng.random(n).tolist():
+        cdf = list(accumulate(left))
+        mass = cdf[-1]
+        x = u * mass
+        j = bisect_right(cdf, x)
+        near = _BOUNDARY * mass
+        if (not mass >= _NORMAL or (j and x - cdf[j - 1] <= near)
+                or j == len(cdf) or cdf[j] - x <= near):
+            w = np.array(left)
+            total = w.sum()
+            j = _index(w / total if total > 0
+                       else np.full(len(w), 1.0 / len(w)), u)
+        picks.append(remaining.pop(j))
+        left.pop(j)
     return picks
 
 

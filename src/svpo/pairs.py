@@ -50,7 +50,8 @@ class PreferencePair:
     """One winner/loser prefix pair. `level` is the length of the shared
     action prefix (where the two step sequences diverge). `tree` records
     which tree's walk emitted the pair; it stays out of the serialized
-    schema and exists for ratio accounting."""
+    schema and exists for ratio accounting, so a reloaded pair has
+    none."""
 
     question_id: int
     winner: tuple[int, ...]
@@ -59,7 +60,7 @@ class PreferencePair:
     q_w: float
     q_l: float
     level: int
-    tree: int = 0
+    tree: int | None = None
 
 
 @dataclass(frozen=True)
@@ -238,9 +239,13 @@ def extract_sft_solutions(env: Env, forest: Forest, k: int) -> list[Solution]:
 
 def positive_negative_ratio(pairs: list[PreferencePair]) -> float:
     """Negatives per positive: each emitted pair is one negative example,
-    each walked winner prefix (per question and tree) one positive."""
+    each walked winner prefix (per question and tree) one positive.
+    Raises ValueError for a pair without a tree, such as one read back
+    with `load_pairs`, whose positives cannot be told apart."""
     if not pairs:
         return 0.0
+    if any(p.tree is None for p in pairs):
+        raise ValueError("pairs without a tree give no positive count")
     positives = {(p.question_id, p.tree, p.winner) for p in pairs}
     return len(pairs) / len(positives)
 

@@ -10,11 +10,11 @@ import math
 
 import numpy as np
 
-from svpo import mcts
+from svpo import infer, mcts
 from svpo.env import TERMINAL, IllegalAction
 from svpo.model import (
     Gradients, Model, PolicyValueParams, grads_to_vec, params_to_vec,
-    spawn_generator, vec_to_params,
+    spawn_generator, temper, vec_to_params,
 )
 from svpo.train import EmptyBatch, LossBreakdown, combine_total
 
@@ -286,10 +286,11 @@ def mean_over_seeds(per_seed: dict, *path: str) -> float:
     return sum(values) / len(values)
 
 
-# -- reference search: Generator.choice draws, no policy memo ---------------
-# The search samplers draw through `model.draw` and MCTS reuses one policy
-# memo per forest; both must leave every seeded stream as it was when each
-# draw was `rng.choice(n, p=p)` and every distribution was recomputed.
+# -- reference search: Generator.choice draws, one state at a time ----------
+# The search samplers draw all uniforms of a call at once, MCTS reuses one
+# policy memo per forest, and expansion and beam search evaluate batches of
+# states; all must leave every seeded stream as it was when each draw was
+# `rng.choice(n, p=p)` and every state was evaluated on its own.
 
 def choice_sample_distinct(weights: np.ndarray, k: int,
                            rng: np.random.Generator) -> list[int]:
@@ -384,3 +385,44 @@ def reference_forest(model: Model, question, params: PolicyValueParams,
         if len(found) >= config.target_correct:
             break
     return forest
+
+
+def reference_sbs_best(model: Model, params: PolicyValueParams, question,
+                       config, rng_seed: int, trace: list):
+    """`infer.sbs_best` with `choice_sample_distinct` draws and one
+    `legal_logprobs` or `value` call per state."""
+    env = model.env
+    root = env.initial_state(question)
+    live = [(infer.BeamCandidate((), 0.0, model.value(params, root), False),
+             root)]
+    parked = []
+    for level in range(config.max_depth):
+        if not live:
+            break
+        pool = []
+        for beam_idx, (beam, state) in enumerate(live):
+            legal, logprobs, _, _ = model.legal_logprobs(params, state)
+            rng = spawn_generator(infer._SBS_STREAM, rng_seed, question.id,
+                                  level, beam_idx)
+            picks = choice_sample_distinct(
+                temper(logprobs, config.temperature), config.b2, rng)
+            trace.append(("expand", level, beam_idx, beam.prefix,
+                          tuple(legal[i].id for i in picks)))
+            for i in picks:
+                action = legal[i]
+                prefix = beam.prefix + (action.id,)
+                logprob = beam.logprob + float(logprobs[i])
+                if action.kind == TERMINAL:
+                    parked.append(infer.BeamCandidate(
+                        prefix, logprob, beam.value_score, True,
+                        env.terminal_reward(state, action)))
+                    continue
+                child = env.transition(state, action)
+                pool.append((infer.BeamCandidate(
+                    prefix, logprob, model.value(params, child), False),
+                    child, beam_idx))
+        pool.sort(key=lambda t: (-t[0].value_score, -t[0].logprob, t[2]))
+        live = [(cand, state) for cand, state, _ in pool[:config.b1]]
+        trace.append(("retain", level, tuple(c.prefix for c, _ in live)))
+    return max(parked + [cand for cand, _ in live],
+               key=lambda c: (c.value_score, c.logprob))

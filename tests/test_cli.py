@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from svpo.cli import main
+from svpo.pairs import load_pairs, positive_negative_ratio
 
 TINY = """\
 seed = 0
@@ -64,6 +65,17 @@ def test_staged_flow_contents(staged):
     report = json.loads((out / "summary.json").read_text())["metrics"]
     assert 0.0 <= report["accuracy"]["svpo"]["greedy"] <= 1.0
     assert 0.0 <= report["win_rate"]["heldout"]["explicit"] <= 1.0
+
+
+def test_reloaded_pairs_refuse_a_ratio(staged):
+    """Reloaded pairs carry no tree, so the ratio, which counts one
+    positive per (question, tree, winner), refuses them rather than
+    counting positives per (question, winner)."""
+    _, out = staged
+    reloaded = load_pairs(out / "pairs.jsonl")
+    assert reloaded and all(p.tree is None for p in reloaded)
+    with pytest.raises(ValueError):
+        positive_negative_ratio(reloaded)
 
 
 @pytest.mark.parametrize("extra", ["", "solution_level_only = true\n"])

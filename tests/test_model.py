@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svpo import model as model_module
 from svpo.env import Env, Question, gen_dataset
 from svpo.model import (
     Featurizer, Model, Gradients, IllegalPrefix, as_generator, draw,
-    load_params, params_from_record, params_to_record, sample_distinct,
-    save_params, spawn_generator, temper,
+    draw_rows, load_params, params_from_record, params_to_record,
+    sample_distinct, save_params, spawn_generator, temper,
 )
 
 from oracles import (
-    action_distribution, fd_relative_error, scripted_params, step_logprob,
-    value_bump_params,
+    action_distribution, choice_sample_distinct, fd_relative_error,
+    scripted_params, step_logprob, value_bump_params,
 )
 
 
@@ -212,6 +213,104 @@ def test_draw_matches_generator_choice(weights, one_hot, hot, seed):
     for _ in range(3):
         assert draw(p, mine) == int(theirs.choice(len(p), p=p))
         assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+_ANY_WEIGHT = st.one_of(_WEIGHT, st.floats(5e-324, 1e-308))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=st.lists(_ANY_WEIGHT, min_size=1, max_size=11),
+       one_hot=st.booleans(), hot=st.integers(0, 10),
+       temperature=st.one_of(st.none(), st.floats(1e-3, 2.0)),
+       k=st.integers(1, 12), seed=st.integers(0, 2**63))
+def test_sample_distinct_matches_generator_choice(weights, one_hot, hot,
+                                                  temperature, k, seed):
+    """Same picks and same generator state as one choice call per pick,
+    on raw weights (zero, tiny and subnormal ones included) and on
+    weights tempered down to 1e-3."""
+    w = np.array(weights)
+    if one_hot or w.sum() == 0:
+        w = np.zeros(len(w))
+        w[hot % len(w)] = 1.0
+    if temperature is not None:
+        with np.errstate(divide="ignore"):
+            w = temper(np.log(w), temperature)
+    mine, theirs = spawn_generator(seed), spawn_generator(seed)
+    for _ in range(3):
+        assert sample_distinct(w, k, mine) == \
+            choice_sample_distinct(w, k, theirs)
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+class _Uniforms:
+    """Generator stand-in yielding fixed uniforms, singly or k at a time."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+def _draw_one_by_one(weights, k, rng):
+    """sample_distinct as one `draw` per pick over the weights left."""
+    remaining = list(range(len(weights)))
+    picks = []
+    for _ in range(min(k, len(remaining))):
+        w = weights[remaining]
+        total = w.sum()
+        p = w / total if total > 0 else np.full(len(w), 1.0 / len(w))
+        picks.append(remaining.pop(draw(p, rng)))
+    return picks
+
+
+@pytest.mark.parametrize("weights", [[0.1, 0.2, 0.7], [0.3] * 10 + [1e-9],
+                                     [1.0, 0.0, 0.0, 2.0], [1e-310, 3e-310],
+                                     [0.0, 0.0, 0.0]])
+def test_sample_distinct_falls_back_on_cdf_boundaries(weights, monkeypatch):
+    """Uniforms on, just below and just above a boundary of `draw`'s cdf
+    are picked in `draw`'s arithmetic, whatever the Python-float cdf
+    says; so is every uniform of a zero or subnormal mass."""
+    w = np.array(weights)
+    total = w.sum()
+    p = w / total if total > 0 else np.full(len(w), 1.0 / len(w))
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    uniforms = [v for b in cdf[:-1]
+                for v in (b, np.nextafter(b, 0.0), np.nextafter(b, 1.0))]
+    if total < np.finfo(float).tiny:
+        uniforms.append(0.5)
+    want = [_draw_one_by_one(w, 1, _Uniforms([u])) for u in uniforms]
+    fallbacks = []
+    index = model_module._index
+
+    def counted(probs, u):
+        fallbacks.append(u)
+        return index(probs, u)
+
+    monkeypatch.setattr(model_module, "_index", counted)
+    for u, picks in zip(uniforms, want):
+        fallbacks.clear()
+        assert sample_distinct(w, 1, _Uniforms([u])) == picks
+        assert fallbacks == [u]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_WEIGHT, min_size=11, max_size=11),
+                     min_size=1, max_size=6),
+       hot=st.integers(0, 10), seed=st.integers(0, 2**63))
+def test_draw_rows_matches_draw_per_row(rows, hot, seed):
+    """Row-wise picks from one rng.random(n) equal one `draw` per row."""
+    probs = np.array(rows)
+    probs[probs.sum(axis=1) == 0, hot] = 1.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    mine, theirs = spawn_generator(seed), spawn_generator(seed)
+    got = draw_rows(probs, mine.random(len(probs)))
+    assert got.tolist() == [draw(row, theirs) for row in probs]
+    assert mine.bit_generator.state == theirs.bit_generator.state
 
 
 def test_sample_distinct_underflow_is_uniform():
