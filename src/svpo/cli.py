@@ -22,8 +22,13 @@ plus pretrain_log.csv, which the pipeline does not write:
               writes pairs_heldout.jsonl, summary.json
 
 infer decodes the test split with a checkpoint (inference_*.jsonl).
-ablate, sweep, and pipeline are self-contained drivers. Exit codes: 0
-success, 2 configuration error, 3 stage failure.
+ablate, sweep, and pipeline are self-contained drivers. An ablation arm
+is a set of config overrides applied before the preference stage:
+full (none), no_margin (svpo_w_margin = 0), no_mse (svpo_w_mse = 0),
+no_reg (svpo_w_reg = 0) and solution_dpo (all three, trained on
+solution-level pairs only); the arm sft scores the pretrain checkpoint.
+A sweep arm sets svpo_gamma. Exit codes: 0 success, 2 configuration
+error, 3 stage failure.
 """
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ from .evaluate import (
     ARMS, ExperimentConfig, StageFailure, _round, annotate_stage,
     eval_stage, experiment_config_from_dict, gen_stage, heldout_stage,
     load_corpus, load_training_checkpoint, load_training_log, pairs_stage,
-    pretrain_stage, run_gamma_sweep, run_matrix, run_pipeline, save_corpus,
+    pretrain_stage, run_matrix, run_pipeline, save_corpus,
     save_eval, save_training, seed_config, summary_text, svpo_stage,
 )
 from .infer import inference_record, save_inference_records
@@ -139,10 +144,11 @@ def _gamma_list(text: str) -> list[float]:
 def cmd_ablate(args, config: ExperimentConfig, out: Path) -> int:
     arms = [arm.strip() for arm in args.arms.split(",") if arm.strip()]
     for arm in arms:
-        if arm != "sft" and arm not in ARMS:
+        if arm not in ARMS:
             raise StageFailure("ablate", ValueError(f"unknown arm {arm!r}"))
     seeds = _seed_list(args.seeds)
-    results = run_matrix(config, seeds, arms, with_win_rates=True)
+    results = run_matrix(config, seeds, {arm: ARMS[arm] for arm in arms},
+                         with_win_rates=True)
     rows = []
     for arm in arms:
         for seed in seeds:
@@ -168,7 +174,8 @@ def cmd_ablate(args, config: ExperimentConfig, out: Path) -> int:
 def cmd_sweep(args, config: ExperimentConfig, out: Path) -> int:
     gammas = _gamma_list(args.gammas)
     seeds = _seed_list(args.seeds)
-    results = run_gamma_sweep(config, gammas, seeds)
+    results = run_matrix(config, seeds,
+                         {gamma: {"svpo_gamma": gamma} for gamma in gammas})
     rows = [{"gamma": gamma, "seed": seed,
              **results[gamma][seed]["accuracy"]}
             for gamma in gammas for seed in seeds]
@@ -232,7 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint filename under --out")
     add("eval", cmd_eval, "accuracy and win-rate report for both stages")
     p = add("ablate", cmd_ablate, "train and score ablation arms")
-    p.add_argument("--arms", default="full,no_margin,no_mse,sft")
+    p.add_argument("--arms", default="full,no_margin,no_mse,sft",
+                   help=f"comma-separated arms among {', '.join(ARMS)}; "
+                        "each is a set of config overrides, and sft "
+                        "scores the pretrain checkpoint")
     p.add_argument("--seeds", default=DEFAULT_SEEDS)
     p = add("sweep", cmd_sweep, "margin-width sensitivity sweep")
     p.add_argument("--gammas", default=DEFAULT_GAMMAS)

@@ -62,14 +62,6 @@ def _stage(name: str):
 
 # -- metrics ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WinRateReport:
-    implicit_acc: float
-    explicit_acc: float
-    n_pairs: int
-    split: str
-
-
 def accuracy(model: Model, params: PolicyValueParams,
              questions: list[Question], mode: str,
              sbs_config: SBSConfig | None = None,
@@ -92,10 +84,11 @@ def accuracy(model: Model, params: PolicyValueParams,
 
 def win_rate(model: Model, params: PolicyValueParams,
              ref_params: PolicyValueParams, pairs: list[PreferencePair],
-             beta: float, split: str = "train") -> WinRateReport:
+             beta: float) -> dict:
     """Fraction of pairs each scorer ranks the winner strictly above the
-    loser; exact ties earn half credit. Scores PAIR_CHUNK pairs per kernel
-    call; both policies see the same rows, so equal policies tie exactly."""
+    loser ("implicit", "explicit"), and "n_pairs"; exact ties earn half
+    credit. Scores PAIR_CHUNK pairs per kernel call; both policies see the
+    same rows, so equal policies tie exactly."""
     if not pairs:
         raise EmptyDataset("no pairs to evaluate")
     implicit = explicit = 0.0
@@ -107,7 +100,7 @@ def win_rate(model: Model, params: PolicyValueParams,
         implicit += _credit(beta * (ratio[w] - ratio[l]))
         explicit += _credit(values[w] - values[l])
     n = len(pairs)
-    return WinRateReport(implicit / n, explicit / n, n, split)
+    return {"implicit": implicit / n, "explicit": explicit / n, "n_pairs": n}
 
 
 def _credit(diff: np.ndarray) -> float:
@@ -130,9 +123,6 @@ class ExperimentConfig:
     pretrain: TrainConfig = field(default_factory=default_pretrain_config)
     svpo: TrainConfig = field(default_factory=default_svpo_config)
     sbs: SBSConfig = field(default_factory=SBSConfig)
-    no_margin: bool = False
-    no_mse: bool = False
-    no_reg: bool = False
     solution_level_only: bool = False
 
     def __post_init__(self):
@@ -191,21 +181,6 @@ def experiment_config_from_dict(items: dict) -> ExperimentConfig:
     kwargs["svpo"] = default_svpo_config(**nested["svpo"])
     kwargs["sbs"] = SBSConfig(**nested["sbs"])
     return ExperimentConfig(**kwargs)
-
-
-ABLATION_FLAGS = ("no_margin", "no_mse", "no_reg", "solution_level_only")
-
-
-def apply_ablation(config: ExperimentConfig) -> TrainConfig:
-    """Preference-stage train config with the flagged loss weights zeroed."""
-    svpo = config.svpo
-    if config.no_margin:
-        svpo = dataclasses.replace(svpo, w_margin=0.0)
-    if config.no_mse:
-        svpo = dataclasses.replace(svpo, w_mse=0.0)
-    if config.no_reg:
-        svpo = dataclasses.replace(svpo, w_reg=0.0)
-    return svpo
 
 
 def solution_level_pairs(env: Env,
@@ -311,12 +286,11 @@ def svpo_stage(corpus: Corpus, sft_ckpt: Checkpoint,
                config: ExperimentConfig,
                log: list | None = None) -> Checkpoint:
     with _stage("svpo"):
-        train_config = apply_ablation(config)
         pairs = corpus.pairs
         if config.solution_level_only:
             pairs = solution_level_pairs(corpus.env, pairs)
         data = TrainData(pairs=pairs)
-        return train_loop(corpus.model, data, train_config,
+        return train_loop(corpus.model, data, config.svpo,
                           rng_seed=config.seed, init=sft_ckpt, log=log)[-1]
 
 
@@ -363,13 +337,11 @@ def eval_accuracy_suite(corpus: Corpus, params: PolicyValueParams,
 def eval_win_rates(corpus: Corpus, params: PolicyValueParams,
                    ref_params: PolicyValueParams,
                    heldout: list[PreferencePair], beta: float) -> dict:
-    train = win_rate(corpus.model, params, ref_params, corpus.pairs, beta,
-                     split="train")
-    held = win_rate(corpus.model, params, ref_params, heldout, beta,
-                    split="heldout")
+    train = win_rate(corpus.model, params, ref_params, corpus.pairs, beta)
+    held = win_rate(corpus.model, params, ref_params, heldout, beta)
     return {"train": train, "heldout": held,
-            "gap": {"implicit": train.implicit_acc - held.implicit_acc,
-                    "explicit": train.explicit_acc - held.explicit_acc}}
+            "gap": {"implicit": train["implicit"] - held["implicit"],
+                    "explicit": train["explicit"] - held["explicit"]}}
 
 
 # -- the pipeline -------------------------------------------------------------
@@ -418,9 +390,9 @@ def eval_stage(corpus: Corpus, sft_ckpt: Checkpoint, svpo_ckpt: Checkpoint,
                 "sft": eval_accuracy_suite(corpus, sft_ckpt.params, config),
                 "svpo": eval_accuracy_suite(corpus, svpo_ckpt.params, config),
             },
-            "win_rate": _win_rates_dict(eval_win_rates(
+            "win_rate": eval_win_rates(
                 corpus, svpo_ckpt.params, svpo_ckpt.ref_params, heldout,
-                config.svpo.beta)),
+                config.svpo.beta),
             "max_abs_dr": max((float(row["max_abs_dr"]) for row in svpo_log),
                               default=0.0),
         }
@@ -448,17 +420,6 @@ def run_pipeline(config: ExperimentConfig,
         bundle.out_dir = Path(out_dir)
         _write_artifacts(bundle, log)
     return bundle
-
-
-def _win_rates_dict(rates: dict) -> dict:
-    out = {}
-    for split in ("train", "heldout"):
-        report = rates[split]
-        out[split] = {"implicit": report.implicit_acc,
-                      "explicit": report.explicit_acc,
-                      "n_pairs": report.n_pairs}
-    out["gap"] = dict(rates["gap"])
-    return out
 
 
 # -- artifacts ----------------------------------------------------------------
@@ -546,42 +507,29 @@ def _write_artifacts(bundle: ReportBundle, svpo_log: list[dict]) -> None:
 
 # -- seed-averaged experiment matrices ---------------------------------------
 
+# An ablation arm is a set of config-file overrides applied to the
+# experiment config before the preference stage; None scores the pretrain
+# checkpoint instead.
 ARMS = {
     "full": {},
-    "no_margin": {"no_margin": True},
-    "no_mse": {"no_mse": True},
-    "no_reg": {"no_reg": True},
-    "solution_dpo": {"no_margin": True, "no_mse": True, "no_reg": True,
-                     "solution_level_only": True},
+    "no_margin": {"svpo_w_margin": 0.0},
+    "no_mse": {"svpo_w_mse": 0.0},
+    "no_reg": {"svpo_w_reg": 0.0},
+    "solution_dpo": {"svpo_w_margin": 0.0, "svpo_w_mse": 0.0,
+                     "svpo_w_reg": 0.0, "solution_level_only": True},
+    "sft": None,
 }
-
-
-def run_arm(corpus: Corpus, sft_ckpt: Checkpoint, config: ExperimentConfig,
-            arm: str, heldout: list[PreferencePair]) -> dict:
-    """Train one ablation arm from a shared pretrain checkpoint and score
-    it; the arm named `sft` scores the pretrain checkpoint itself."""
-    if arm == "sft":
-        params = sft_ckpt.params
-        ref = sft_ckpt.params
-    else:
-        arm_config = dataclasses.replace(config, **ARMS[arm])
-        ckpt = svpo_stage(corpus, sft_ckpt, arm_config)
-        params, ref = ckpt.params, ckpt.ref_params
-    out = {"accuracy": eval_accuracy_suite(corpus, params, config)}
-    if heldout:
-        out["win_rate"] = _win_rates_dict(eval_win_rates(
-            corpus, params, ref, heldout, config.svpo.beta))
-    return out
 
 
 def seed_config(config: ExperimentConfig, seed: int) -> ExperimentConfig:
     return dataclasses.replace(config, seed=seed)
 
 
-def run_matrix(config: ExperimentConfig, seeds: list[int], arms: list[str],
+def run_matrix(config: ExperimentConfig, seeds: list[int], arms: dict,
                with_win_rates: bool = False) -> dict:
-    """arm -> seed -> metrics, sharing corpus, pretrain checkpoint, and
-    held-out pairs across arms within each seed."""
+    """arm -> seed -> metrics. `arms` maps a name to its config overrides
+    (see ARMS), or to None to score the pretrain checkpoint itself. Arms
+    share each seed's corpus, pretrain checkpoint and held-out pairs."""
     results: dict = {arm: {} for arm in arms}
     for seed in seeds:
         cfg = seed_config(config, seed)
@@ -589,25 +537,18 @@ def run_matrix(config: ExperimentConfig, seeds: list[int], arms: list[str],
         sft_ckpt = pretrain_stage(corpus, cfg)
         heldout = heldout_stage(corpus, sft_ckpt, cfg) if with_win_rates \
             else []
-        for arm in arms:
-            results[arm][seed] = run_arm(corpus, sft_ckpt, cfg, arm, heldout)
+        for arm, overrides in arms.items():
+            arm_cfg = cfg
+            params = ref = sft_ckpt.params
+            if overrides is not None:
+                # through the config-file key space, so a bad key fails
+                arm_cfg = experiment_config_from_dict(
+                    {**experiment_config_to_dict(cfg), **overrides})
+                ckpt = svpo_stage(corpus, sft_ckpt, arm_cfg)
+                params, ref = ckpt.params, ckpt.ref_params
+            out = {"accuracy": eval_accuracy_suite(corpus, params, arm_cfg)}
+            if heldout:
+                out["win_rate"] = eval_win_rates(corpus, params, ref, heldout,
+                                                 arm_cfg.svpo.beta)
+            results[arm][seed] = out
     return results
-
-
-def run_gamma_sweep(config: ExperimentConfig, gammas: list[float],
-                    seeds: list[int]) -> dict:
-    """gamma -> seed -> accuracy metrics, sharing the corpus and pretrain
-    checkpoint across gammas within each seed."""
-    results: dict = {gamma: {} for gamma in gammas}
-    for seed in seeds:
-        cfg = seed_config(config, seed)
-        corpus = build_corpus(cfg)
-        sft_ckpt = pretrain_stage(corpus, cfg)
-        for gamma in gammas:
-            sweep_cfg = dataclasses.replace(
-                cfg, svpo=dataclasses.replace(cfg.svpo, gamma=gamma))
-            ckpt = svpo_stage(corpus, sft_ckpt, sweep_cfg)
-            results[gamma][seed] = {
-                "accuracy": eval_accuracy_suite(corpus, ckpt.params, cfg)}
-    return results
-

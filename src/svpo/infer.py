@@ -91,8 +91,10 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
     # live beams: (candidate, state, its whole-vocabulary log-prob row)
     live = [(BeamCandidate((), 0.0, float(values[0]), False), root, logp[0])]
     parked: list[BeamCandidate] = []
+    # a state at the Env's depth budget has no legal actions
+    max_depth = min(config.max_depth, env.config.max_depth)
     level = 0
-    while live and level < config.max_depth:
+    while live and level < max_depth:
         children: list[tuple[tuple[int, ...], float, State, int]] = []
         for beam_idx, (beam, state, row) in enumerate(live):
             legal, logprobs = model.legal_rows(state, row)

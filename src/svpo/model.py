@@ -31,7 +31,8 @@ import numpy as np
 from .env import INTERMEDIATE, TERMINAL, Env, EnvConfig, Question, State
 from .env import DepthExceeded, IllegalAction  # re-raised with context
 
-DEFAULT_HIDDEN = 32
+HIDDEN = 32  # width of the shared tanh layer
+SCRATCH_LO, SCRATCH_HI = -8, 30  # scratch values with their own bucket
 
 
 class IllegalPrefix(Exception):
@@ -129,17 +130,16 @@ class Featurizer:
     out-of-range flags, scaled scratch, and parity.
     """
 
-    def __init__(self, config: EnvConfig, scratch_lo: int = -8,
-                 scratch_hi: int = 30):
+    scratch_lo = SCRATCH_LO  # read by callers that index the bucket block
+
+    def __init__(self, config: EnvConfig):
         self.config = config
         from .env import vocabulary
         self.vocab = vocabulary(config)
         self.n_ops = sum(1 for a in self.vocab if a.kind == INTERMEDIATE)
-        self.scratch_lo = scratch_lo
-        self.scratch_hi = scratch_hi
         self.n_start = config.start_hi - config.start_lo + 1
         self.n_len = config.max_depth - 1  # chain lengths 1..max_depth-1
-        self.n_bucket = scratch_hi - scratch_lo + 1
+        self.n_bucket = SCRATCH_HI - SCRATCH_LO + 1
         self._offsets = {}
         dim = 0
         for name, width in [
@@ -183,12 +183,12 @@ class Featurizer:
         for aid in question.chain:
             x[off["hist"] + aid] += 0.5
         s = state.scratch
-        if s < self.scratch_lo:
+        if s < SCRATCH_LO:
             x[off["flags"]] = 1.0
-        elif s > self.scratch_hi:
+        elif s > SCRATCH_HI:
             x[off["flags"] + 1] = 1.0
         else:
-            x[off["bucket"] + (s - self.scratch_lo)] = 1.0
+            x[off["bucket"] + (s - SCRATCH_LO)] = 1.0
         x[off["scaled"]] = s / 16.0
         x[off["parity"]] = float(s % 2)
         self._cache[key] = x
@@ -202,11 +202,9 @@ class Model:
     can serve both a live policy and a frozen reference snapshot.
     """
 
-    def __init__(self, env: Env, hidden: int = DEFAULT_HIDDEN,
-                 featurizer: Featurizer | None = None):
+    def __init__(self, env: Env):
         self.env = env
-        self.featurizer = featurizer or Featurizer(env.config)
-        self.hidden = hidden
+        self.featurizer = Featurizer(env.config)
         self.d = self.featurizer.dim
         self.vocab_size = len(env.vocab)
         self._answer_ids = np.array(
@@ -215,10 +213,10 @@ class Model:
     # -- constructors -----------------------------------------------------
 
     def init_params(self, seed: int, scale: float = 0.05) -> PolicyValueParams:
-        return init_params(self.d, self.hidden, self.vocab_size, seed, scale)
+        return init_params(self.d, HIDDEN, self.vocab_size, seed, scale)
 
     def zeros_params(self) -> PolicyValueParams:
-        return zeros_params(self.d, self.hidden, self.vocab_size)
+        return zeros_params(self.d, HIDDEN, self.vocab_size)
 
     # -- forward ----------------------------------------------------------
 

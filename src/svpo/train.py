@@ -17,8 +17,7 @@ training loop those carried terms range over the solutions and value
 targets of the stage's TrainData. The pipeline and the staged CLI build
 the preference stage's TrainData from pairs alone, so there both carried
 terms are exactly zero and `w_sft` and `w_mse` have no effect
-(ROADMAP.md, open item 1). Called with no datasets at all,
-`svpo_batch_grad` falls back to winner-prefix forms of the same terms.
+(ROADMAP.md, open item 1).
 
 Every loss is coefficient arithmetic over one call per batch of the
 model's batched prefix kernel, `Model.seq_logprob_grad`: it returns each
@@ -115,8 +114,7 @@ class LossBreakdown:
 
 def combine_total(config: TrainConfig, dpo: float, margin: float, reg: float,
                   sft: float, mse: float) -> float:
-    if config.stage == PRETRAIN:
-        return config.w_sft * sft + config.w_mse * mse
+    """The weighted total; pretraining passes zero preference terms."""
     return (dpo + config.w_margin * margin + config.w_reg * reg
             + config.w_sft * sft + config.w_mse * mse)
 
@@ -203,22 +201,15 @@ def _dataset_loss(config: TrainConfig, sol_logprobs: np.ndarray,
 # -- batch losses and gradients ----------------------------------------------
 
 def svpo_batch_grad(model: Model, params: PolicyValueParams,
-                    ref_params: PolicyValueParams,
-                    batch: list[PreferencePair], config: TrainConfig,
-                    ref_logprobs: np.ndarray | None = None,
-                    solutions: list[Solution] | None = None,
-                    targets: list[ValueTarget] | None = None):
+                    ref_logprobs: np.ndarray, batch: list[PreferencePair],
+                    config: TrainConfig, solutions: list[Solution],
+                    targets: list[ValueTarget]):
     """Mean loss terms and mean weighted gradient for one svpo step.
 
-    The preference terms (dpo, margin, reg) always come from the pair
-    batch. The carried pretraining terms come from the solution and
-    value-target batches when either is given, even as an empty list,
-    which is how the training loop calls it; when both are None they fall
-    back to the pair-derived forms (winner NLL, winner end-state error
-    against its stored q).
-
-    `ref_logprobs` holds the batch's reference log-probs as pair_logprobs
-    returns them; without it they are computed from `ref_params` here.
+    The preference terms (dpo, margin, reg) come from the pair batch, the
+    carried pretraining terms (sft, mse) from the solution and value-target
+    batches; an empty dataset makes its term zero. `ref_logprobs` holds the
+    batch's reference log-probs as pair_logprobs returns them.
 
     Also reports the largest |implicit difference| seen: the probability
     ratio bound never binds while this stays inside the value range.
@@ -229,14 +220,9 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
     value head stays structurally untouched by it."""
     if not batch:
         raise EmptyBatch("empty pair batch")
-    pair_derived = solutions is None and targets is None
-    solutions, targets = solutions or [], targets or []
-    if ref_logprobs is None:
-        ref_logprobs = pair_logprobs(model, ref_params, batch)
     qids, prefixes, w, l = pair_prefixes(batch)
     data_qids, data_prefixes = _dataset_prefixes(solutions, targets)
     n, n_pre, n_sol = len(batch), len(prefixes), len(solutions)
-    q_w = np.array([p.q_w for p in batch], dtype=float)
     terms: dict = {}
 
     def coef(logprobs, values):
@@ -247,25 +233,19 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
         pi = config.beta * ((_sigmoid(dr_pi) - 1.0)
                             + config.w_reg * 2.0 * (dr_pi - dr_phi))
         hinge = np.where(dr_phi < config.gamma, -config.w_margin, 0.0)
-        sft, mse, a_data, b_data = _dataset_loss(
+        terms["sft"], terms["mse"], a_data, b_data = _dataset_loss(
             config, logprobs[n_pre:n_pre + n_sol], values[n_pre + n_sol:],
             targets)
-        a_w, b_w = pi, hinge
-        if pair_derived:
-            a_w = pi - config.w_sft
-            b_w = hinge + config.w_mse * 2.0 * (v[w] - q_w)
-            sft = float(-lp[w].sum() / n)
-            mse = float(((v[w] - q_w) ** 2).sum() / n)
         terms.update(
             dpo=float(_softplus(-dr_pi).sum() / n),
             margin=float(np.maximum(0.0, config.gamma - dr_phi).sum() / n),
-            reg=float(((dr_pi - dr_phi) ** 2).sum() / n), sft=sft, mse=mse)
+            reg=float(((dr_pi - dr_phi) ** 2).sum() / n))
         terms["max_abs_dr"] = float(np.abs(dr_pi).max())
         a = np.zeros(n_pre)
         b = np.zeros(n_pre)
-        np.add.at(a, w, a_w / n)
+        np.add.at(a, w, pi / n)
         np.add.at(a, l, -pi / n)
-        np.add.at(b, w, b_w / n)
+        np.add.at(b, w, hinge / n)
         np.add.at(b, l, -hinge / n)
         return np.concatenate([a, a_data]), np.concatenate([b, b_data])
 
@@ -354,8 +334,8 @@ def train_loop(model: Model, data: TrainData, config: TrainConfig,
             if svpo:
                 idx = pair_batches[b]
                 breakdown, grad, max_dr = svpo_batch_grad(
-                    model, params, ref_params, [data.pairs[i] for i in idx],
-                    config, ref_logprobs[idx], solutions=sols, targets=tgts)
+                    model, params, ref_logprobs[idx],
+                    [data.pairs[i] for i in idx], config, sols, tgts)
             else:
                 breakdown, grad = pretrain_batch_grad(model, params, sols,
                                                       tgts, config)

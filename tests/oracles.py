@@ -234,15 +234,11 @@ def dataset_grad(model: Model, params: PolicyValueParams, solutions,
 
 def svpo_batch_oracle(model: Model, params: PolicyValueParams,
                       ref_params: PolicyValueParams, batch, config,
-                      solutions=None, targets=None):
+                      solutions, targets):
     """svpo_batch_grad's (mean terms, gradient, max |implicit diff|), one
-    pair at a time. The carried terms are pair-derived when both datasets
-    are None, dataset-derived (zero when empty) otherwise."""
-    pair_derived = solutions is None and targets is None
-    names = ["dpo", "margin", "reg"] + (["sft", "mse"] if pair_derived
-                                        else [])
-    weights = {"dpo": 1.0, "margin": config.w_margin, "reg": config.w_reg,
-               "sft": config.w_sft, "mse": config.w_mse}
+    pair at a time; the carried terms come from the datasets (zero when
+    both are empty)."""
+    weights = {"dpo": 1.0, "margin": config.w_margin, "reg": config.w_reg}
     sums = dict.fromkeys(["dpo", "margin", "reg", "sft", "mse"], 0.0)
     grad = Gradients.zeros_like(params)
     max_abs_dr = 0.0
@@ -250,15 +246,14 @@ def svpo_batch_oracle(model: Model, params: PolicyValueParams,
         breakdown, grads, dr = svpo_pair_terms(model, params, ref_params,
                                                pair, config)
         max_abs_dr = max(max_abs_dr, abs(dr))
-        for name in names:
+        for name, weight in weights.items():
             sums[name] += getattr(breakdown, name) / len(batch)
-            grad.add_scaled(grads[name], weights[name] / len(batch))
-    if not pair_derived and (solutions or targets):
-        carried = pretrain_loss(model, params, solutions or [],
-                                targets or [], config)
+            grad.add_scaled(grads[name], weight / len(batch))
+    if solutions or targets:
+        carried = pretrain_loss(model, params, solutions, targets, config)
         sums["sft"], sums["mse"] = carried.sft, carried.mse
-        grad.add_scaled(dataset_grad(model, params, solutions or [],
-                                     targets or [], config))
+        grad.add_scaled(dataset_grad(model, params, solutions, targets,
+                                     config))
     return sums, grad, max_abs_dr
 
 

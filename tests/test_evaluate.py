@@ -7,8 +7,8 @@ import pytest
 
 from svpo.env import Env, EnvConfig, TERMINAL, gen_dataset
 from svpo.evaluate import (
-    ARMS, Corpus, EmptyDataset, ExperimentConfig, StageFailure, WinRateReport,
-    accuracy, apply_ablation, build_corpus, build_heldout_pairs,
+    ARMS, Corpus, EmptyDataset, ExperimentConfig, StageFailure, accuracy,
+    build_corpus, build_heldout_pairs,
     eval_accuracy_suite, experiment_config_from_dict,
     experiment_config_to_dict, run_matrix, run_pipeline,
     solution_level_pairs, summary_text, win_rate,
@@ -100,15 +100,14 @@ def test_win_rate_identity_and_perfect_value_head(small_world):
                             0.5, -0.5, 0)]
     params = model.init_params(seed=1)
     report = win_rate(model, params, params, pairs, beta=0.1)
-    assert isinstance(report, WinRateReport)
-    assert report.implicit_acc == 0.5  # identical policies tie every pair
-    assert report.n_pairs == 1
+    assert report["implicit"] == 0.5  # identical policies tie every pair
+    assert report["n_pairs"] == 1
 
     idx = model.featurizer.block("bucket") + (
         w_state.scratch - model.featurizer.scratch_lo)
     bump = value_bump_params(model, idx, pre=2.0)
     report = win_rate(model, bump, bump, pairs, beta=0.1)
-    assert report.explicit_acc == 1.0
+    assert report["explicit"] == 1.0
     with pytest.raises(EmptyDataset):
         win_rate(model, params, params, [], beta=0.1)
 
@@ -128,7 +127,7 @@ def test_win_rate_random_params_near_half(small_world):
     for seed in range(20):
         params = model.init_params(seed=100 + seed, scale=0.5)
         accs.append(win_rate(model, params, params, pairs,
-                             beta=0.1).explicit_acc)
+                             beta=0.1)["explicit"])
     assert 0.45 < float(np.mean(accs)) < 0.55
 
 
@@ -153,13 +152,13 @@ def test_batched_win_rate_matches_per_pair_scoring(small_world):
     ref = model.init_params(seed=6, scale=0.5)
     report = win_rate(model, params, ref, pairs, beta=0.1)
     implicit, explicit = win_rate_oracle(model, params, ref, pairs, 0.1)
-    assert (report.implicit_acc, report.explicit_acc) == (implicit, explicit)
-    assert report.n_pairs == len(pairs)
-    assert win_rate(model, params, ref, [tie], beta=0.1).explicit_acc == 0.5
+    assert (report["implicit"], report["explicit"]) == (implicit, explicit)
+    assert report["n_pairs"] == len(pairs)
+    assert win_rate(model, params, ref, [tie], beta=0.1)["explicit"] == 0.5
     # zero params tie every pair on both scorers
     zero = model.zeros_params()
     report = win_rate(model, zero, zero, pairs, beta=0.1)
-    assert (report.implicit_acc, report.explicit_acc) == (0.5, 0.5)
+    assert (report["implicit"], report["explicit"]) == (0.5, 0.5)
     assert win_rate_oracle(model, zero, zero, pairs, 0.1) == (0.5, 0.5)
 
 
@@ -182,11 +181,11 @@ def test_heldout_pairs_disjointness_and_determinism(small_world):
 
 
 def test_experiment_config_roundtrip_and_rejection():
-    config = tiny_config(no_mse=True)
+    config = tiny_config(solution_level_only=True)
     flat = experiment_config_to_dict(config)
     assert flat["search_max_simulations"] == 40
     assert flat["svpo_epochs"] == 1
-    assert flat["no_mse"] is True
+    assert flat["solution_level_only"] is True
     assert "pretrain_stage" not in flat
     rebuilt = experiment_config_from_dict(flat)
     assert rebuilt == config
@@ -196,22 +195,19 @@ def test_experiment_config_roundtrip_and_rejection():
         experiment_config_from_dict({"search_bogus": 1})
     with pytest.raises(ValueError):
         experiment_config_from_dict({"pretrain_stage": "svpo"})
+    with pytest.raises(ValueError):  # arms are weight overrides now
+        experiment_config_from_dict({"no_margin": True})
 
 
-@pytest.mark.parametrize("flag,weight", [("no_margin", "w_margin"),
-                                         ("no_mse", "w_mse"),
-                                         ("no_reg", "w_reg")])
-def test_ablation_flags_touch_only_their_weight(flag, weight):
-    config = tiny_config(**{flag: True})
-    ablated = apply_ablation(config)
-    base = vars(config.svpo)
-    diff = {k: v for k, v in vars(ablated).items() if base[k] != v}
-    assert diff == {weight: 0.0}
-
-
-def test_full_arm_changes_nothing():
-    config = tiny_config()
-    assert apply_ablation(config) == config.svpo
+@pytest.mark.parametrize("arm", sorted(ARMS))
+def test_arm_overrides_change_exactly_their_fields(arm):
+    """Every arm's overrides are config keys, and applying them changes
+    those fields and no other."""
+    overrides = ARMS[arm] or {}
+    flat = experiment_config_to_dict(tiny_config())
+    ablated = experiment_config_to_dict(
+        experiment_config_from_dict({**flat, **overrides}))
+    assert {k: v for k, v in ablated.items() if flat[k] != v} == overrides
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +276,8 @@ def test_stage_failures_are_tagged():
 
 def test_run_matrix_shares_seed_workspaces():
     config = tiny_config(n_train=12, n_test=6)
-    results = run_matrix(config, seeds=[0, 1], arms=["sft", "full"])
+    results = run_matrix(config, seeds=[0, 1],
+                         arms={"sft": None, "full": ARMS["full"]})
     assert set(results) == {"sft", "full"}
     for arm in results:
         assert set(results[arm]) == {0, 1}
@@ -295,5 +292,5 @@ def test_run_matrix_shares_seed_workspaces():
 
 def test_arm_table_is_complete():
     assert set(ARMS) == {"full", "no_margin", "no_mse", "no_reg",
-                         "solution_dpo"}
+                         "solution_dpo", "sft"}
     assert ARMS["solution_dpo"]["solution_level_only"] is True

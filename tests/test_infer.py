@@ -269,6 +269,24 @@ def test_sbs_config_validation():
         SBSConfig(max_depth=0)
 
 
+def test_sbs_depth_budget_stops_at_the_envs():
+    """A beam depth past the Env's budget searches as the Env's budget
+    does, rather than expanding states that have no legal actions."""
+    env = Env(EnvConfig())
+    question = gen_dataset(3, 20, "hard")[0]
+    env.register([question])
+    model = Model(env)
+    params = model.init_params(0)
+    traces = [[], []]
+    results = [sbs(model, params, question, SBSConfig(max_depth=depth), 0,
+                   trace=trace)
+               for depth, trace in zip((env.config.max_depth + 1,
+                                        env.config.max_depth), traces)]
+    assert results[0] == results[1]
+    assert traces[0] == traces[1]
+    assert max(entry[1] for entry in traces[0]) == env.config.max_depth - 1
+
+
 def test_inference_records_and_roundtrip(tmp_path, setup):
     _, model, questions = setup
     params = model.init_params(seed=13, scale=0.5)

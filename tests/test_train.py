@@ -157,11 +157,14 @@ def test_fd_coupling_term_with_frozen_value_gap(corpus):
 
 def test_fd_batch_gradient(corpus):
     model, params, ref, config, _ = _fd_setup(corpus)
-    _, _, pairs, _, _ = corpus
+    _, _, pairs, solutions, targets = corpus
     batch = [p for p in pairs
              if abs(config.gamma - value_diff(model, params, p)) > 1e-2][:3]
     assert len(batch) == 3
-    _, analytic, _ = svpo_batch_grad(model, params, ref, batch, config)
+    sols, tgts = solutions[:3], targets[:5]
+    _, analytic, _ = svpo_batch_grad(model, params,
+                                     pair_logprobs(model, ref, batch), batch,
+                                     config, sols, tgts)
     frozen_gaps = [value_diff(model, params, p) for p in batch]
 
     def f(p):
@@ -170,10 +173,9 @@ def test_fd_batch_gradient(corpus):
             breakdown = svpo_loss(model, p, ref, pair, config)
             dr = implicit_reward_diff(model, p, ref, pair, config.beta)
             total += (breakdown.dpo + config.w_margin * breakdown.margin
-                      + config.w_reg * (dr - gap) ** 2
-                      + config.w_sft * breakdown.sft
-                      + config.w_mse * breakdown.mse)
-        return total / len(batch)
+                      + config.w_reg * (dr - gap) ** 2)
+        return (total / len(batch)
+                + pretrain_loss(model, p, sols, tgts, config).total)
 
     rng = np.random.default_rng(42)
     assert fd_relative_error(f, params, analytic, rng, n_coords=20) < 1e-4
@@ -190,10 +192,11 @@ def test_coupling_gradient_never_touches_value_head(corpus):
     # end to end: switching the coupling weight on changes the policy-path
     # gradient but leaves the value-head gradient bit-identical
     batch = pairs[:16]
-    _, g_off, _ = svpo_batch_grad(model, params, ref, batch,
-                                  default_svpo_config(w_reg=0.0))
-    _, g_on, _ = svpo_batch_grad(model, params, ref, batch,
-                                 default_svpo_config(w_reg=1.0))
+    ref_logprobs = pair_logprobs(model, ref, batch)
+    _, g_off, _ = svpo_batch_grad(model, params, ref_logprobs, batch,
+                                  default_svpo_config(w_reg=0.0), [], [])
+    _, g_on, _ = svpo_batch_grad(model, params, ref_logprobs, batch,
+                                 default_svpo_config(w_reg=1.0), [], [])
     assert np.array_equal(g_off.w_value, g_on.w_value)
     assert not np.array_equal(g_off.w_shared, g_on.w_shared)
 
@@ -232,16 +235,17 @@ def kernel_case(corpus):
     return model, params, ref, batch, solutions[:6], tgts
 
 
-@pytest.mark.parametrize("carried", ["pair_derived", "empty", "datasets"])
+@pytest.mark.parametrize("carried", ["empty", "datasets"])
 def test_batched_svpo_grad_matches_per_pair_oracle(kernel_case, carried):
     model, params, ref, batch, sols, tgts = kernel_case
     config = default_svpo_config()
-    kwargs = {"pair_derived": {}, "empty": dict(solutions=[], targets=[]),
-              "datasets": dict(solutions=sols, targets=tgts)}[carried]
-    breakdown, grad, max_dr = svpo_batch_grad(model, params, ref, batch,
-                                              config, **kwargs)
+    if carried == "empty":
+        sols, tgts = [], []
+    breakdown, grad, max_dr = svpo_batch_grad(
+        model, params, pair_logprobs(model, ref, batch), batch, config, sols,
+        tgts)
     terms, want, want_dr = svpo_batch_oracle(model, params, ref, batch,
-                                             config, **kwargs)
+                                             config, sols, tgts)
     for name, value in terms.items():
         assert getattr(breakdown, name) == pytest.approx(value, rel=1e-10,
                                                          abs=1e-14)
@@ -249,12 +253,6 @@ def test_batched_svpo_grad_matches_per_pair_oracle(kernel_case, carried):
         assert breakdown.sft == breakdown.mse == 0.0
     assert max_dr == pytest.approx(want_dr, rel=1e-10)
     _assert_grads_close(grad, want)
-    # the precomputed reference vector the training loop passes gives the
-    # same step
-    _, from_vector, _ = svpo_batch_grad(
-        model, params, ref, batch, config,
-        pair_logprobs(model, ref, batch), **kwargs)
-    _assert_grads_close(from_vector, want)
 
 
 def test_batched_pretrain_grad_matches_per_solution_oracle(kernel_case):
@@ -301,8 +299,9 @@ def test_batched_entry_points_raise_illegal_prefix(kernel_case):
         pair = PreferencePair(qid, batch[0].winner, bad, "sibling", 0.0,
                               0.0, 0)
         with pytest.raises(IllegalPrefix):
-            svpo_batch_grad(model, params, ref, batch[:3] + [pair],
-                            default_svpo_config())
+            svpo_batch_grad(model, params, np.zeros((4, 2)),
+                            batch[:3] + [pair], default_svpo_config(), [],
+                            [])
         solution = dataclasses.replace(sols[0], steps=bad)
         with pytest.raises(IllegalPrefix):
             pretrain_batch_grad(model, params, sols[:2] + [solution], [],
@@ -372,10 +371,11 @@ def test_preference_stage_descends(corpus):
     config = default_svpo_config(epochs=3, batch_size=16)
     data = TrainData(pairs=pairs)
     ckpts = train_loop(model, data, config, rng_seed=2, init=init)
-    before, _, _ = svpo_batch_grad(model, init.params, init.params, pairs,
-                                   config)
-    after, _, _ = svpo_batch_grad(model, ckpts[-1].params, init.params, pairs,
-                                  config)
+    ref_logprobs = pair_logprobs(model, init.params, pairs)
+    before, _, _ = svpo_batch_grad(model, init.params, ref_logprobs, pairs,
+                                   config, [], [])
+    after, _, _ = svpo_batch_grad(model, ckpts[-1].params, ref_logprobs,
+                                  pairs, config, [], [])
     assert after.total < before.total
     assert after.dpo < before.dpo
 
@@ -398,8 +398,8 @@ def test_missing_or_empty_inputs_raise(corpus):
     with pytest.raises(EmptyBatch):
         train_loop(model, TrainData(), default_pretrain_config(), rng_seed=0)
     with pytest.raises(EmptyBatch):
-        svpo_batch_grad(model, model.zeros_params(), model.zeros_params(),
-                        [], default_svpo_config())
+        svpo_batch_grad(model, model.zeros_params(), np.zeros((0, 2)), [],
+                        default_svpo_config(), [], [])
     with pytest.raises(EmptyBatch):
         pretrain_batch_grad(model, model.zeros_params(), [], [],
                             default_pretrain_config())
