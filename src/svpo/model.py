@@ -279,15 +279,6 @@ class Model:
         _, values, hidden, x = self.policy_value(params, [state])
         return float(values[0]), hidden[0], x[0]
 
-    def sample_step(self, params: PolicyValueParams, state: State,
-                    temperature: float, rng) -> int:
-        """Sample a legal action id at the given temperature (> 0)."""
-        if temperature <= 0:
-            raise ValueError("temperature must be > 0")
-        legal, logprobs, _, _ = self.legal_logprobs(params, state)
-        return legal[draw(temper(logprobs, temperature),
-                          as_generator(rng))].id
-
     # -- the batched prefix kernel: training and scoring -----------------
 
     def _gather(self, question_ids, prefixes):
@@ -473,12 +464,6 @@ def sample_distinct(weights: np.ndarray, k: int,
     return picks
 
 
-def as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng)))
-
-
 def spawn_generator(*entropy: int) -> np.random.Generator:
     """Deterministic generator from a tuple of integers."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
@@ -516,21 +501,3 @@ def load_params(path: str | Path) -> PolicyValueParams:
     with open(path) as fh:
         return params_from_record(json.load(fh))
 
-
-# -- flat-vector helpers (optimizer-free introspection, FD harnesses) ------
-
-def params_to_vec(params: PolicyValueParams) -> np.ndarray:
-    return np.concatenate([params.w_shared.ravel(), params.w_policy.ravel(),
-                           params.w_value.ravel()])
-
-def vec_to_params(vec: np.ndarray, like: PolicyValueParams) -> PolicyValueParams:
-    a = like.w_shared.size
-    b = like.w_policy.size
-    return PolicyValueParams(
-        w_shared=vec[:a].reshape(like.w_shared.shape).copy(),
-        w_policy=vec[a:a + b].reshape(like.w_policy.shape).copy(),
-        w_value=vec[a + b:].copy())
-
-def grads_to_vec(grad: Gradients) -> np.ndarray:
-    return np.concatenate([grad.w_shared.ravel(), grad.w_policy.ravel(),
-                           grad.w_value.ravel()])

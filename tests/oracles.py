@@ -13,12 +13,47 @@ import numpy as np
 from svpo import infer, mcts
 from svpo.env import TERMINAL, IllegalAction
 from svpo.model import (
-    Gradients, Model, PolicyValueParams, grads_to_vec, params_to_vec,
-    spawn_generator, temper, vec_to_params,
+    Gradients, Model, PolicyValueParams, draw, spawn_generator, temper,
 )
 from svpo.train import EmptyBatch, LossBreakdown, combine_total
 
 FD_EPS = 1e-5
+
+
+# -- flat parameter vectors and one-step sampling ----------------------------
+
+def params_to_vec(params: PolicyValueParams) -> np.ndarray:
+    return np.concatenate([params.w_shared.ravel(), params.w_policy.ravel(),
+                           params.w_value.ravel()])
+
+
+def vec_to_params(vec: np.ndarray, like: PolicyValueParams) -> PolicyValueParams:
+    a = like.w_shared.size
+    b = like.w_policy.size
+    return PolicyValueParams(
+        w_shared=vec[:a].reshape(like.w_shared.shape).copy(),
+        w_policy=vec[a:a + b].reshape(like.w_policy.shape).copy(),
+        w_value=vec[a + b:].copy())
+
+
+def grads_to_vec(grad: Gradients) -> np.ndarray:
+    return np.concatenate([grad.w_shared.ravel(), grad.w_policy.ravel(),
+                           grad.w_value.ravel()])
+
+
+def as_generator(rng) -> np.random.Generator:
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng)))
+
+
+def sample_step(model: Model, params: PolicyValueParams, state,
+                temperature: float, rng) -> int:
+    """Sample a legal action id at the given temperature (> 0)."""
+    if temperature <= 0:
+        raise ValueError("temperature must be > 0")
+    legal, logprobs, _, _ = model.legal_logprobs(params, state)
+    return legal[draw(temper(logprobs, temperature), as_generator(rng))].id
 
 
 def numeric_grad_coords(f, params: PolicyValueParams, coords,

@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 from svpo import model as model_module
 from svpo.env import Env, Question, gen_dataset
 from svpo.model import (
-    Featurizer, Model, Gradients, IllegalPrefix, as_generator, draw,
-    draw_rows, load_params, params_from_record, params_to_record,
-    sample_distinct, save_params, spawn_generator, temper,
+    Featurizer, Model, Gradients, IllegalPrefix, draw, draw_rows,
+    load_params, params_from_record, params_to_record, sample_distinct,
+    save_params, spawn_generator, temper,
 )
 
 from oracles import (
-    action_distribution, choice_sample_distinct, fd_relative_error,
-    scripted_params, step_logprob, value_bump_params,
+    action_distribution, as_generator, choice_sample_distinct,
+    fd_relative_error, sample_step, scripted_params, step_logprob,
+    value_bump_params,
 )
 
 
@@ -157,7 +158,8 @@ def test_sampling_near_zero_temperature_is_argmax(setup):
         legal, probs = action_distribution(model, params, state)
         best = legal[int(np.argmax(probs))].id
         for draw in range(5):
-            got = model.sample_step(params, state, 1e-8, spawn_generator(trial, draw))
+            got = sample_step(model, params, state, 1e-8,
+                              spawn_generator(trial, draw))
             assert got == best
 
 
@@ -171,7 +173,7 @@ def test_sampling_uniform_frequencies(setup):
     rng = spawn_generator(2024)
     counts = np.zeros(len(env.vocab))
     for _ in range(n):
-        counts[model.sample_step(params, s0, 1.0, rng)] += 1
+        counts[sample_step(model, params, s0, 1.0, rng)] += 1
     sigma = math.sqrt(n * (1 / k) * (1 - 1 / k))
     legal_ids = [a.id for a in env.legal_actions(s0)]
     for aid in legal_ids:
@@ -183,15 +185,16 @@ def test_sampling_deterministic_given_seed(setup):
     env, model, questions = setup
     params = model.init_params(seed=1, scale=0.5)
     state = env.initial_state(questions[1])
-    a = [model.sample_step(params, state, 0.8, 777) for _ in range(10)]
-    b = [model.sample_step(params, state, 0.8, 777) for _ in range(10)]
+    a = [sample_step(model, params, state, 0.8, 777) for _ in range(10)]
+    b = [sample_step(model, params, state, 0.8, 777) for _ in range(10)]
     assert a == b
 
 
 def test_temperature_validation(setup):
     env, model, questions = setup
     with pytest.raises(ValueError):
-        model.sample_step(model.zeros_params(), env.initial_state(questions[0]), 0.0, 1)
+        sample_step(model, model.zeros_params(),
+                    env.initial_state(questions[0]), 0.0, 1)
 
 
 _WEIGHT = st.one_of(st.floats(0.0, 1.0), st.floats(1e-300, 1e-12),
