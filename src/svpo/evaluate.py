@@ -30,8 +30,9 @@ from .pairs import (
     load_solutions, load_value_targets, positive_negative_ratio,
 )
 from .train import (
-    PAIR_CHUNK, Checkpoint, TrainConfig, TrainData, default_pretrain_config,
-    default_svpo_config, load_checkpoint, pair_prefixes, train_loop,
+    Checkpoint, TrainConfig, TrainData, default_pretrain_config,
+    default_svpo_config, load_checkpoint, pair_logprobs, stage_rows,
+    train_loop,
 )
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -87,20 +88,17 @@ def win_rate(model: Model, params: PolicyValueParams,
              beta: float) -> dict:
     """Fraction of pairs each scorer ranks the winner strictly above the
     loser ("implicit", "explicit"), and "n_pairs"; exact ties earn half
-    credit. Scores PAIR_CHUNK pairs per kernel call; both policies see the
-    same rows, so equal policies tie exactly."""
+    credit. Both policies score the same compiled rows in the same kernel
+    batches, so equal policies tie exactly."""
     if not pairs:
         raise EmptyDataset("no pairs to evaluate")
-    implicit = explicit = 0.0
-    for start in range(0, len(pairs), PAIR_CHUNK):
-        qids, prefixes, w, l = pair_prefixes(pairs[start:start + PAIR_CHUNK])
-        logprobs, values, _ = model.seq_logprob_grad(params, qids, prefixes)
-        ref, _, _ = model.seq_logprob_grad(ref_params, qids, prefixes)
-        ratio = logprobs - ref
-        implicit += _credit(beta * (ratio[w] - ratio[l]))
-        explicit += _credit(values[w] - values[l])
+    rows = stage_rows(model, TrainData(pairs=pairs))
+    logprobs, values = pair_logprobs(model, params, pairs, rows)
+    ratio = logprobs - pair_logprobs(model, ref_params, pairs, rows)[0]
     n = len(pairs)
-    return {"implicit": implicit / n, "explicit": explicit / n, "n_pairs": n}
+    return {"implicit": _credit(beta * (ratio[:, 0] - ratio[:, 1])) / n,
+            "explicit": _credit(values[:, 0] - values[:, 1]) / n,
+            "n_pairs": n}
 
 
 def _credit(diff: np.ndarray) -> float:

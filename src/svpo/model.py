@@ -16,7 +16,7 @@ generator exactly as `Generator.choice` does. Training and win-rate
 scoring go through one batched prefix kernel, `Model.seq_logprob_grad`:
 it evaluates many (question, prefix) sequences at once and returns the
 gradient of any weighted sum of their log-probabilities and end-state
-values.
+values, from feature rows that `Model.prefix_rows` compiled once.
 """
 from __future__ import annotations
 
@@ -104,6 +104,16 @@ class PrefixEval:
     grad_value: Gradients
 
 
+@dataclass(frozen=True)
+class PrefixRows:
+    """Prefixes compiled for the batched kernel: the feature rows of their
+    distinct states, and per (question id, step tuple) the row indices of
+    its states from start to end."""
+
+    x: np.ndarray  # (distinct states, d)
+    paths: dict[tuple[int, tuple[int, ...]], list[int]]
+
+
 def init_params(d: int, h: int, vocab: int, seed: int,
                 scale: float = 0.05) -> PolicyValueParams:
     """Small Gaussian init. Exact zeros are a training fixed point (the
@@ -157,21 +167,12 @@ class Featurizer:
             self._offsets[name] = dim
             dim += width
         self.dim = dim
-        self._cache: dict[tuple, np.ndarray] = {}
 
     def block(self, name: str) -> int:
         """Start index of a named feature block (bias, depth, last, ...)."""
         return self._offsets[name]
 
-    def cached(self, question_id: int, steps: tuple[int, ...]):
-        """The feature row of an already featurized state, else None."""
-        return self._cache.get((question_id, steps))
-
     def features(self, question: Question, state: State) -> np.ndarray:
-        key = (question.id, state.steps)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         x = np.zeros(self.dim)
         off = self._offsets
         x[off["bias"]] = 1.0
@@ -191,7 +192,6 @@ class Featurizer:
             x[off["bucket"] + (s - SCRATCH_LO)] = 1.0
         x[off["scaled"]] = s / 16.0
         x[off["parity"]] = float(s % 2)
-        self._cache[key] = x
         return x
 
 
@@ -267,7 +267,9 @@ class Model:
     def seq_logprob(self, params: PolicyValueParams, question: Question,
                     steps) -> float:
         """Sum of step log-probs over a whole prefix; 0.0 for the empty one."""
-        logprobs, _, _ = self.seq_logprob_grad(params, [question.id], [steps])
+        qids, prefixes = [question.id], [steps]
+        logprobs, _, _ = self.seq_logprob_grad(
+            params, self.prefix_rows(qids, prefixes), qids, prefixes)
         return float(logprobs[0])
 
     def value(self, params: PolicyValueParams, state: State) -> float:
@@ -281,68 +283,57 @@ class Model:
 
     # -- the batched prefix kernel: training and scoring -----------------
 
-    def _gather(self, question_ids, prefixes):
-        """Feature rows of a batch of prefixes, taken from the featurizer
-        cache: the state before every step, then every end state. Also
-        each step's chosen action id, the index of its prefix, and the
-        positions of the depth-0 rows."""
-        cached = self.featurizer.cached
-        rows: list[np.ndarray] = []
-        ends: list[np.ndarray] = []
-        chosen: list[int] = []
-        segment: list[int] = []
-        depth0: list[int] = []
-        for i, (qid, steps) in enumerate(zip(question_ids, prefixes)):
+    def prefix_rows(self, question_ids, prefixes) -> PrefixRows:
+        """Compile prefixes for `seq_logprob_grad`: every distinct state
+        along them is replayed through the Env and featurized once.
+        Raises IllegalPrefix when a prefix leaves the legal action set."""
+        env, features = self.env, self.featurizer.features
+        rows, paths, seen = [], {}, {}  # seen: state key -> (row, state)
+        for qid, steps in zip(question_ids, prefixes):
             steps = tuple(steps)
-            # states come only from the Env, which refuses illegal steps,
-            # so a prefix whose states are all cached is legal; any other
-            # prefix is replayed and raises at its first illegal step
-            states = [cached(qid, steps[:t]) for t in range(len(steps) + 1)]
-            if any(x is None for x in states):
-                states = self._replay_rows(qid, steps)
-            if steps:
-                depth0.append(len(rows))
-            rows.extend(states[:-1])
-            ends.append(states[-1])
-            chosen.extend(steps)
-            segment.extend([i] * len(steps))
-        return (np.array(rows + ends).reshape(-1, self.d),
-                np.array(chosen, dtype=np.intp),
-                np.array(segment, dtype=np.intp),
-                np.array(depth0, dtype=np.intp))
+            question = env.question(qid)
+            path = []
+            for t, aid in enumerate((None,) + steps):
+                key = (qid, steps[:t])
+                if key not in seen:
+                    try:
+                        state = (env.initial_state(question) if aid is None
+                                 else env.transition(state, env.action(aid)))
+                    except (IllegalAction, DepthExceeded) as exc:
+                        raise IllegalPrefix(f"prefix {steps} of question "
+                                            f"{qid}: {exc}") from exc
+                    seen[key] = (len(rows), state)
+                    rows.append(features(question, state))
+                row, state = seen[key]
+                path.append(row)
+            paths[qid, steps] = path
+        return PrefixRows(np.array(rows).reshape(-1, self.d), paths)
 
-    def _replay_rows(self, question_id: int, steps) -> list[np.ndarray]:
-        """Feature rows of every state along a prefix, start to end."""
-        env = self.env
-        question = env.question(question_id)
-        state = env.initial_state(question)
-        rows = [self.featurizer.features(question, state)]
-        try:
-            for aid in steps:
-                state = env.transition(state, env.action(aid))
-                rows.append(self.featurizer.features(question, state))
-        except (IllegalAction, DepthExceeded) as exc:
-            raise IllegalPrefix(
-                f"prefix {steps} of question {question_id}: {exc}") from exc
-        return rows
-
-    def seq_logprob_grad(self, params: PolicyValueParams, question_ids,
-                         prefixes, coef=None):
+    def seq_logprob_grad(self, params: PolicyValueParams, rows: PrefixRows,
+                         question_ids, prefixes, coef=None):
         """The batched prefix kernel: every prefix's seq_logprob and
         end-state value in one pass, and optionally one gradient.
 
         Prefix i is the step tuple `prefixes[i]` of question
-        `question_ids[i]`. `coef` gives per-prefix coefficients (a, b),
-        as arrays or scalars, or as a function of (logprobs, values) that
-        returns them; the gradient is then that of sum_i a_i * logprob_i +
-        b_i * value_i. The whole pass is a handful of matmuls over the
-        gathered rows: tanh(X W_s), a log-softmax masked to the legal
-        actions, G^T dL and X^T dU.
+        `question_ids[i]`, compiled into `rows` by `prefix_rows`. `coef`
+        gives per-prefix coefficients (a, b), as arrays or scalars, or as a
+        function of (logprobs, values) that returns them; the gradient is
+        then that of sum_i a_i * logprob_i + b_i * value_i. The whole pass
+        is a handful of matmuls over the batch's rows, which one index
+        takes from `rows.x` (every step's state, then every end state):
+        tanh(X W_s), a log-softmax masked to the legal actions, G^T dL and
+        X^T dU.
 
-        Returns (logprobs, values, Gradients or None without `coef`).
-        Raises IllegalPrefix when a prefix leaves the legal action set."""
-        x, chosen, segment, depth0 = self._gather(question_ids, prefixes)
+        Returns (logprobs, values, Gradients or None without `coef`)."""
+        paths = [rows.paths[qid, tuple(steps)]
+                 for qid, steps in zip(question_ids, prefixes)]
+        x = rows.x[[row for path in paths for row in path[:-1]]
+                   + [path[-1] for path in paths]]
+        lengths = np.array([len(path) - 1 for path in paths], dtype=np.intp)
+        chosen = np.array([a for s in prefixes for a in s], dtype=np.intp)
         n, n_steps = len(prefixes), len(chosen)
+        segment = np.repeat(np.arange(n), lengths)
+        depth0 = (np.cumsum(lengths) - lengths)[lengths > 0]
         hidden = np.tanh(x @ params.w_shared)
         g, g_end = hidden[:n_steps], hidden[n_steps:]
         logp = self._log_softmax(g @ params.w_policy, depth0)
@@ -368,16 +359,20 @@ class Model:
 
     def value_grad(self, params: PolicyValueParams, state: State):
         """(value, exact gradient of the tanh value head)."""
+        qids, prefixes = [state.question_id], [state.steps]
         _, values, grad = self.seq_logprob_grad(
-            params, [state.question_id], [state.steps], (0.0, 1.0))
+            params, self.prefix_rows(qids, prefixes), qids, prefixes,
+            (0.0, 1.0))
         return float(values[0]), grad
 
     def grads_logprob_and_value(self, params: PolicyValueParams,
                                 question: Question, steps) -> PrefixEval:
         """Evaluate one prefix: seq_logprob, end-state value, both gradients."""
+        qids, prefixes = [question.id], [steps]
+        rows = self.prefix_rows(qids, prefixes)
         logprobs, values, grad_lp = self.seq_logprob_grad(
-            params, [question.id], [steps], (1.0, 0.0))
-        _, _, grad_v = self.seq_logprob_grad(params, [question.id], [steps],
+            params, rows, qids, prefixes, (1.0, 0.0))
+        _, _, grad_v = self.seq_logprob_grad(params, rows, qids, prefixes,
                                              (0.0, 1.0))
         return PrefixEval(float(logprobs[0]), float(values[0]), grad_lp,
                           grad_v)

@@ -36,8 +36,8 @@ import numpy as np
 
 from .env import Solution
 from .model import (
-    Gradients, Model, PolicyValueParams, params_from_record, params_to_record,
-    spawn_generator,
+    Gradients, Model, PolicyValueParams, PrefixRows, params_from_record,
+    params_to_record, spawn_generator,
 )
 from .pairs import PreferencePair, ValueTarget
 
@@ -151,16 +151,23 @@ def pair_prefixes(pairs: list[PreferencePair]):
             np.array(winners, dtype=np.intp), np.array(losers, dtype=np.intp))
 
 
+def stage_rows(model: Model, data: TrainData) -> PrefixRows:
+    """Every prefix of a stage's pairs, solutions and targets, compiled."""
+    qids, prefixes, _, _ = pair_prefixes(data.pairs)
+    more = _dataset_prefixes(data.solutions, data.value_targets)
+    return model.prefix_rows(qids + more[0], prefixes + more[1])
+
+
 def pair_logprobs(model: Model, params: PolicyValueParams,
-                  pairs: list[PreferencePair]) -> np.ndarray:
-    """(len(pairs), 2) winner and loser prefix log-probs, PAIR_CHUNK pairs
-    per kernel call."""
-    out = np.empty((len(pairs), 2))
+                  pairs: list[PreferencePair], rows: PrefixRows):
+    """(log-probs, end-state values), each (len(pairs), 2) with winner and
+    loser columns, PAIR_CHUNK pairs per kernel call over `rows`."""
+    out = np.empty((2, len(pairs), 2))
     for start in range(0, len(pairs), PAIR_CHUNK):
         qids, prefixes, w, l = pair_prefixes(pairs[start:start + PAIR_CHUNK])
-        logprobs, _, _ = model.seq_logprob_grad(params, qids, prefixes)
-        out[start:start + PAIR_CHUNK, 0] = logprobs[w]
-        out[start:start + PAIR_CHUNK, 1] = logprobs[l]
+        lp, v, _ = model.seq_logprob_grad(params, rows, qids, prefixes)
+        at = np.stack([w, l], axis=1)
+        out[:, start:start + PAIR_CHUNK] = np.stack([lp, v])[:, at]
     return out
 
 
@@ -203,13 +210,14 @@ def _dataset_loss(config: TrainConfig, sol_logprobs: np.ndarray,
 def svpo_batch_grad(model: Model, params: PolicyValueParams,
                     ref_logprobs: np.ndarray, batch: list[PreferencePair],
                     config: TrainConfig, solutions: list[Solution],
-                    targets: list[ValueTarget]):
+                    targets: list[ValueTarget], rows: PrefixRows):
     """Mean loss terms and mean weighted gradient for one svpo step.
 
     The preference terms (dpo, margin, reg) come from the pair batch, the
     carried pretraining terms (sft, mse) from the solution and value-target
     batches; an empty dataset makes its term zero. `ref_logprobs` holds the
-    batch's reference log-probs as pair_logprobs returns them.
+    batch's reference log-probs as pair_logprobs returns them, and `rows`
+    the compiled prefixes of all three batches.
 
     Also reports the largest |implicit difference| seen: the probability
     ratio bound never binds while this stays inside the value range.
@@ -249,7 +257,7 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
         np.add.at(b, l, -hinge / n)
         return np.concatenate([a, a_data]), np.concatenate([b, b_data])
 
-    _, _, grad = model.seq_logprob_grad(params, qids + data_qids,
+    _, _, grad = model.seq_logprob_grad(params, rows, qids + data_qids,
                                         prefixes + data_prefixes, coef)
     max_abs_dr = terms.pop("max_abs_dr")
     breakdown = LossBreakdown(total=combine_total(config, **terms), **terms)
@@ -258,9 +266,10 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
 
 def pretrain_batch_grad(model: Model, params: PolicyValueParams,
                         solutions: list[Solution],
-                        targets: list[ValueTarget], config: TrainConfig):
+                        targets: list[ValueTarget], config: TrainConfig,
+                        rows: PrefixRows):
     """Mean solution NLL plus weighted mean squared value error, and its
-    gradient, from one kernel call."""
+    gradient, from one kernel call over the compiled prefixes `rows`."""
     if not solutions and not targets:
         raise EmptyBatch("nothing to pretrain on")
     n_sol = len(solutions)
@@ -272,7 +281,7 @@ def pretrain_batch_grad(model: Model, params: PolicyValueParams,
         return a, b
 
     _, _, grad = model.seq_logprob_grad(
-        params, *_dataset_prefixes(solutions, targets), coef)
+        params, rows, *_dataset_prefixes(solutions, targets), coef)
     breakdown = LossBreakdown(total=combine_total(config, 0, 0, 0, **terms),
                               **terms)
     return breakdown, grad
@@ -304,15 +313,13 @@ def train_loop(model: Model, data: TrainData, config: TrainConfig,
             raise MissingCheckpoint("svpo stage needs a pretrain checkpoint")
         if not data.pairs:
             raise EmptyBatch("svpo stage needs preference pairs")
-        params = init.params.copy()
-        ref_params = init.params.copy()
-        ref_logprobs = pair_logprobs(model, ref_params, data.pairs)
-    else:
-        if not data.solutions and not data.value_targets:
-            raise EmptyBatch("pretrain stage needs solutions or targets")
-        params = init.params.copy() if init else model.init_params(
-            seed=rng_seed)
-        ref_params = None
+    elif not data.solutions and not data.value_targets:
+        raise EmptyBatch("pretrain stage needs solutions or targets")
+    rows = stage_rows(model, data)
+    params = init.params.copy() if init else model.init_params(seed=rng_seed)
+    ref_params = init.params.copy() if svpo else None
+    if svpo:
+        ref_logprobs, _ = pair_logprobs(model, ref_params, data.pairs, rows)
 
     checkpoints: list[Checkpoint] = []
     step = init.step if init else 0
@@ -335,10 +342,10 @@ def train_loop(model: Model, data: TrainData, config: TrainConfig,
                 idx = pair_batches[b]
                 breakdown, grad, max_dr = svpo_batch_grad(
                     model, params, ref_logprobs[idx],
-                    [data.pairs[i] for i in idx], config, sols, tgts)
+                    [data.pairs[i] for i in idx], config, sols, tgts, rows)
             else:
                 breakdown, grad = pretrain_batch_grad(model, params, sols,
-                                                      tgts, config)
+                                                      tgts, config, rows)
                 max_dr = 0.0
             _apply(params, grad, config.lr)
             step += 1

@@ -343,7 +343,8 @@ def test_seq_logprob_gradient_finite_difference(setup):
         params = model.init_params(seed=500 + trial, scale=0.8)
         q = questions[int(rng.integers(len(questions)))]
         steps, _ = random_prefix(env, q, rng)
-        _, _, grad = model.seq_logprob_grad(params, [q.id], [steps],
+        rows = model.prefix_rows([q.id], [steps])
+        _, _, grad = model.seq_logprob_grad(params, rows, [q.id], [steps],
                                             (1.0, 0.0))
         err = fd_relative_error(
             lambda p, q=q, steps=steps: model.seq_logprob(p, q, steps),
@@ -378,7 +379,8 @@ def test_policy_grad_invariant_to_uniform_logit_shift(setup):
         params = model.init_params(seed=40 + trial, scale=1.0)
         q = questions[int(rng.integers(len(questions)))]
         steps, _ = random_prefix(env, q, rng)
-        _, _, grad = model.seq_logprob_grad(params, [q.id], [steps],
+        rows = model.prefix_rows([q.id], [steps])
+        _, _, grad = model.seq_logprob_grad(params, rows, [q.id], [steps],
                                             (1.0, 0.0))
         assert np.allclose(grad.w_policy.sum(axis=1), 0.0, atol=1e-12)
 
@@ -390,7 +392,8 @@ def test_grads_logprob_and_value_consistent(setup):
     params = model.init_params(seed=77, scale=0.6)
     steps, state = random_prefix(env, q, rng)
     ev = model.grads_logprob_and_value(params, q, steps)
-    (lp,), _, glp = model.seq_logprob_grad(params, [q.id], [steps],
+    rows = model.prefix_rows([q.id], [steps])
+    (lp,), _, glp = model.seq_logprob_grad(params, rows, [q.id], [steps],
                                            (1.0, 0.0))
     v, gv = model.value_grad(params, state)
     assert ev.logprob == lp and ev.value == v
@@ -401,8 +404,9 @@ def test_grads_logprob_and_value_consistent(setup):
 def test_gradients_accumulate_and_norm(setup):
     env, model, questions = setup
     params = model.init_params(seed=8, scale=0.3)
-    _, _, grad = model.seq_logprob_grad(params, [questions[0].id], [(0,)],
-                                        (1.0, 0.0))
+    qids, prefixes = [questions[0].id], [(0,)]
+    _, _, grad = model.seq_logprob_grad(
+        params, model.prefix_rows(qids, prefixes), qids, prefixes, (1.0, 0.0))
     acc = Gradients.zeros_like(params)
     acc.add_scaled(grad, 2.0)
     acc.add_scaled(grad, -2.0)
@@ -435,14 +439,13 @@ def test_checkpoint_shape_header_validated(setup):
         params_from_record(rec)
 
 
-def test_featurizer_deterministic_and_cached(setup):
+def test_featurizer_deterministic(setup):
     env, model, questions = setup
     q = questions[0]
     s = env.initial_state(q)
     fz = Featurizer(env.config)
     a = fz.features(q, s)
-    b = fz.features(q, s)
-    assert a is b  # cache hit
+    assert np.array_equal(fz.features(q, s), a)
     fresh = Featurizer(env.config)
     assert np.array_equal(fresh.features(q, s), a)
     assert fz.dim == model.d
@@ -455,6 +458,40 @@ def test_featurizer_distinguishes_scratch_and_depth(setup):
     s1 = env.transition(s0, env.vocab[0])
     fz = model.featurizer
     assert not np.array_equal(fz.features(q, s0), fz.features(q, s1))
+
+
+def test_prefix_rows_featurize_each_distinct_state_once(setup, monkeypatch):
+    env, model, questions = setup
+    rng = np.random.Generator(np.random.PCG64(23))
+    qids, prefixes = [], []
+    for q in questions[:4]:
+        steps, _ = random_prefix(env, q, rng)
+        # the full prefix twice, a shared head and the empty prefix
+        for t in (len(steps), len(steps) // 2, 0, len(steps)):
+            qids.append(q.id)
+            prefixes.append(steps[:t])
+    distinct = {(qid, steps[:t]) for qid, steps in zip(qids, prefixes)
+                for t in range(len(steps) + 1)}
+    calls = []
+    features = model.featurizer.features
+
+    def counted(question, state):
+        calls.append((question.id, state.steps))
+        return features(question, state)
+
+    monkeypatch.setattr(model.featurizer, "features", counted)
+    rows = model.prefix_rows(qids, prefixes)
+    assert len(calls) == len(set(calls)) == len(distinct) == len(rows.x)
+    assert set(calls) == distinct
+    params = model.init_params(seed=3, scale=0.5)
+    logprobs, values, _ = model.seq_logprob_grad(params, rows, qids, prefixes)
+    for i, (qid, steps) in enumerate(zip(qids, prefixes)):
+        alone = model.prefix_rows([qid], [steps])
+        assert np.array_equal(rows.x[rows.paths[qid, steps]],
+                              alone.x[alone.paths[qid, steps]])
+        (lp,), (v,), _ = model.seq_logprob_grad(params, alone, [qid], [steps])
+        assert logprobs[i] == pytest.approx(lp, rel=1e-12, abs=1e-15)
+        assert values[i] == pytest.approx(v, rel=1e-12, abs=1e-15)
 
 
 def test_as_generator_accepts_both():

@@ -17,7 +17,7 @@ from svpo.train import (
     Checkpoint, EmptyBatch, MissingCheckpoint, TrainConfig, TrainData,
     default_pretrain_config, default_svpo_config, load_checkpoint,
     pair_logprobs, parse_kv_text, pretrain_batch_grad, save_checkpoint,
-    svpo_batch_grad, train_loop,
+    stage_rows, svpo_batch_grad, train_loop,
 )
 
 from oracles import (
@@ -162,9 +162,10 @@ def test_fd_batch_gradient(corpus):
              if abs(config.gamma - value_diff(model, params, p)) > 1e-2][:3]
     assert len(batch) == 3
     sols, tgts = solutions[:3], targets[:5]
+    rows = stage_rows(model, TrainData(batch, sols, tgts))
     _, analytic, _ = svpo_batch_grad(model, params,
-                                     pair_logprobs(model, ref, batch), batch,
-                                     config, sols, tgts)
+                                     pair_logprobs(model, ref, batch, rows)[0],
+                                     batch, config, sols, tgts, rows)
     frozen_gaps = [value_diff(model, params, p) for p in batch]
 
     def f(p):
@@ -192,11 +193,13 @@ def test_coupling_gradient_never_touches_value_head(corpus):
     # end to end: switching the coupling weight on changes the policy-path
     # gradient but leaves the value-head gradient bit-identical
     batch = pairs[:16]
-    ref_logprobs = pair_logprobs(model, ref, batch)
+    rows = stage_rows(model, TrainData(pairs=batch))
+    ref_logprobs, _ = pair_logprobs(model, ref, batch, rows)
     _, g_off, _ = svpo_batch_grad(model, params, ref_logprobs, batch,
-                                  default_svpo_config(w_reg=0.0), [], [])
+                                  default_svpo_config(w_reg=0.0), [], [],
+                                  rows)
     _, g_on, _ = svpo_batch_grad(model, params, ref_logprobs, batch,
-                                 default_svpo_config(w_reg=1.0), [], [])
+                                 default_svpo_config(w_reg=1.0), [], [], rows)
     assert np.array_equal(g_off.w_value, g_on.w_value)
     assert not np.array_equal(g_off.w_shared, g_on.w_shared)
 
@@ -241,9 +244,10 @@ def test_batched_svpo_grad_matches_per_pair_oracle(kernel_case, carried):
     config = default_svpo_config()
     if carried == "empty":
         sols, tgts = [], []
+    rows = stage_rows(model, TrainData(batch, sols, tgts))
     breakdown, grad, max_dr = svpo_batch_grad(
-        model, params, pair_logprobs(model, ref, batch), batch, config, sols,
-        tgts)
+        model, params, pair_logprobs(model, ref, batch, rows)[0], batch,
+        config, sols, tgts, rows)
     terms, want, want_dr = svpo_batch_oracle(model, params, ref, batch,
                                              config, sols, tgts)
     for name, value in terms.items():
@@ -258,17 +262,19 @@ def test_batched_svpo_grad_matches_per_pair_oracle(kernel_case, carried):
 def test_batched_pretrain_grad_matches_per_solution_oracle(kernel_case):
     model, params, _, _, sols, tgts = kernel_case
     config = default_pretrain_config()
-    breakdown, grad = pretrain_batch_grad(model, params, sols, tgts, config)
+    rows = stage_rows(model, TrainData(solutions=sols, value_targets=tgts))
+    breakdown, grad = pretrain_batch_grad(model, params, sols, tgts, config,
+                                          rows)
     want = pretrain_loss(model, params, sols, tgts, config)
     assert breakdown.sft == pytest.approx(want.sft, rel=1e-10)
     assert breakdown.mse == pytest.approx(want.mse, rel=1e-10)
     assert breakdown.total == pytest.approx(want.total, rel=1e-10)
     _assert_grads_close(grad, dataset_grad(model, params, sols, tgts, config))
     # either dataset alone
-    _, only_sols = pretrain_batch_grad(model, params, sols, [], config)
+    _, only_sols = pretrain_batch_grad(model, params, sols, [], config, rows)
     _assert_grads_close(only_sols,
                         dataset_grad(model, params, sols, [], config))
-    _, only_tgts = pretrain_batch_grad(model, params, [], tgts, config)
+    _, only_tgts = pretrain_batch_grad(model, params, [], tgts, config, rows)
     _assert_grads_close(only_tgts,
                         dataset_grad(model, params, [], tgts, config))
 
@@ -277,7 +283,8 @@ def test_fd_pretrain_batch_gradient(kernel_case):
     model, params, _, _, sols, tgts = kernel_case
     # weight the value term up so both paths carry comparable gradient
     config = default_pretrain_config(w_mse=1.0)
-    _, analytic = pretrain_batch_grad(model, params, sols, tgts, config)
+    rows = stage_rows(model, TrainData(solutions=sols, value_targets=tgts))
+    _, analytic = pretrain_batch_grad(model, params, sols, tgts, config, rows)
 
     def f(p):
         return pretrain_loss(model, p, sols, tgts, config).total
@@ -287,25 +294,26 @@ def test_fd_pretrain_batch_gradient(kernel_case):
 
 
 def test_batched_entry_points_raise_illegal_prefix(kernel_case):
+    # prefixes are checked where they are compiled: by prefix_rows, and so
+    # by both training stages before their first step
     model, params, ref, batch, sols, _ = kernel_case
     env = model.env
     qid = batch[0].question_id
     answer = next(a.id for a in env.vocab if a.kind == TERMINAL)
     too_long = (0,) * (env.config.max_depth + 1)
+    init = Checkpoint(params=params, ref_params=None, step=0, config={})
     for bad in [(answer,), too_long, (0, -1), (0, len(env.vocab))]:
         with pytest.raises(IllegalPrefix):
-            model.seq_logprob_grad(params, [qid, qid], [batch[0].winner, bad],
-                                   (1.0, 1.0))
+            model.prefix_rows([qid, qid], [batch[0].winner, bad])
         pair = PreferencePair(qid, batch[0].winner, bad, "sibling", 0.0,
                               0.0, 0)
         with pytest.raises(IllegalPrefix):
-            svpo_batch_grad(model, params, np.zeros((4, 2)),
-                            batch[:3] + [pair], default_svpo_config(), [],
-                            [])
+            train_loop(model, TrainData(pairs=batch[:3] + [pair]),
+                       default_svpo_config(), rng_seed=0, init=init)
         solution = dataclasses.replace(sols[0], steps=bad)
         with pytest.raises(IllegalPrefix):
-            pretrain_batch_grad(model, params, sols[:2] + [solution], [],
-                                default_pretrain_config())
+            train_loop(model, TrainData(solutions=sols[:2] + [solution]),
+                       default_pretrain_config(), rng_seed=0, init=init)
 
 
 # -- the training loop -------------------------------------------------------
@@ -371,11 +379,12 @@ def test_preference_stage_descends(corpus):
     config = default_svpo_config(epochs=3, batch_size=16)
     data = TrainData(pairs=pairs)
     ckpts = train_loop(model, data, config, rng_seed=2, init=init)
-    ref_logprobs = pair_logprobs(model, init.params, pairs)
+    rows = stage_rows(model, data)
+    ref_logprobs, _ = pair_logprobs(model, init.params, pairs, rows)
     before, _, _ = svpo_batch_grad(model, init.params, ref_logprobs, pairs,
-                                   config, [], [])
+                                   config, [], [], rows)
     after, _, _ = svpo_batch_grad(model, ckpts[-1].params, ref_logprobs,
-                                  pairs, config, [], [])
+                                  pairs, config, [], [], rows)
     assert after.total < before.total
     assert after.dpo < before.dpo
 
@@ -399,10 +408,12 @@ def test_missing_or_empty_inputs_raise(corpus):
         train_loop(model, TrainData(), default_pretrain_config(), rng_seed=0)
     with pytest.raises(EmptyBatch):
         svpo_batch_grad(model, model.zeros_params(), np.zeros((0, 2)), [],
-                        default_svpo_config(), [], [])
+                        default_svpo_config(), [], [],
+                        stage_rows(model, TrainData()))
     with pytest.raises(EmptyBatch):
         pretrain_batch_grad(model, model.zeros_params(), [], [],
-                            default_pretrain_config())
+                            default_pretrain_config(),
+                            stage_rows(model, TrainData()))
 
 
 def test_log_rows_and_step_count(corpus):
