@@ -527,7 +527,14 @@ def run_matrix(config: ExperimentConfig, seeds: list[int], arms: dict,
                with_win_rates: bool = False) -> dict:
     """arm -> seed -> metrics. `arms` maps a name to its config overrides
     (see ARMS), or to None to score the pretrain checkpoint itself. Arms
-    share each seed's corpus, pretrain checkpoint and held-out pairs."""
+    share each seed's corpus, pretrain checkpoint and held-out pairs.
+    Every arm's config is built before any work, so a bad override fails
+    first."""
+    # through the config-file key space, so a bad key or value fails
+    flat = experiment_config_to_dict(config)
+    arm_configs = {arm: None if overrides is None
+                   else experiment_config_from_dict({**flat, **overrides})
+                   for arm, overrides in arms.items()}
     results: dict = {arm: {} for arm in arms}
     for seed in seeds:
         cfg = seed_config(config, seed)
@@ -535,13 +542,11 @@ def run_matrix(config: ExperimentConfig, seeds: list[int], arms: dict,
         sft_ckpt = pretrain_stage(corpus, cfg)
         heldout = heldout_stage(corpus, sft_ckpt, cfg) if with_win_rates \
             else []
-        for arm, overrides in arms.items():
+        for arm, arm_config in arm_configs.items():
             arm_cfg = cfg
             params = ref = sft_ckpt.params
-            if overrides is not None:
-                # through the config-file key space, so a bad key fails
-                arm_cfg = experiment_config_from_dict(
-                    {**experiment_config_to_dict(cfg), **overrides})
+            if arm_config is not None:
+                arm_cfg = seed_config(arm_config, seed)
                 ckpt = svpo_stage(corpus, sft_ckpt, arm_cfg)
                 params, ref = ckpt.params, ckpt.ref_params
             out = {"accuracy": eval_accuracy_suite(corpus, params, arm_cfg)}

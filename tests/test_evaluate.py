@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from svpo import evaluate
 from svpo.env import Env, EnvConfig, TERMINAL, gen_dataset
 from svpo.evaluate import (
     ARMS, Corpus, EmptyDataset, ExperimentConfig, StageFailure, accuracy,
@@ -288,6 +289,19 @@ def test_run_matrix_shares_seed_workspaces():
     expected = (results["sft"][0]["accuracy"]["greedy"]
                 + results["sft"][1]["accuracy"]["greedy"]) / 2
     assert value == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("overrides", [{"svpo_gamma": -1.0},
+                                       {"svpo_gama": 1.0}])
+def test_run_matrix_refuses_bad_overrides_before_any_work(monkeypatch,
+                                                          overrides):
+    def no_work(config):
+        raise AssertionError("corpus built before the arms were checked")
+
+    monkeypatch.setattr(evaluate, "build_corpus", no_work)
+    with pytest.raises(ValueError):
+        run_matrix(tiny_config(), seeds=[0],
+                   arms={"full": ARMS["full"], "bad": overrides})
 
 
 def test_arm_table_is_complete():
