@@ -287,7 +287,7 @@ def svpo_stage(corpus: Corpus, sft_ckpt: Checkpoint,
         pairs = corpus.pairs
         if config.solution_level_only:
             pairs = solution_level_pairs(corpus.env, pairs)
-        data = TrainData(pairs=pairs)
+        data = TrainData(pairs, corpus.solutions, corpus.value_targets)
         return train_loop(corpus.model, data, config.svpo,
                           rng_seed=config.seed, init=sft_ckpt, log=log)[-1]
 

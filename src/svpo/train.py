@@ -12,19 +12,19 @@ states. Its loss combines a sigmoid preference term on the implicit
 difference, a hinge pushing the explicit difference past a margin, a
 squared coupling term tying the implicit difference to the explicit one
 (the explicit side enters as a constant: the value head receives no
-gradient from it), plus the reweighted pretraining terms. In the
-training loop those carried terms range over the solutions and value
-targets of the stage's TrainData. The pipeline and the staged CLI build
-the preference stage's TrainData from pairs alone, so there both carried
-terms are exactly zero and `w_sft` and `w_mse` have no effect
-(ROADMAP.md, open item 1).
+gradient from it), plus the reweighted pretraining terms. Those carried
+terms range over the solutions and value targets of the stage's
+TrainData; the pipeline passes the corpus's SFT solutions and value
+targets, which cycle alongside the pair batches.
 
 Every loss is coefficient arithmetic over one call per batch of the
 model's batched prefix kernel, `Model.seq_logprob_grad`: it returns each
 prefix's log-probability and end-state value, and the gradient of
 sum_i a_i * logprob_i + b_i * value_i for per-prefix coefficients that
-the loss derives from them. Reference log-probabilities are computed
-once per stage. The optimizer is plain mini-batch gradient descent.
+the loss derives from them. Each stage compiles the feature rows of all
+its prefixes once (`stage_rows`), and every batch indexes into them.
+Reference log-probabilities are computed once per stage. The optimizer
+is plain mini-batch gradient descent.
 """
 from __future__ import annotations
 

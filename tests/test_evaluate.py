@@ -1,4 +1,5 @@
 """Metrics, experiment config plumbing, and the pipeline driver."""
+import csv
 import dataclasses
 import json
 
@@ -12,11 +13,11 @@ from svpo.evaluate import (
     build_corpus, build_heldout_pairs,
     eval_accuracy_suite, experiment_config_from_dict,
     experiment_config_to_dict, run_matrix, run_pipeline,
-    solution_level_pairs, summary_text, win_rate,
+    solution_level_pairs, summary_text, svpo_stage, win_rate,
 )
 from svpo.infer import SBSConfig
 from svpo.mcts import SearchConfig, build_forest
-from svpo.model import Model
+from svpo.model import Model, params_to_record
 from svpo.pairs import (
     PairCounts, PreferencePair, extract_pairs, label_correct,
 )
@@ -254,6 +255,30 @@ def test_pipeline_reruns_byte_identical(tiny_bundle):
     bundle, out = tiny_bundle
     again = run_pipeline(tiny_config())
     assert summary_text(again.summary) == (out / "summary.json").read_text()
+
+
+def test_pipeline_preference_stage_carries_pretraining_terms(tiny_bundle):
+    _, out = tiny_bundle
+    with open(out / "svpo_log.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    assert all(float(row["sft"]) > 0.0 for row in rows)
+    assert all(float(row["mse"]) > 0.0 for row in rows)
+
+
+def test_every_training_arm_changes_the_trained_params(tiny_bundle):
+    bundle, _ = tiny_bundle
+    flat = experiment_config_to_dict(bundle.config)
+    trained = {}
+    for arm, overrides in ARMS.items():
+        if overrides is not None:
+            cfg = experiment_config_from_dict({**flat, **overrides})
+            params = svpo_stage(bundle.corpus, bundle.sft_ckpt, cfg).params
+            trained[arm] = params_to_record(params)
+    assert trained["full"] == params_to_record(bundle.svpo_ckpt.params)
+    for arm, record in trained.items():
+        if arm != "full":
+            assert record != trained["full"], arm
 
 
 def test_solution_level_filter(tiny_bundle):
