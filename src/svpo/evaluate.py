@@ -23,7 +23,7 @@ import numpy as np
 from .env import Env, EnvConfig, Question, TERMINAL, gen_dataset, load_dataset
 from .infer import SBSConfig, greedy_decode, sbs
 from .mcts import Forest, SearchConfig, build_forest, load_forests
-from .model import Model, PolicyValueParams
+from .model import Model, PolicyValueParams, PrefixRows
 from .pairs import (
     PairCounts, PreferencePair, ValueTarget, extract_pairs,
     extract_sft_solutions, extract_value_targets, label_correct, load_pairs,
@@ -84,19 +84,27 @@ def accuracy(model: Model, params: PolicyValueParams,
 
 
 def win_rate(model: Model, params: PolicyValueParams,
-             ref_params: PolicyValueParams, pairs: list[PreferencePair],
-             beta: float) -> dict:
+             ref_params: PolicyValueParams | None,
+             pairs: list[PreferencePair], beta: float,
+             rows: PrefixRows | None = None) -> dict:
     """Fraction of pairs each scorer ranks the winner strictly above the
     loser ("implicit", "explicit"), and "n_pairs"; exact ties earn half
     credit. Both policies score the same compiled rows in the same kernel
-    batches, so equal policies tie exactly."""
+    batches, so equal policies tie exactly. Without a reference policy
+    the implicit reward does not apply and "implicit" is None. `rows`
+    are compiled rows covering the pairs' prefixes, compiled here when
+    not given."""
     if not pairs:
         raise EmptyDataset("no pairs to evaluate")
-    rows = stage_rows(model, TrainData(pairs=pairs))
+    if rows is None:
+        rows = stage_rows(model, TrainData(pairs=pairs))
     logprobs, values = pair_logprobs(model, params, pairs, rows)
-    ratio = logprobs - pair_logprobs(model, ref_params, pairs, rows)[0]
     n = len(pairs)
-    return {"implicit": _credit(beta * (ratio[:, 0] - ratio[:, 1])) / n,
+    implicit = None
+    if ref_params is not None:
+        ratio = logprobs - pair_logprobs(model, ref_params, pairs, rows)[0]
+        implicit = _credit(beta * (ratio[:, 0] - ratio[:, 1])) / n
+    return {"implicit": implicit,
             "explicit": _credit(values[:, 0] - values[:, 1]) / n,
             "n_pairs": n}
 
@@ -270,26 +278,30 @@ def build_corpus(config: ExperimentConfig) -> Corpus:
 
 
 def pretrain_stage(corpus: Corpus, config: ExperimentConfig,
-                   log: list | None = None) -> Checkpoint:
+                   log: list | None = None,
+                   rows: PrefixRows | None = None) -> Checkpoint:
     with _stage("pretrain"):
         data = TrainData(solutions=corpus.solutions,
                          value_targets=corpus.value_targets)
         init = Checkpoint(params=corpus.init_params, ref_params=None, step=0,
                           config=dict(vars(config.pretrain)))
         return train_loop(corpus.model, data, config.pretrain,
-                          rng_seed=config.seed, init=init, log=log)[-1]
+                          rng_seed=config.seed, init=init, log=log,
+                          rows=rows)[-1]
 
 
 def svpo_stage(corpus: Corpus, sft_ckpt: Checkpoint,
                config: ExperimentConfig,
-               log: list | None = None) -> Checkpoint:
+               log: list | None = None,
+               rows: PrefixRows | None = None) -> Checkpoint:
     with _stage("svpo"):
         pairs = corpus.pairs
         if config.solution_level_only:
             pairs = solution_level_pairs(corpus.env, pairs)
         data = TrainData(pairs, corpus.solutions, corpus.value_targets)
         return train_loop(corpus.model, data, config.svpo,
-                          rng_seed=config.seed, init=sft_ckpt, log=log)[-1]
+                          rng_seed=config.seed, init=sft_ckpt, log=log,
+                          rows=rows)[-1]
 
 
 def build_heldout_pairs(model: Model, params: PolicyValueParams,
@@ -333,13 +345,20 @@ def eval_accuracy_suite(corpus: Corpus, params: PolicyValueParams,
 
 
 def eval_win_rates(corpus: Corpus, params: PolicyValueParams,
-                   ref_params: PolicyValueParams,
-                   heldout: list[PreferencePair], beta: float) -> dict:
-    train = win_rate(corpus.model, params, ref_params, corpus.pairs, beta)
-    held = win_rate(corpus.model, params, ref_params, heldout, beta)
+                   ref_params: PolicyValueParams | None,
+                   heldout: list[PreferencePair], beta: float,
+                   rows: PrefixRows | None = None,
+                   heldout_rows: PrefixRows | None = None) -> dict:
+    """Win rates on the training and held-out pairs, and their gap; see
+    `win_rate` for a missing reference policy and for the rows."""
+    train = win_rate(corpus.model, params, ref_params, corpus.pairs, beta,
+                     rows)
+    held = win_rate(corpus.model, params, ref_params, heldout, beta,
+                    heldout_rows)
     return {"train": train, "heldout": held,
-            "gap": {"implicit": train["implicit"] - held["implicit"],
-                    "explicit": train["explicit"] - held["explicit"]}}
+            "gap": {key: None if train[key] is None
+                    else train[key] - held[key]
+                    for key in ("implicit", "explicit")}}
 
 
 # -- the pipeline -------------------------------------------------------------
@@ -526,10 +545,11 @@ def seed_config(config: ExperimentConfig, seed: int) -> ExperimentConfig:
 def run_matrix(config: ExperimentConfig, seeds: list[int], arms: dict,
                with_win_rates: bool = False) -> dict:
     """arm -> seed -> metrics. `arms` maps a name to its config overrides
-    (see ARMS), or to None to score the pretrain checkpoint itself. Arms
-    share each seed's corpus, pretrain checkpoint and held-out pairs.
-    Every arm's config is built before any work, so a bad override fails
-    first."""
+    (see ARMS), or to None to score the pretrain checkpoint itself, whose
+    implicit win rates are None (no reference policy). Arms share each
+    seed's corpus, its compiled prefix rows, the pretrain checkpoint and
+    the held-out pairs and their rows. Every arm's config is built before
+    any work, so a bad override fails first."""
     # through the config-file key space, so a bad key or value fails
     flat = experiment_config_to_dict(config)
     arm_configs = {arm: None if overrides is None
@@ -539,19 +559,27 @@ def run_matrix(config: ExperimentConfig, seeds: list[int], arms: dict,
     for seed in seeds:
         cfg = seed_config(config, seed)
         corpus = build_corpus(cfg)
-        sft_ckpt = pretrain_stage(corpus, cfg)
+        # one compile serves both stages, every arm's pairs (a subset for
+        # solution_dpo) and the training-pair win rates
+        rows = stage_rows(corpus.model, TrainData(
+            corpus.pairs, corpus.solutions, corpus.value_targets))
+        sft_ckpt = pretrain_stage(corpus, cfg, rows=rows)
         heldout = heldout_stage(corpus, sft_ckpt, cfg) if with_win_rates \
             else []
+        heldout_rows = stage_rows(corpus.model, TrainData(pairs=heldout)) \
+            if heldout else None
         for arm, arm_config in arm_configs.items():
             arm_cfg = cfg
-            params = ref = sft_ckpt.params
+            # the pretrain checkpoint has no reference policy of its own
+            params, ref = sft_ckpt.params, None
             if arm_config is not None:
                 arm_cfg = seed_config(arm_config, seed)
-                ckpt = svpo_stage(corpus, sft_ckpt, arm_cfg)
+                ckpt = svpo_stage(corpus, sft_ckpt, arm_cfg, rows=rows)
                 params, ref = ckpt.params, ckpt.ref_params
             out = {"accuracy": eval_accuracy_suite(corpus, params, arm_cfg)}
             if heldout:
                 out["win_rate"] = eval_win_rates(corpus, params, ref, heldout,
-                                                 arm_cfg.svpo.beta)
+                                                 arm_cfg.svpo.beta, rows,
+                                                 heldout_rows)
             results[arm][seed] = out
     return results

@@ -13,10 +13,15 @@ solution rather than an error.
 Beam search scores the root, and then all non-answering children of a
 level, in one batched forward (`Model.policy_value`) per level. A
 retained beam keeps its row's log-probs, from which the next level
-samples, so no state is evaluated twice. Greedy decoding evaluates one
-state per step. Sampling goes through `model.sample_distinct`, which
-MCTS expansion uses too: a seed gives the same picks and leaves the
-generator in the same state as that many `Generator.choice` calls would.
+samples, so no state is evaluated twice. Every live beam of a level sits
+at the same depth and so has the same legal actions: a level costs one
+`legal_rows` and one `temper` call over the stacked live rows, one
+seeded generator and one `sample_distinct` call per live beam (b1 at
+most), and one forward. Only the b1 survivors and the parked answers
+become `BeamCandidate`s. Greedy decoding evaluates one state per step.
+Sampling goes through `model.sample_distinct`, which MCTS expansion uses
+too: a seed gives the same picks and leaves the generator in the same
+state as that many `Generator.choice` calls would.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import Question, Solution, State, TERMINAL
+from .env import Question, Solution, TERMINAL
 from .model import (Model, PolicyValueParams, sample_distinct,
                     spawn_generator, temper)
 
@@ -84,53 +89,59 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
 
     Each (level, beam slot) draws from its own seed stream, so the top
     beam's sampling does not depend on how many sibling beams exist.
+    Children are ranked by (value, log-prob, lower beam slot).
     """
     env = model.env
     root = env.initial_state(question)
     logp, values, _, _ = model.policy_value(params, [root])
-    # live beams: (candidate, state, its whole-vocabulary log-prob row)
-    live = [(BeamCandidate((), 0.0, float(values[0]), False), root, logp[0])]
+    # live beams, their states and their whole-vocabulary log-prob rows
+    live = [BeamCandidate((), 0.0, float(values[0]), False)]
+    states = [root]
     parked: list[BeamCandidate] = []
     # a state at the Env's depth budget has no legal actions
     max_depth = min(config.max_depth, env.config.max_depth)
     level = 0
     while live and level < max_depth:
-        children: list[tuple[tuple[int, ...], float, State, int]] = []
-        for beam_idx, (beam, state, row) in enumerate(live):
-            legal, logprobs = model.legal_rows(state, row)
+        # every live beam sits at depth `level`, so all share one legal set
+        legal, logp = model.legal_rows(states[0], logp)
+        probs = temper(logp, config.temperature)
+        rows = logp.tolist()
+        # the level's non-answering children, as parallel lists
+        prefixes, logprobs, children, parents = [], [], [], []
+        for beam_idx, (beam, state) in enumerate(zip(live, states)):
             rng = spawn_generator(_SBS_STREAM, rng_seed, question.id, level,
                                   beam_idx)
-            picks = sample_distinct(temper(logprobs, config.temperature),
-                                    config.b2, rng)
+            picks = sample_distinct(probs[beam_idx], config.b2, rng)
             if trace is not None:
                 trace.append(("expand", level, beam_idx, beam.prefix,
                               tuple(legal[i].id for i in picks)))
+            row = rows[beam_idx]
             for i in picks:
                 action = legal[i]
                 prefix = beam.prefix + (action.id,)
-                logprob = beam.logprob + float(logprobs[i])
+                logprob = beam.logprob + row[i]
                 if action.kind == TERMINAL:
                     # scored by the value of the state answered from
                     parked.append(BeamCandidate(
                         prefix, logprob, beam.value_score, True,
                         env.terminal_reward(state, action)))
                     continue
-                children.append((prefix, logprob,
-                                 env.transition(state, action), beam_idx))
-        logp, values, _, _ = model.policy_value(
-            params, [state for _, _, state, _ in children])
-        pool = [(BeamCandidate(prefix, logprob, float(value), False),
-                 state, row, beam_idx)
-                for (prefix, logprob, state, beam_idx), value, row
-                in zip(children, values, logp)]
-        pool.sort(key=lambda t: (-t[0].value_score, -t[0].logprob, t[3]))
-        live = [(cand, state, row) for cand, state, row, _ in pool[:config.b1]]
+                prefixes.append(prefix)
+                logprobs.append(logprob)
+                children.append(env.transition(state, action))
+                parents.append(beam_idx)
+        logp, values, _, _ = model.policy_value(params, children)
+        values = values.tolist()
+        keep = sorted(range(len(children)), key=lambda j: (
+            -values[j], -logprobs[j], parents[j]))[:config.b1]
+        live = [BeamCandidate(prefixes[j], logprobs[j], values[j], False)
+                for j in keep]
+        states = [children[j] for j in keep]
+        logp = logp[keep]
         if trace is not None:
-            trace.append(("retain", level,
-                          tuple(cand.prefix for cand, _, _ in live)))
+            trace.append(("retain", level, tuple(c.prefix for c in live)))
         level += 1
-    candidates = parked + [cand for cand, _, _ in live]
-    return max(candidates, key=lambda c: (c.value_score, c.logprob))
+    return max(parked + live, key=lambda c: (c.value_score, c.logprob))
 
 
 def sbs(model: Model, params: PolicyValueParams, question: Question,

@@ -21,6 +21,7 @@ values, from feature rows that `Model.prefix_rows` compiled once.
 from __future__ import annotations
 
 import json
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -250,12 +251,13 @@ class Model:
         return logits
 
     def legal_rows(self, state: State, *rows: np.ndarray):
-        """(legal actions of `state`, each whole-vocabulary row restricted
-        to them). Raises env.DepthExceeded at the depth budget."""
+        """(legal actions of `state`, each whole-vocabulary row, or stack
+        of rows along the last axis, restricted to them). Raises
+        env.DepthExceeded at the depth budget."""
         legal = self.env.legal_actions(state)
         if len(legal) < self.vocab_size:
             ids = [a.id for a in legal]
-            rows = tuple(row[ids] for row in rows)
+            rows = tuple(row[..., ids] for row in rows)
         return (legal, *rows)
 
     def legal_logprobs(self, params: PolicyValueParams, state: State):
@@ -459,9 +461,29 @@ def sample_distinct(weights: np.ndarray, k: int,
     return picks
 
 
+_WORD = (1 << 32) - 1
+
+
 def spawn_generator(*entropy: int) -> np.random.Generator:
-    """Deterministic generator from a tuple of integers."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    """Deterministic generator from a tuple of non-negative integers.
+
+    The generator is `SeedSequence(entropy)`'s. Each integer is split here
+    into little-endian 32-bit words, which is how SeedSequence coerces
+    it, and the word array goes in instead; this skips numpy's slower
+    per-integer coercion. Raises ValueError on a negative integer, as
+    that coercion does."""
+    words = []
+    for n in entropy:
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(n & _WORD)
+        n >>= 32
+        while n:
+            words.append(n & _WORD)
+            n >>= 32
+    seeds = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seeds))
 
 
 # -- parameter (de)serialization ------------------------------------------

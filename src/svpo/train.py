@@ -300,12 +300,16 @@ def _order(n: int, rng) -> np.ndarray:
 
 def train_loop(model: Model, data: TrainData, config: TrainConfig,
                rng_seed: int, init: Checkpoint | None = None,
-               log: list | None = None) -> list[Checkpoint]:
+               log: list | None = None,
+               rows: PrefixRows | None = None) -> list[Checkpoint]:
     """Run one stage; returns a checkpoint per epoch (last one is final).
 
     The svpo stage requires an `init` checkpoint (normally the pretrain
     result); its params become both the starting point and the frozen
-    reference policy. Deterministic in (data, config, rng_seed, init).
+    reference policy. `rows`, when given, are prefix rows the caller
+    compiled that cover every prefix of `data` (a superset gives the
+    same bits); otherwise `stage_rows` compiles them here.
+    Deterministic in (data, config, rng_seed, init).
     """
     svpo = config.stage == SVPO
     if svpo:
@@ -315,7 +319,8 @@ def train_loop(model: Model, data: TrainData, config: TrainConfig,
             raise EmptyBatch("svpo stage needs preference pairs")
     elif not data.solutions and not data.value_targets:
         raise EmptyBatch("pretrain stage needs solutions or targets")
-    rows = stage_rows(model, data)
+    if rows is None:
+        rows = stage_rows(model, data)
     params = init.params.copy() if init else model.init_params(seed=rng_seed)
     ref_params = init.params.copy() if svpo else None
     if svpo:

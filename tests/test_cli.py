@@ -1,4 +1,5 @@
 """Command line staging: every subcommand on a tiny corpus, plus failures."""
+import csv
 import json
 import subprocess
 import sys
@@ -133,17 +134,44 @@ def test_unknown_arm_exit_3(staged, capsys):
     assert "error in stage 'ablate'" in capsys.readouterr().err
 
 
-def test_ablate_smoke(staged, capsys):
+@pytest.fixture(scope="module")
+def ablated(staged):
+    """Run `svpo ablate` once over the sft and full arms, seed 0."""
     config, out = staged
     code = main(["ablate", "--config", str(config), "--out", str(out),
                  "--arms", "sft,full", "--seeds", "0"])
+    return code, out
+
+
+def test_ablate_smoke(ablated):
+    code, out = ablated
     assert code == 0
-    capsys.readouterr()
     rows = (out / "ablation.csv").read_text().splitlines()
     assert rows[0].startswith("arm,seed,")
     assert len(rows) == 3  # header + 2 arms x 1 seed
     blob = json.loads((out / "ablation.json").read_text())
     assert set(blob) == {"sft", "full"}
+
+
+def test_sft_arm_implicit_win_rate_is_not_applicable(ablated):
+    """The sft arm scores the pretrain params, which have no reference
+    policy of their own: its implicit win rates read null in
+    ablation.json and empty in ablation.csv, not a constant 0.5. Its
+    explicit win rates and the full arm's implicit ones are reported."""
+    code, out = ablated
+    assert code == 0
+    blob = json.loads((out / "ablation.json").read_text())
+    sft, full = blob["sft"]["0"]["win_rate"], blob["full"]["0"]["win_rate"]
+    for split in ("train", "heldout", "gap"):
+        assert sft[split]["implicit"] is None
+        assert isinstance(sft[split]["explicit"], float)
+        assert isinstance(full[split]["implicit"], float)
+    with open(out / "ablation.csv", newline="") as fh:
+        rows = {row["arm"]: row for row in csv.DictReader(fh)}
+    for column in ("wr_train_implicit", "wr_heldout_implicit"):
+        assert rows["sft"][column] == ""
+        assert rows["full"][column] != ""
+    assert rows["sft"]["wr_train_explicit"] != ""
 
 
 def test_sweep_smoke(staged, capsys):

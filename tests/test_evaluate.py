@@ -316,6 +316,46 @@ def test_run_matrix_shares_seed_workspaces():
     assert value == pytest.approx(expected)
 
 
+def test_run_matrix_compiles_each_seeds_rows_once(monkeypatch):
+    """One prefix compile per seed for the corpus (both stages, every
+    arm, training-pair win rates) and one for the held-out pairs; the
+    metrics equal those of stages that each compile their own rows."""
+    config = tiny_config(n_train=12, n_test=6)
+    arms = {"sft": None, "full": ARMS["full"],
+            "solution_dpo": ARMS["solution_dpo"]}
+    expected = {arm: {} for arm in arms}
+    for seed in (0, 1):
+        cfg = evaluate.seed_config(config, seed)
+        corpus = build_corpus(cfg)
+        sft_ckpt = evaluate.pretrain_stage(corpus, cfg)
+        heldout = evaluate.heldout_stage(corpus, sft_ckpt, cfg)
+        assert heldout
+        for arm, overrides in arms.items():
+            arm_cfg, params, ref = cfg, sft_ckpt.params, None
+            if overrides is not None:
+                arm_cfg = experiment_config_from_dict(
+                    {**experiment_config_to_dict(cfg), **overrides})
+                ckpt = svpo_stage(corpus, sft_ckpt, arm_cfg)
+                params, ref = ckpt.params, ckpt.ref_params
+            expected[arm][seed] = {
+                "accuracy": eval_accuracy_suite(corpus, params, arm_cfg),
+                "win_rate": evaluate.eval_win_rates(
+                    corpus, params, ref, heldout, arm_cfg.svpo.beta)}
+
+    compiled = []
+    prefix_rows = Model.prefix_rows
+
+    def counted(self, *args):
+        compiled.append(args)
+        return prefix_rows(self, *args)
+
+    monkeypatch.setattr(Model, "prefix_rows", counted)
+    results = run_matrix(config, seeds=[0, 1], arms=arms,
+                         with_win_rates=True)
+    assert len(compiled) == 4
+    assert results == expected
+
+
 @pytest.mark.parametrize("overrides", [{"svpo_gamma": -1.0},
                                        {"svpo_gama": 1.0}])
 def test_run_matrix_refuses_bad_overrides_before_any_work(monkeypatch,

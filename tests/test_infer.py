@@ -1,4 +1,6 @@
 """Greedy decoding and step-level beam search."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -312,23 +314,28 @@ def test_inference_records_and_roundtrip(tmp_path, setup):
 def test_sbs_matches_choice_reference(setup):
     """SBS traces and winners are those of the choice-based sampler over
     one state at a time, at a usual temperature and at one low enough to
-    hit the uniform fallback. Scores may differ in the last bits, because
-    a batched matrix product rounds differently from a one-row one."""
-    env, model, questions = setup
-    params = model.init_params(seed=3, scale=1.0)
-    for b1 in (1, 3):
-        for temperature in (0.8, 1e-3):
+    hit the uniform fallback, on medium and hard questions. Scores may
+    differ in the last bits, because a batched matrix product rounds
+    differently from a one-row one."""
+    _, model, questions = setup
+    hard_env = Env(EnvConfig())
+    hard = gen_dataset(seed=43, n=4, difficulty="hard")
+    hard_env.register(hard)
+    for model, questions in ((model, questions[:4]),
+                             (Model(hard_env), hard)):
+        params = model.init_params(seed=3, scale=1.0)
+        for b1, temperature, q in itertools.product(
+                (1, 3, 4), (0.8, 1e-3), questions):
             config = SBSConfig(b1=b1, b2=5, temperature=temperature)
-            for q in questions[:4]:
-                got_trace, want_trace = [], []
-                got = sbs_best(model, params, q, config, rng_seed=9,
-                               trace=got_trace)
-                want = reference_sbs_best(model, params, q, config,
-                                          rng_seed=9, trace=want_trace)
-                assert got_trace == want_trace
-                assert (got.prefix, got.finished, got.reward) == \
-                    (want.prefix, want.finished, want.reward)
-                assert got.value_score == pytest.approx(want.value_score,
-                                                        rel=1e-12, abs=0)
-                assert got.logprob == pytest.approx(want.logprob,
+            got_trace, want_trace = [], []
+            got = sbs_best(model, params, q, config, rng_seed=9,
+                           trace=got_trace)
+            want = reference_sbs_best(model, params, q, config, rng_seed=9,
+                                      trace=want_trace)
+            assert got_trace == want_trace
+            assert (got.prefix, got.finished, got.reward) == \
+                (want.prefix, want.finished, want.reward)
+            assert got.value_score == pytest.approx(want.value_score,
                                                     rel=1e-12, abs=0)
+            assert got.logprob == pytest.approx(want.logprob, rel=1e-12,
+                                                abs=0)

@@ -335,6 +335,46 @@ def test_temper_is_shift_safe():
     assert p_cold[0] > 0.999999
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), width=st.sampled_from([6, 11]),
+       with_inf=st.booleans(), temperature=st.floats(1e-3, 2.0))
+def test_temper_of_stacked_rows_is_each_rows_temper(data, width, with_inf,
+                                                     temperature):
+    """temper over a stack of rows gives every row the bits of its own
+    temper call, -inf entries included (SBS tempers a level's beams in
+    one call)."""
+    entry = st.floats(-60.0, 0.0)
+    if with_inf:
+        entry = st.one_of(entry, st.just(-np.inf))
+    rows = data.draw(st.lists(
+        st.lists(entry, min_size=width, max_size=width).filter(
+            lambda row: max(row) > -np.inf),
+        min_size=1, max_size=5))
+    stacked = temper(np.array(rows), temperature)
+    for row, got in zip(rows, stacked):
+        assert got.tobytes() == temper(np.array(row), temperature).tobytes()
+
+
+@pytest.mark.parametrize("entropy", [
+    (0,), (2**32 - 1,), (2**32,), (2**64 + 3,), (0x5B5, 1, 2**32, 0, 7),
+    (2**64 + 3, 2**40), (5, 2**32 - 1, 2**96 + 2**33 + 1, 0),
+])
+def test_spawn_generator_is_the_seed_sequence_stream(entropy):
+    """spawn_generator's own word split seeds the stream numpy's
+    coercion of the integers would, for values of one to four words."""
+    theirs = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy)))
+    assert spawn_generator(*entropy).random(8).tolist() == \
+        theirs.random(8).tolist()
+
+
+def test_spawn_generator_refuses_negative_entropy():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence((3, -1))
+    with pytest.raises(ValueError):
+        spawn_generator(3, -1)
+
+
 def test_seq_logprob_gradient_finite_difference(setup):
     env, model, questions = setup
     rng = np.random.Generator(np.random.PCG64(11))
