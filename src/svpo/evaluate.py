@@ -8,6 +8,12 @@ checkpoints with greedy decoding and beam search and with implicit and
 explicit win-rates on training and held-out pairs. Held-out pairs are
 built once from the post-pretraining policy and reused for every arm, so
 ablations stay comparable.
+
+The pairs stage (or `load_corpus` reading its files) compiles the feature
+rows of every prefix of the corpus once, into `Corpus.rows`: both
+training stages, every ablation arm and the training-pair win rates read
+them. The held-out pairs are compiled once per seed, where they are
+scored.
 """
 from __future__ import annotations
 
@@ -20,7 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import Env, EnvConfig, Question, TERMINAL, gen_dataset, load_dataset
+from .env import (
+    DIFFICULTY_STEPS, Env, EnvConfig, Question, TERMINAL, gen_dataset,
+    load_dataset,
+)
 from .infer import SBSConfig, greedy_decode, sbs
 from .mcts import Forest, SearchConfig, build_forest, load_forests
 from .model import Model, PolicyValueParams, PrefixRows
@@ -86,18 +95,15 @@ def accuracy(model: Model, params: PolicyValueParams,
 def win_rate(model: Model, params: PolicyValueParams,
              ref_params: PolicyValueParams | None,
              pairs: list[PreferencePair], beta: float,
-             rows: PrefixRows | None = None) -> dict:
+             rows: PrefixRows) -> dict:
     """Fraction of pairs each scorer ranks the winner strictly above the
     loser ("implicit", "explicit"), and "n_pairs"; exact ties earn half
-    credit. Both policies score the same compiled rows in the same kernel
-    batches, so equal policies tie exactly. Without a reference policy
-    the implicit reward does not apply and "implicit" is None. `rows`
-    are compiled rows covering the pairs' prefixes, compiled here when
-    not given."""
+    credit. Both policies score `rows`, compiled rows covering the pairs'
+    prefixes, in the same kernel batches, so equal policies tie exactly.
+    Without a reference policy the implicit reward does not apply and
+    "implicit" is None."""
     if not pairs:
         raise EmptyDataset("no pairs to evaluate")
-    if rows is None:
-        rows = stage_rows(model, TrainData(pairs=pairs))
     logprobs, values = pair_logprobs(model, params, pairs, rows)
     n = len(pairs)
     implicit = None
@@ -134,6 +140,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be >= 1")
+        if self.difficulty not in DIFFICULTY_STEPS:
+            raise ValueError(f"unknown difficulty {self.difficulty!r}")
         if self.sft_k < 1:
             raise ValueError("sft_k must be >= 1")
         if self.max_value_targets < 0:
@@ -204,7 +212,8 @@ def solution_level_pairs(env: Env,
 class Corpus:
     """One seed's questions, model and training data. The gen stage fills
     the fields up to init_params, annotate adds the forests and pairs the
-    rest."""
+    rest, including `rows`, the compiled prefixes of the pairs, solutions
+    and value targets."""
     env: Env
     model: Model
     train_questions: list[Question]
@@ -215,6 +224,7 @@ class Corpus:
     solutions: list = field(default_factory=list)
     value_targets: list[ValueTarget] = field(default_factory=list)
     pos_neg_ratio: float = 0.0
+    rows: PrefixRows | None = None
 
 
 def new_corpus(config: ExperimentConfig, train_questions: list[Question],
@@ -266,6 +276,14 @@ def pairs_stage(corpus: Corpus, config: ExperimentConfig) -> None:
         # counted here: the ratio needs each pair's tree, which the pairs
         # file does not keep
         corpus.pos_neg_ratio = positive_negative_ratio(pairs)
+        compile_rows(corpus)
+
+
+def compile_rows(corpus: Corpus) -> None:
+    """One compile serves both training stages, every ablation arm (the
+    solution_dpo pairs are a subset) and the training-pair win rates."""
+    corpus.rows = stage_rows(corpus.model, TrainData(
+        corpus.pairs, corpus.solutions, corpus.value_targets))
 
 
 def build_corpus(config: ExperimentConfig) -> Corpus:
@@ -278,30 +296,26 @@ def build_corpus(config: ExperimentConfig) -> Corpus:
 
 
 def pretrain_stage(corpus: Corpus, config: ExperimentConfig,
-                   log: list | None = None,
-                   rows: PrefixRows | None = None) -> Checkpoint:
+                   log: list | None = None) -> Checkpoint:
     with _stage("pretrain"):
         data = TrainData(solutions=corpus.solutions,
                          value_targets=corpus.value_targets)
         init = Checkpoint(params=corpus.init_params, ref_params=None, step=0,
                           config=dict(vars(config.pretrain)))
-        return train_loop(corpus.model, data, config.pretrain,
-                          rng_seed=config.seed, init=init, log=log,
-                          rows=rows)[-1]
+        return train_loop(corpus.model, data, config.pretrain, config.seed,
+                          init, corpus.rows, log)
 
 
 def svpo_stage(corpus: Corpus, sft_ckpt: Checkpoint,
                config: ExperimentConfig,
-               log: list | None = None,
-               rows: PrefixRows | None = None) -> Checkpoint:
+               log: list | None = None) -> Checkpoint:
     with _stage("svpo"):
         pairs = corpus.pairs
         if config.solution_level_only:
             pairs = solution_level_pairs(corpus.env, pairs)
         data = TrainData(pairs, corpus.solutions, corpus.value_targets)
-        return train_loop(corpus.model, data, config.svpo,
-                          rng_seed=config.seed, init=sft_ckpt, log=log,
-                          rows=rows)[-1]
+        return train_loop(corpus.model, data, config.svpo, config.seed,
+                          sft_ckpt, corpus.rows, log)
 
 
 def build_heldout_pairs(model: Model, params: PolicyValueParams,
@@ -346,13 +360,13 @@ def eval_accuracy_suite(corpus: Corpus, params: PolicyValueParams,
 
 def eval_win_rates(corpus: Corpus, params: PolicyValueParams,
                    ref_params: PolicyValueParams | None,
-                   heldout: list[PreferencePair], beta: float,
-                   rows: PrefixRows | None = None,
-                   heldout_rows: PrefixRows | None = None) -> dict:
-    """Win rates on the training and held-out pairs, and their gap; see
-    `win_rate` for a missing reference policy and for the rows."""
+                   heldout: list[PreferencePair], heldout_rows: PrefixRows,
+                   beta: float) -> dict:
+    """Win rates on the training pairs (scored on `corpus.rows`) and on
+    the held-out pairs (on `heldout_rows`), and their gap; see `win_rate`
+    for a missing reference policy."""
     train = win_rate(corpus.model, params, ref_params, corpus.pairs, beta,
-                     rows)
+                     corpus.rows)
     held = win_rate(corpus.model, params, ref_params, heldout, beta,
                     heldout_rows)
     return {"train": train, "heldout": held,
@@ -402,6 +416,7 @@ def eval_stage(corpus: Corpus, sft_ckpt: Checkpoint, svpo_ckpt: Checkpoint,
     `svpo_log` holds the preference stage's log rows, as train_loop
     appends them or as read back from svpo_log.csv."""
     with _stage("eval"):
+        heldout_rows = stage_rows(corpus.model, TrainData(pairs=heldout))
         metrics = {
             "accuracy": {
                 "sft": eval_accuracy_suite(corpus, sft_ckpt.params, config),
@@ -409,7 +424,7 @@ def eval_stage(corpus: Corpus, sft_ckpt: Checkpoint, svpo_ckpt: Checkpoint,
             },
             "win_rate": eval_win_rates(
                 corpus, svpo_ckpt.params, svpo_ckpt.ref_params, heldout,
-                config.svpo.beta),
+                heldout_rows, config.svpo.beta),
             "max_abs_dr": max((float(row["max_abs_dr"]) for row in svpo_log),
                               default=0.0),
         }
@@ -479,6 +494,7 @@ def load_corpus(out: Path, config: ExperimentConfig,
         corpus.solutions = load_solutions(out / "solutions.jsonl")
         stats = json.loads((out / "pair_stats.json").read_text())
         corpus.pos_neg_ratio = stats["pos_neg_ratio"]
+        compile_rows(corpus)
     return corpus
 
 
@@ -547,9 +563,10 @@ def run_matrix(config: ExperimentConfig, seeds: list[int], arms: dict,
     """arm -> seed -> metrics. `arms` maps a name to its config overrides
     (see ARMS), or to None to score the pretrain checkpoint itself, whose
     implicit win rates are None (no reference policy). Arms share each
-    seed's corpus, its compiled prefix rows, the pretrain checkpoint and
-    the held-out pairs and their rows. Every arm's config is built before
-    any work, so a bad override fails first."""
+    seed's corpus and its compiled prefix rows, the pretrain checkpoint,
+    and the held-out pairs and their rows, compiled once per seed. Every
+    arm's config is built before any work, so a bad override fails
+    first."""
     # through the config-file key space, so a bad key or value fails
     flat = experiment_config_to_dict(config)
     arm_configs = {arm: None if overrides is None
@@ -559,11 +576,7 @@ def run_matrix(config: ExperimentConfig, seeds: list[int], arms: dict,
     for seed in seeds:
         cfg = seed_config(config, seed)
         corpus = build_corpus(cfg)
-        # one compile serves both stages, every arm's pairs (a subset for
-        # solution_dpo) and the training-pair win rates
-        rows = stage_rows(corpus.model, TrainData(
-            corpus.pairs, corpus.solutions, corpus.value_targets))
-        sft_ckpt = pretrain_stage(corpus, cfg, rows=rows)
+        sft_ckpt = pretrain_stage(corpus, cfg)
         heldout = heldout_stage(corpus, sft_ckpt, cfg) if with_win_rates \
             else []
         heldout_rows = stage_rows(corpus.model, TrainData(pairs=heldout)) \
@@ -574,12 +587,12 @@ def run_matrix(config: ExperimentConfig, seeds: list[int], arms: dict,
             params, ref = sft_ckpt.params, None
             if arm_config is not None:
                 arm_cfg = seed_config(arm_config, seed)
-                ckpt = svpo_stage(corpus, sft_ckpt, arm_cfg, rows=rows)
+                ckpt = svpo_stage(corpus, sft_ckpt, arm_cfg)
                 params, ref = ckpt.params, ckpt.ref_params
             out = {"accuracy": eval_accuracy_suite(corpus, params, arm_cfg)}
             if heldout:
                 out["win_rate"] = eval_win_rates(corpus, params, ref, heldout,
-                                                 arm_cfg.svpo.beta, rows,
-                                                 heldout_rows)
+                                                 heldout_rows,
+                                                 arm_cfg.svpo.beta)
             results[arm][seed] = out
     return results

@@ -43,15 +43,12 @@ class SBSConfig:
     b1: int = 1
     b2: int = 5
     temperature: float = 0.8
-    max_depth: int = 8
 
     def __post_init__(self):
         if self.b1 < 1 or self.b2 < 1:
             raise ValueError("b1 and b2 must be >= 1")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -98,10 +95,9 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
     live = [BeamCandidate((), 0.0, float(values[0]), False)]
     states = [root]
     parked: list[BeamCandidate] = []
-    # a state at the Env's depth budget has no legal actions
-    max_depth = min(config.max_depth, env.config.max_depth)
     level = 0
-    while live and level < max_depth:
+    # a state at the Env's depth budget has no legal actions
+    while live and level < env.config.max_depth:
         # every live beam sits at depth `level`, so all share one legal set
         legal, logp = model.legal_rows(states[0], logp)
         probs = temper(logp, config.temperature)

@@ -53,7 +53,6 @@ class AlreadyExpanded(MCTSError):
 class SearchConfig:
     c_puct: float = 1.25
     temperature: float = 1.0
-    max_depth: int = 8
     n_children: int = 5
     max_simulations: int = 60
     max_trees: int = 10
@@ -65,8 +64,6 @@ class SearchConfig:
         if min(self.n_children, self.max_simulations, self.max_trees,
                self.target_correct) < 1:
             raise ValueError("search budgets must be >= 1")
-        if self.max_depth < 2:
-            raise ValueError("max_depth must allow one op plus an answer")
 
 
 @dataclass
@@ -154,24 +151,25 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
     `memo` is the forest's policy memo (see the module docstring); without
     one, every distribution is computed afresh. Raises AlreadyExpanded for
     a node with children or a terminal node, and env.DepthExceeded for a
-    node at the depth budget."""
+    node at the Env's depth budget."""
     node = tree.nodes[node_id]
     if node.children:
         raise AlreadyExpanded(f"node {node_id} already has children")
     if node.terminal:
         raise AlreadyExpanded(f"node {node_id} is terminal")
-    if node.state.depth >= config.max_depth:
+    env = model.env
+    max_depth = env.config.max_depth
+    if node.state.depth >= max_depth:
         raise DepthExceeded(f"node {node_id} is at the depth budget")
     if memo is None:
         memo = {}
-    env = model.env
     [(legal, probs, tempered)] = _policies(model, params, [node.state],
                                            config.temperature, memo)
     children = [(legal[i], float(probs[i]),
                  env.transition(node.state, legal[i]))
                 for i in sample_distinct(tempered, config.n_children, rng)]
     rollout = [state for action, _, state in children
-               if action.kind != TERMINAL and state.depth < config.max_depth]
+               if action.kind != TERMINAL and state.depth < max_depth]
     rollouts = iter(())
     if rollout:
         policies = _policies(model, params, rollout, config.temperature,
@@ -187,7 +185,7 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
                                   terminal=True, reward=reward)
             results.append((child.id, float(reward)))
             continue
-        if child_state.depth >= config.max_depth:
+        if child_state.depth >= max_depth:
             # depth cutoff without an answer counts as an incorrect terminal
             child = tree.add_node(node_id, action.id, child_state, prior,
                                   terminal=True, reward=-1)
@@ -255,9 +253,6 @@ def build_forest(model: Model, question: Question, params: PolicyValueParams,
     `trace` is given, every backup is logged as (tree_index, node_id,
     value) for replay-style verification.
     """
-    run_config = SearchConfig(**{**config.__dict__,
-                                 "max_depth": min(config.max_depth,
-                                                  model.env.config.max_depth)})
     forest = Forest(question_id=question.id)
     found: set[tuple[int, ...]] = set()
     memo: dict = {}
@@ -271,7 +266,7 @@ def build_forest(model: Model, question: Question, params: PolicyValueParams,
                 updates = [(leaf_id, float(leaf.reward))]
             else:
                 updates = expand_and_evaluate(tree, leaf_id, model, params,
-                                              run_config, rng, memo)
+                                              config, rng, memo)
             for nid, value in updates:
                 backup(tree, nid, value)
                 if trace is not None:

@@ -11,21 +11,19 @@ Search and decoding evaluate whole rows of states at once through
 `Model.policy_value`: MCTS scores all new rollout children of an
 expansion in one call and SBS all children of a level. `legal_logprobs`,
 `value` and `value_forward` are one-row calls into it. Sampling goes
-through `draw`, `draw_rows` and `sample_distinct`, which consume a
-generator exactly as `Generator.choice` does. Training and win-rate
-scoring go through one batched prefix kernel, `Model.seq_logprob_grad`:
-it evaluates many (question, prefix) sequences at once and returns the
+through `draw_rows` and `sample_distinct`, which consume a generator
+exactly as `Generator.choice` does. Training and win-rate scoring go
+through one batched prefix kernel, `Model.seq_logprob_grad`: it
+evaluates many (question, prefix) sequences at once and returns the
 gradient of any weighted sum of their log-probabilities and end-state
 values, from feature rows that `Model.prefix_rows` compiled once.
 """
 from __future__ import annotations
 
-import json
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from pathlib import Path
 
 import numpy as np
 
@@ -67,27 +65,11 @@ class PolicyValueParams:
 
 @dataclass
 class Gradients:
-    """Mirrors PolicyValueParams; supports in-place accumulation."""
+    """Mirrors PolicyValueParams."""
 
     w_shared: np.ndarray
     w_policy: np.ndarray
     w_value: np.ndarray
-
-    @staticmethod
-    def zeros_like(params: PolicyValueParams) -> "Gradients":
-        return Gradients(np.zeros_like(params.w_shared),
-                         np.zeros_like(params.w_policy),
-                         np.zeros_like(params.w_value))
-
-    def add_scaled(self, other: "Gradients", scale: float = 1.0) -> None:
-        self.w_shared += scale * other.w_shared
-        self.w_policy += scale * other.w_policy
-        self.w_value += scale * other.w_value
-
-    def scale(self, factor: float) -> None:
-        self.w_shared *= factor
-        self.w_policy *= factor
-        self.w_value *= factor
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.w_shared ** 2)
@@ -389,28 +371,21 @@ def temper(logprobs: np.ndarray, temperature: float) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """One index drawn from the distribution `probs`.
-
-    This is the algorithm `rng.choice(len(probs), p=probs)` runs, so it
-    returns the same index and leaves `rng` in the same state. It skips
-    choice's validation of `p`, which is most of choice's cost; `probs`
-    must be a float array with a positive sum."""
-    return _index(probs, rng.random())
-
-
 def _index(probs: np.ndarray, u: float) -> int:
-    """choice's pick for the uniform u: the cdf divided by its last
-    entry, searched to the right."""
+    """`rng.choice(len(probs), p=probs)`'s pick for the uniform u that
+    rng yields: the cdf divided by its last entry, searched to the right.
+    It skips choice's validation of `p`, which is most of choice's cost;
+    `probs` must be a float array with a positive sum."""
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     return int(cdf.searchsorted(u, side="right"))
 
 
 def draw_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row i's index for the uniform u[i], by `draw`'s arithmetic on each
-    row (cumsum, divided by the last entry, entries <= u counted), so it
-    equals `draw(probs[i], rng)` when rng yields u[i]."""
+    """Row i's index for the uniform u[i], by `_index`'s arithmetic on
+    each row (cumsum, divided by the last entry, entries <= u counted), so
+    it equals `rng.choice(len(probs[i]), p=probs[i])` when rng yields
+    u[i]."""
     cdf = probs.cumsum(axis=1)
     cdf = cdf / cdf[:, -1:]
     return (cdf <= u[:, None]).sum(axis=1)
@@ -431,13 +406,14 @@ def sample_distinct(weights: np.ndarray, k: int,
     remaining mass underflows to zero (very low temperatures), the
     leftovers are treated as uniform.
 
-    The picks and the generator's end state are those of one `draw` per
-    pick over the normalized weights left. All uniforms come from one
-    `rng.random(n)` call, which yields the values n `random()` calls
-    would. Each pick scales its uniform by the mass left and bisects the
-    running sums in Python floats. A pick whose scaled uniform lies
-    within 1e-12 times that mass of a boundary, or whose mass is zero or
-    subnormal, is redone in `draw`'s numpy arithmetic."""
+    The picks and the generator's end state are those of one
+    `Generator.choice` call per pick over the normalized weights left.
+    All uniforms come from one `rng.random(n)` call, which yields the
+    values n `random()` calls would. Each pick scales its uniform by the
+    mass left and bisects the running sums in Python floats. A pick whose
+    scaled uniform lies within 1e-12 times that mass of a boundary, or
+    whose mass is zero or subnormal, is redone in choice's numpy
+    arithmetic (`_index`)."""
     n = min(k, len(weights))
     if n <= 0:
         return []
@@ -505,16 +481,3 @@ def params_from_record(rec: dict) -> PolicyValueParams:
     if expect != got:
         raise ValueError(f"shape header {expect} does not match tensors {got}")
     return params
-
-
-def save_params(params: PolicyValueParams, path: str | Path) -> None:
-    """JSON dump. Floats are written with shortest round-trip repr, so a
-    load reproduces every tensor bit-exactly."""
-    with open(path, "w") as fh:
-        json.dump(params_to_record(params), fh)
-
-
-def load_params(path: str | Path) -> PolicyValueParams:
-    with open(path) as fh:
-        return params_from_record(json.load(fh))
-

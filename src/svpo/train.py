@@ -21,14 +21,17 @@ Every loss is coefficient arithmetic over one call per batch of the
 model's batched prefix kernel, `Model.seq_logprob_grad`: it returns each
 prefix's log-probability and end-state value, and the gradient of
 sum_i a_i * logprob_i + b_i * value_i for per-prefix coefficients that
-the loss derives from them. Each stage compiles the feature rows of all
-its prefixes once (`stage_rows`), and every batch indexes into them.
-Reference log-probabilities are computed once per stage. The optimizer
-is plain mini-batch gradient descent.
+the loss derives from them. A corpus's prefixes (pairs, solutions and
+value targets) are compiled into feature rows once (`stage_rows`), and
+every batch of both stages indexes into them; `train_loop` takes those
+rows and its starting checkpoint from the caller. Reference
+log-probabilities are computed once per stage. The optimizer is plain
+mini-batch gradient descent.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,10 +54,6 @@ LOG_FIELDS = ["step", "stage", "dpo", "margin", "reg", "sft", "mse", "total",
 
 
 class EmptyBatch(Exception):
-    pass
-
-
-class MissingCheckpoint(Exception):
     pass
 
 
@@ -152,7 +151,7 @@ def pair_prefixes(pairs: list[PreferencePair]):
 
 
 def stage_rows(model: Model, data: TrainData) -> PrefixRows:
-    """Every prefix of a stage's pairs, solutions and targets, compiled."""
+    """Every prefix of the pairs, solutions and targets, compiled."""
     qids, prefixes, _, _ = pair_prefixes(data.pairs)
     more = _dataset_prefixes(data.solutions, data.value_targets)
     return model.prefix_rows(qids + more[0], prefixes + more[1])
@@ -299,35 +298,26 @@ def _order(n: int, rng) -> np.ndarray:
 
 
 def train_loop(model: Model, data: TrainData, config: TrainConfig,
-               rng_seed: int, init: Checkpoint | None = None,
-               log: list | None = None,
-               rows: PrefixRows | None = None) -> list[Checkpoint]:
-    """Run one stage; returns a checkpoint per epoch (last one is final).
+               rng_seed: int, init: Checkpoint, rows: PrefixRows,
+               log: list | None = None) -> Checkpoint:
+    """Run one stage from `init` and return the final checkpoint.
 
-    The svpo stage requires an `init` checkpoint (normally the pretrain
-    result); its params become both the starting point and the frozen
-    reference policy. `rows`, when given, are prefix rows the caller
-    compiled that cover every prefix of `data` (a superset gives the
-    same bits); otherwise `stage_rows` compiles them here.
+    In the svpo stage the `init` params (normally the pretrain result)
+    also become the frozen reference policy. `rows` are compiled prefix
+    rows covering every prefix of `data`; a superset gives the same bits.
     Deterministic in (data, config, rng_seed, init).
     """
     svpo = config.stage == SVPO
-    if svpo:
-        if init is None:
-            raise MissingCheckpoint("svpo stage needs a pretrain checkpoint")
-        if not data.pairs:
-            raise EmptyBatch("svpo stage needs preference pairs")
-    elif not data.solutions and not data.value_targets:
+    if svpo and not data.pairs:
+        raise EmptyBatch("svpo stage needs preference pairs")
+    if not svpo and not data.solutions and not data.value_targets:
         raise EmptyBatch("pretrain stage needs solutions or targets")
-    if rows is None:
-        rows = stage_rows(model, data)
-    params = init.params.copy() if init else model.init_params(seed=rng_seed)
+    params = init.params.copy()
     ref_params = init.params.copy() if svpo else None
     if svpo:
         ref_logprobs, _ = pair_logprobs(model, ref_params, data.pairs, rows)
 
-    checkpoints: list[Checkpoint] = []
-    step = init.step if init else 0
+    step = init.step
     size = config.batch_size
     n_sol, n_tgt = len(data.solutions), len(data.value_targets)
     for epoch in range(config.epochs):
@@ -355,11 +345,8 @@ def train_loop(model: Model, data: TrainData, config: TrainConfig,
             _apply(params, grad, config.lr)
             step += 1
             _log_row(log, step, config.stage, breakdown, grad, max_dr)
-        checkpoints.append(Checkpoint(
-            params=params.copy(),
-            ref_params=ref_params.copy() if ref_params is not None else None,
-            step=step, config=dict(vars(config))))
-    return checkpoints
+    return Checkpoint(params=params, ref_params=ref_params, step=step,
+                      config=dict(vars(config)))
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -425,7 +412,8 @@ def save_log_csv(log: list[dict], path: str | Path) -> None:
 
 def parse_kv_text(text: str) -> dict:
     """Parse `key = value` lines; '#' starts a comment. Values are coerced
-    to int, float, or bool when they look like one."""
+    to int, float, or bool when they look like one; a non-finite number
+    (nan, inf) is refused, since it passes every range check."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -435,6 +423,8 @@ def parse_kv_text(text: str) -> dict:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         out[key] = _coerce(value)
+        if isinstance(out[key], float) and not math.isfinite(out[key]):
+            raise ValueError(f"line {lineno}: {key} must be finite")
     return out
 
 

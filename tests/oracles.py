@@ -13,7 +13,7 @@ import numpy as np
 from svpo import infer, mcts
 from svpo.env import TERMINAL, IllegalAction
 from svpo.model import (
-    Gradients, Model, PolicyValueParams, draw, spawn_generator, temper,
+    Gradients, Model, PolicyValueParams, spawn_generator, temper,
 )
 from svpo.train import EmptyBatch, LossBreakdown, combine_total
 
@@ -39,6 +39,30 @@ def vec_to_params(vec: np.ndarray, like: PolicyValueParams) -> PolicyValueParams
 def grads_to_vec(grad: Gradients) -> np.ndarray:
     return np.concatenate([grad.w_shared.ravel(), grad.w_policy.ravel(),
                            grad.w_value.ravel()])
+
+
+def zero_grad(params: PolicyValueParams) -> Gradients:
+    return Gradients(np.zeros_like(params.w_shared),
+                     np.zeros_like(params.w_policy),
+                     np.zeros_like(params.w_value))
+
+
+def add_scaled(acc: Gradients, grad: Gradients, scale: float = 1.0) -> None:
+    """acc += scale * grad, in place."""
+    acc.w_shared += scale * grad.w_shared
+    acc.w_policy += scale * grad.w_policy
+    acc.w_value += scale * grad.w_value
+
+
+def draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """One index drawn from the distribution `probs` by the algorithm
+    `rng.choice(len(probs), p=probs)` runs (the cdf divided by its last
+    entry, searched to the right for one uniform), so it returns the same
+    index and leaves `rng` in the same state; `probs` must be a float
+    array with a positive sum."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -202,9 +226,9 @@ def svpo_pair_terms(model: Model, params: PolicyValueParams,
         total=combine_total(config, dpo, margin, reg, sft, mse))
 
     def combo(*parts) -> Gradients:
-        g = Gradients.zeros_like(params)
+        g = zero_grad(params)
         for grad, scale in parts:
-            g.add_scaled(grad, scale)
+            add_scaled(g, grad, scale)
         return g
 
     def from_pi(coef: float) -> Gradients:
@@ -254,16 +278,16 @@ def dataset_grad(model: Model, params: PolicyValueParams, solutions,
                  targets, config) -> Gradients:
     """Gradient of w_sft * mean NLL + w_mse * mean squared value error,
     one solution or value target at a time."""
-    grad = Gradients.zeros_like(params)
+    grad = zero_grad(params)
     for sol in solutions:
         question = model.env.question(sol.question_id)
         ev = model.grads_logprob_and_value(params, question, sol.steps)
-        grad.add_scaled(ev.grad_logprob, -config.w_sft / len(solutions))
+        add_scaled(grad, ev.grad_logprob, -config.w_sft / len(solutions))
     for tgt in targets:
         question = model.env.question(tgt.question_id)
         v, g = model.value_grad(params, model.env.replay(question, tgt.prefix))
-        grad.add_scaled(g, config.w_mse * 2.0 * (v - tgt.target)
-                        / len(targets))
+        add_scaled(grad, g, config.w_mse * 2.0 * (v - tgt.target)
+                   / len(targets))
     return grad
 
 
@@ -275,7 +299,7 @@ def svpo_batch_oracle(model: Model, params: PolicyValueParams,
     both are empty)."""
     weights = {"dpo": 1.0, "margin": config.w_margin, "reg": config.w_reg}
     sums = dict.fromkeys(["dpo", "margin", "reg", "sft", "mse"], 0.0)
-    grad = Gradients.zeros_like(params)
+    grad = zero_grad(params)
     max_abs_dr = 0.0
     for pair in batch:
         breakdown, grads, dr = svpo_pair_terms(model, params, ref_params,
@@ -283,12 +307,12 @@ def svpo_batch_oracle(model: Model, params: PolicyValueParams,
         max_abs_dr = max(max_abs_dr, abs(dr))
         for name, weight in weights.items():
             sums[name] += getattr(breakdown, name) / len(batch)
-            grad.add_scaled(grads[name], weight / len(batch))
+            add_scaled(grad, grads[name], weight / len(batch))
     if solutions or targets:
         carried = pretrain_loss(model, params, solutions, targets, config)
         sums["sft"], sums["mse"] = carried.sft, carried.mse
-        grad.add_scaled(dataset_grad(model, params, solutions, targets,
-                                     config))
+        add_scaled(grad, dataset_grad(model, params, solutions, targets,
+                                      config))
     return sums, grad, max_abs_dr
 
 
@@ -365,7 +389,7 @@ def reference_expand(tree, node_id: int, model: Model,
                                   reward=reward)
             results.append((child.id, float(reward)))
             continue
-        if child_state.depth >= config.max_depth:
+        if child_state.depth >= env.config.max_depth:
             child = tree.add_node(node_id, action.id, child_state,
                                   float(probs[idx]), terminal=True, reward=-1)
             results.append((child.id, -1.0))
@@ -392,9 +416,6 @@ def reference_forest(model: Model, question, params: PolicyValueParams,
                      config, rng_seed: int):
     """`build_forest` over `reference_expand`: tree t draws from the
     generator seeded by (tree stream, rng_seed, t)."""
-    run_config = mcts.SearchConfig(**{
-        **config.__dict__,
-        "max_depth": min(config.max_depth, model.env.config.max_depth)})
     forest = mcts.Forest(question_id=question.id)
     found = set()
     for t in range(config.max_trees):
@@ -407,7 +428,7 @@ def reference_forest(model: Model, question, params: PolicyValueParams,
                 updates = [(leaf_id, float(leaf.reward))]
             else:
                 updates = reference_expand(tree, leaf_id, model, params,
-                                           run_config, rng)
+                                           config, rng)
             for nid, value in updates:
                 mcts.backup(tree, nid, value)
         forest.trees.append(tree)
@@ -426,7 +447,7 @@ def reference_sbs_best(model: Model, params: PolicyValueParams, question,
     live = [(infer.BeamCandidate((), 0.0, model.value(params, root), False),
              root)]
     parked = []
-    for level in range(config.max_depth):
+    for level in range(env.config.max_depth):
         if not live:
             break
         pool = []

@@ -117,6 +117,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["gen", "--config", str(missing),
                  "--out", str(tmp_path)]) == 2
+    # a non-finite number would pass every range check, and an unknown
+    # difficulty would fail only inside the gen stage; both are refused
+    # before any stage runs
+    out = tmp_path / "out"
+    for line in ("svpo_lr = nan", "pretrain_gamma = inf",
+                 "difficulty = hrad"):
+        bad.write_text(TINY + line + "\n")
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(bad),
+                     "--out", str(out)]) == 2, line
+        assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_artifacts_exit_3(tmp_path, capsys):

@@ -21,7 +21,10 @@ from svpo.model import Model, params_to_record
 from svpo.pairs import (
     PairCounts, PreferencePair, extract_pairs, label_correct,
 )
-from svpo.train import PAIR_CHUNK, default_pretrain_config, default_svpo_config
+from svpo.train import (
+    PAIR_CHUNK, TrainData, default_pretrain_config, default_svpo_config,
+    stage_rows,
+)
 
 from oracles import (
     mean_over_seeds, scripted_params, value_bump_params, win_rate_oracle,
@@ -46,6 +49,12 @@ def small_world():
     questions = gen_dataset(seed=61, n=12, difficulty="easy")
     env.register(questions)
     return env, Model(env), questions
+
+
+def _win_rate(model, params, ref_params, pairs, beta):
+    """win_rate over rows compiled from exactly `pairs`."""
+    return win_rate(model, params, ref_params, pairs, beta,
+                    stage_rows(model, TrainData(pairs=pairs)))
 
 
 def _answer_id(env, offset=0):
@@ -101,17 +110,17 @@ def test_win_rate_identity_and_perfect_value_head(small_world):
     pairs = [PreferencePair(question.id, (op,), (other.id,), "sibling",
                             0.5, -0.5, 0)]
     params = model.init_params(seed=1)
-    report = win_rate(model, params, params, pairs, beta=0.1)
+    report = _win_rate(model, params, params, pairs, 0.1)
     assert report["implicit"] == 0.5  # identical policies tie every pair
     assert report["n_pairs"] == 1
 
     idx = model.featurizer.block("bucket") + (
         w_state.scratch - model.featurizer.scratch_lo)
     bump = value_bump_params(model, idx, pre=2.0)
-    report = win_rate(model, bump, bump, pairs, beta=0.1)
+    report = _win_rate(model, bump, bump, pairs, 0.1)
     assert report["explicit"] == 1.0
     with pytest.raises(EmptyDataset):
-        win_rate(model, params, params, [], beta=0.1)
+        _win_rate(model, params, params, [], 0.1)
 
 
 def test_win_rate_random_params_near_half(small_world):
@@ -128,8 +137,8 @@ def test_win_rate_random_params_near_half(small_world):
     accs = []
     for seed in range(20):
         params = model.init_params(seed=100 + seed, scale=0.5)
-        accs.append(win_rate(model, params, params, pairs,
-                             beta=0.1)["explicit"])
+        accs.append(_win_rate(model, params, params, pairs,
+                              0.1)["explicit"])
     assert 0.45 < float(np.mean(accs)) < 0.55
 
 
@@ -152,14 +161,14 @@ def test_batched_win_rate_matches_per_pair_scoring(small_world):
     assert len(pairs) > PAIR_CHUNK
     params = model.init_params(seed=5, scale=0.5)
     ref = model.init_params(seed=6, scale=0.5)
-    report = win_rate(model, params, ref, pairs, beta=0.1)
+    report = _win_rate(model, params, ref, pairs, 0.1)
     implicit, explicit = win_rate_oracle(model, params, ref, pairs, 0.1)
     assert (report["implicit"], report["explicit"]) == (implicit, explicit)
     assert report["n_pairs"] == len(pairs)
-    assert win_rate(model, params, ref, [tie], beta=0.1)["explicit"] == 0.5
+    assert _win_rate(model, params, ref, [tie], 0.1)["explicit"] == 0.5
     # zero params tie every pair on both scorers
     zero = model.zeros_params()
-    report = win_rate(model, zero, zero, pairs, beta=0.1)
+    report = _win_rate(model, zero, zero, pairs, 0.1)
     assert (report["implicit"], report["explicit"]) == (0.5, 0.5)
     assert win_rate_oracle(model, zero, zero, pairs, 0.1) == (0.5, 0.5)
 
@@ -199,6 +208,24 @@ def test_experiment_config_roundtrip_and_rejection():
         experiment_config_from_dict({"pretrain_stage": "svpo"})
     with pytest.raises(ValueError):  # arms are weight overrides now
         experiment_config_from_dict({"no_margin": True})
+
+
+def test_config_key_set_is_pinned():
+    """Every settable config-file key; adding or removing a knob must
+    change this list deliberately."""
+    assert sorted(experiment_config_to_dict(ExperimentConfig())) == [
+        "counts_n_cousin", "counts_n_sibling", "counts_n_terminal",
+        "difficulty", "max_value_targets", "n_test", "n_train",
+        "pretrain_batch_size", "pretrain_beta", "pretrain_epochs",
+        "pretrain_gamma", "pretrain_lr", "pretrain_w_margin",
+        "pretrain_w_mse", "pretrain_w_reg", "pretrain_w_sft",
+        "sbs_b1", "sbs_b2", "sbs_temperature",
+        "search_c_puct", "search_max_simulations", "search_max_trees",
+        "search_n_children", "search_target_correct", "search_temperature",
+        "seed", "sft_k", "solution_level_only",
+        "svpo_batch_size", "svpo_beta", "svpo_epochs", "svpo_gamma",
+        "svpo_lr", "svpo_w_margin", "svpo_w_mse", "svpo_w_reg", "svpo_w_sft",
+    ]
 
 
 @pytest.mark.parametrize("arm", sorted(ARMS))
@@ -255,6 +282,27 @@ def test_pipeline_reruns_byte_identical(tiny_bundle):
     bundle, out = tiny_bundle
     again = run_pipeline(tiny_config())
     assert summary_text(again.summary) == (out / "summary.json").read_text()
+
+
+def _count_compiles(monkeypatch) -> list:
+    """Record the arguments of every Model.prefix_rows call from now on."""
+    compiled = []
+    prefix_rows = Model.prefix_rows
+
+    def counted(self, *args):
+        compiled.append(args)
+        return prefix_rows(self, *args)
+
+    monkeypatch.setattr(Model, "prefix_rows", counted)
+    return compiled
+
+
+def test_pipeline_compiles_each_corpus_once(monkeypatch):
+    """One prefix compile for the corpus (both training stages and the
+    training-pair win rates) and one for the held-out pairs."""
+    compiled = _count_compiles(monkeypatch)
+    run_pipeline(tiny_config())
+    assert len(compiled) == 2
 
 
 def test_pipeline_preference_stage_carries_pretraining_terms(tiny_bundle):
@@ -316,10 +364,17 @@ def test_run_matrix_shares_seed_workspaces():
     assert value == pytest.approx(expected)
 
 
+def _with_rows(corpus, pairs, solutions=(), targets=()):
+    """The corpus with rows compiled from exactly the given data."""
+    return dataclasses.replace(corpus, rows=stage_rows(
+        corpus.model, TrainData(pairs, list(solutions), list(targets))))
+
+
 def test_run_matrix_compiles_each_seeds_rows_once(monkeypatch):
     """One prefix compile per seed for the corpus (both stages, every
     arm, training-pair win rates) and one for the held-out pairs; the
-    metrics equal those of stages that each compile their own rows."""
+    metrics equal those of stages that each train and score on rows
+    compiled from exactly their own data."""
     config = tiny_config(n_train=12, n_test=6)
     arms = {"sft": None, "full": ARMS["full"],
             "solution_dpo": ARMS["solution_dpo"]}
@@ -327,29 +382,30 @@ def test_run_matrix_compiles_each_seeds_rows_once(monkeypatch):
     for seed in (0, 1):
         cfg = evaluate.seed_config(config, seed)
         corpus = build_corpus(cfg)
-        sft_ckpt = evaluate.pretrain_stage(corpus, cfg)
+        sft_ckpt = evaluate.pretrain_stage(_with_rows(
+            corpus, [], corpus.solutions, corpus.value_targets), cfg)
         heldout = evaluate.heldout_stage(corpus, sft_ckpt, cfg)
         assert heldout
+        heldout_rows = stage_rows(corpus.model, TrainData(pairs=heldout))
         for arm, overrides in arms.items():
             arm_cfg, params, ref = cfg, sft_ckpt.params, None
             if overrides is not None:
                 arm_cfg = experiment_config_from_dict(
                     {**experiment_config_to_dict(cfg), **overrides})
-                ckpt = svpo_stage(corpus, sft_ckpt, arm_cfg)
+                pairs = corpus.pairs
+                if arm_cfg.solution_level_only:
+                    pairs = solution_level_pairs(corpus.env, pairs)
+                ckpt = svpo_stage(_with_rows(corpus, pairs, corpus.solutions,
+                                             corpus.value_targets),
+                                  sft_ckpt, arm_cfg)
                 params, ref = ckpt.params, ckpt.ref_params
             expected[arm][seed] = {
                 "accuracy": eval_accuracy_suite(corpus, params, arm_cfg),
                 "win_rate": evaluate.eval_win_rates(
-                    corpus, params, ref, heldout, arm_cfg.svpo.beta)}
+                    _with_rows(corpus, corpus.pairs), params, ref, heldout,
+                    heldout_rows, arm_cfg.svpo.beta)}
 
-    compiled = []
-    prefix_rows = Model.prefix_rows
-
-    def counted(self, *args):
-        compiled.append(args)
-        return prefix_rows(self, *args)
-
-    monkeypatch.setattr(Model, "prefix_rows", counted)
+    compiled = _count_compiles(monkeypatch)
     results = run_matrix(config, seeds=[0, 1], arms=arms,
                          with_win_rates=True)
     assert len(compiled) == 4

@@ -205,12 +205,12 @@ def test_no_answer_vocabulary_falls_back_to_a_live_candidate():
     env.register([question])
     model = Model(env)
     best = sbs_best(model, model.zeros_params(), question,
-                    SBSConfig(b1=2, b2=2, temperature=1.0, max_depth=3),
+                    SBSConfig(b1=2, b2=2, temperature=1.0),
                     rng_seed=0)
     assert not best.finished
     assert len(best.prefix) == 3
     solution = sbs(model, model.zeros_params(), question,
-                   SBSConfig(b1=2, b2=2, temperature=1.0, max_depth=3),
+                   SBSConfig(b1=2, b2=2, temperature=1.0),
                    rng_seed=0)
     assert not solution.correct
     assert solution.predicted is None
@@ -267,26 +267,18 @@ def test_sbs_config_validation():
         SBSConfig(b2=0)
     with pytest.raises(ValueError):
         SBSConfig(temperature=0.0)
-    with pytest.raises(ValueError):
-        SBSConfig(max_depth=0)
 
 
 def test_sbs_depth_budget_stops_at_the_envs():
-    """A beam depth past the Env's budget searches as the Env's budget
-    does, rather than expanding states that have no legal actions."""
+    """Beams expand up to the Env's depth budget and no further, rather
+    than expanding states that have no legal actions."""
     env = Env(EnvConfig())
     question = gen_dataset(3, 20, "hard")[0]
     env.register([question])
     model = Model(env)
-    params = model.init_params(0)
-    traces = [[], []]
-    results = [sbs(model, params, question, SBSConfig(max_depth=depth), 0,
-                   trace=trace)
-               for depth, trace in zip((env.config.max_depth + 1,
-                                        env.config.max_depth), traces)]
-    assert results[0] == results[1]
-    assert traces[0] == traces[1]
-    assert max(entry[1] for entry in traces[0]) == env.config.max_depth - 1
+    trace = []
+    sbs(model, model.init_params(0), question, SBSConfig(), 0, trace=trace)
+    assert max(entry[1] for entry in trace) == env.config.max_depth - 1
 
 
 def test_inference_records_and_roundtrip(tmp_path, setup):

@@ -156,7 +156,7 @@ def test_expand_depth_cutoff_is_incorrect_terminal(toy):
                           small_env.transition(tree.root.state, add1), 1.0)
     params = small_model.zeros_params()
     results = expand_and_evaluate(tree, child.id, small_model, params,
-                                  SearchConfig(max_depth=2),
+                                  SearchConfig(),
                                   spawn_generator(3))
     assert results
     for nid, value in results:
@@ -324,8 +324,8 @@ def test_root_child_q_inside_leaf_value_envelope(toy):
     model = Model(env)
     params = model.zeros_params()
     forest = build_forest(model, q, params,
-                          SearchConfig(max_depth=3, max_simulations=200,
-                                       max_trees=1, target_correct=99),
+                          SearchConfig(max_simulations=200, max_trees=1,
+                                       target_correct=99),
                           rng_seed=5)
     tree = forest.trees[0]
 
@@ -384,8 +384,6 @@ def test_search_config_validation():
         SearchConfig(temperature=0)
     with pytest.raises(ValueError):
         SearchConfig(n_children=0)
-    with pytest.raises(ValueError):
-        SearchConfig(max_depth=1)
 
 
 def test_depth_exceeded_is_the_env_class():

@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 from svpo import model as model_module
 from svpo.env import Env, Question, gen_dataset
 from svpo.model import (
-    Featurizer, Model, Gradients, IllegalPrefix, draw, draw_rows,
-    load_params, params_from_record, params_to_record, sample_distinct,
-    save_params, spawn_generator, temper,
+    Featurizer, Model, Gradients, IllegalPrefix, draw_rows,
+    params_from_record, params_to_record, sample_distinct, spawn_generator,
+    temper,
 )
+from svpo.train import Checkpoint, load_checkpoint, save_checkpoint
 
 from oracles import (
-    action_distribution, as_generator, choice_sample_distinct,
+    action_distribution, as_generator, choice_sample_distinct, draw,
     fd_relative_error, sample_step, scripted_params, step_logprob,
     value_bump_params,
 )
@@ -441,33 +442,33 @@ def test_grads_logprob_and_value_consistent(setup):
     assert np.array_equal(ev.grad_value.w_value, gv.w_value)
 
 
-def test_gradients_accumulate_and_norm(setup):
+def test_gradient_norm(setup):
     env, model, questions = setup
     params = model.init_params(seed=8, scale=0.3)
     qids, prefixes = [questions[0].id], [(0,)]
     _, _, grad = model.seq_logprob_grad(
         params, model.prefix_rows(qids, prefixes), qids, prefixes, (1.0, 0.0))
-    acc = Gradients.zeros_like(params)
-    acc.add_scaled(grad, 2.0)
-    acc.add_scaled(grad, -2.0)
-    assert acc.norm() == pytest.approx(0.0, abs=1e-15)
-    acc.add_scaled(grad, 3.0)
-    acc.scale(1 / 3)
-    assert np.allclose(acc.w_policy, grad.w_policy)
+    flat = np.concatenate([grad.w_shared.ravel(), grad.w_policy.ravel(),
+                           grad.w_value.ravel()])
+    assert grad.norm() == pytest.approx(np.linalg.norm(flat), rel=1e-12)
+    tripled = Gradients(3 * grad.w_shared, 3 * grad.w_policy,
+                        3 * grad.w_value)
+    assert tripled.norm() == pytest.approx(3 * grad.norm(), rel=1e-12)
 
 
 def test_checkpoint_round_trip_bit_exact(setup, tmp_path):
     env, model, questions = setup
     params = model.init_params(seed=123, scale=0.7)
-    path = tmp_path / "params.json"
-    save_params(params, path)
-    loaded = load_params(path)
-    assert np.array_equal(loaded.w_shared, params.w_shared)
-    assert np.array_equal(loaded.w_policy, params.w_policy)
-    assert np.array_equal(loaded.w_value, params.w_value)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(Checkpoint(params, params.copy(), 0, {}), path)
+    loaded = load_checkpoint(path)
+    for got in (loaded.params, loaded.ref_params):
+        assert np.array_equal(got.w_shared, params.w_shared)
+        assert np.array_equal(got.w_policy, params.w_policy)
+        assert np.array_equal(got.w_value, params.w_value)
     # a second save produces identical bytes
-    path2 = tmp_path / "params2.json"
-    save_params(loaded, path2)
+    path2 = tmp_path / "ckpt2.json"
+    save_checkpoint(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 

@@ -14,7 +14,7 @@ from svpo.pairs import (
     extract_sft_solutions, extract_value_targets, label_correct,
 )
 from svpo.train import (
-    Checkpoint, EmptyBatch, MissingCheckpoint, TrainConfig, TrainData,
+    Checkpoint, EmptyBatch, TrainConfig, TrainData,
     default_pretrain_config, default_svpo_config, load_checkpoint,
     pair_logprobs, parse_kv_text, pretrain_batch_grad, save_checkpoint,
     stage_rows, svpo_batch_grad, train_loop,
@@ -295,25 +295,22 @@ def test_fd_pretrain_batch_gradient(kernel_case):
 
 def test_batched_entry_points_raise_illegal_prefix(kernel_case):
     # prefixes are checked where they are compiled: by prefix_rows, and so
-    # by both training stages before their first step
+    # by stage_rows, which compiles a corpus before either training stage
     model, params, ref, batch, sols, _ = kernel_case
     env = model.env
     qid = batch[0].question_id
     answer = next(a.id for a in env.vocab if a.kind == TERMINAL)
     too_long = (0,) * (env.config.max_depth + 1)
-    init = Checkpoint(params=params, ref_params=None, step=0, config={})
     for bad in [(answer,), too_long, (0, -1), (0, len(env.vocab))]:
         with pytest.raises(IllegalPrefix):
             model.prefix_rows([qid, qid], [batch[0].winner, bad])
         pair = PreferencePair(qid, batch[0].winner, bad, "sibling", 0.0,
                               0.0, 0)
         with pytest.raises(IllegalPrefix):
-            train_loop(model, TrainData(pairs=batch[:3] + [pair]),
-                       default_svpo_config(), rng_seed=0, init=init)
+            stage_rows(model, TrainData(pairs=batch[:3] + [pair]))
         solution = dataclasses.replace(sols[0], steps=bad)
         with pytest.raises(IllegalPrefix):
-            train_loop(model, TrainData(solutions=sols[:2] + [solution]),
-                       default_pretrain_config(), rng_seed=0, init=init)
+            stage_rows(model, TrainData(solutions=sols[:2] + [solution]))
 
 
 # -- the training loop -------------------------------------------------------
@@ -324,40 +321,42 @@ def _init_ckpt(model, seed=2):
                       step=0, config={})
 
 
+def _train(model, data, config, rng_seed, init, log=None):
+    """train_loop over rows compiled from exactly `data`."""
+    return train_loop(model, data, config, rng_seed, init,
+                      stage_rows(model, data), log)
+
+
 def test_reference_stays_frozen(corpus):
     _, model, pairs, _, _ = corpus
     init = _init_ckpt(model)
     frozen = json.dumps(params_to_record(init.params))
     config = default_svpo_config(epochs=2, batch_size=16)
-    ckpts = train_loop(model, TrainData(pairs=pairs[:40]), config, rng_seed=1,
-                       init=init)
-    assert len(ckpts) == 2
-    for ckpt in ckpts:
-        assert json.dumps(params_to_record(ckpt.ref_params)) == frozen
-    assert json.dumps(params_to_record(ckpts[-1].params)) != frozen
+    ckpt = _train(model, TrainData(pairs=pairs[:40]), config, 1, init)
+    assert json.dumps(params_to_record(ckpt.ref_params)) == frozen
+    assert json.dumps(params_to_record(init.params)) == frozen
+    assert json.dumps(params_to_record(ckpt.params)) != frozen
 
 
 def test_zero_lr_changes_nothing(corpus):
     _, model, pairs, _, _ = corpus
     init = _init_ckpt(model)
     config = default_svpo_config(epochs=1, batch_size=16, lr=0.0)
-    ckpts = train_loop(model, TrainData(pairs=pairs[:32]), config, rng_seed=1,
-                       init=init)
-    assert params_to_record(ckpts[-1].params) == params_to_record(init.params)
+    ckpt = _train(model, TrainData(pairs=pairs[:32]), config, 1, init)
+    assert params_to_record(ckpt.params) == params_to_record(init.params)
 
 
 def test_training_is_deterministic(corpus):
     _, model, pairs, _, _ = corpus
     config = default_svpo_config(epochs=2, batch_size=8)
     data = TrainData(pairs=pairs[:40])
-    runs = [train_loop(model, data, config, rng_seed=9,
-                       init=_init_ckpt(model)) for _ in range(2)]
-    rec_a = json.dumps(params_to_record(runs[0][-1].params))
-    rec_b = json.dumps(params_to_record(runs[1][-1].params))
+    runs = [_train(model, data, config, 9, _init_ckpt(model))
+            for _ in range(2)]
+    rec_a = json.dumps(params_to_record(runs[0].params))
+    rec_b = json.dumps(params_to_record(runs[1].params))
     assert rec_a == rec_b
-    other = train_loop(model, data, config, rng_seed=10,
-                       init=_init_ckpt(model))
-    assert json.dumps(params_to_record(other[-1].params)) != rec_a
+    other = _train(model, data, config, 10, _init_ckpt(model))
+    assert json.dumps(params_to_record(other.params)) != rec_a
 
 
 def test_pretraining_descends(corpus):
@@ -366,8 +365,8 @@ def test_pretraining_descends(corpus):
     init = _init_ckpt(model, seed=0)
     before = pretrain_loss(model, init.params, solutions, targets, config)
     data = TrainData(solutions=solutions, value_targets=targets)
-    ckpts = train_loop(model, data, config, rng_seed=0, init=init)
-    after = pretrain_loss(model, ckpts[-1].params, solutions, targets, config)
+    ckpt = _train(model, data, config, 0, init)
+    after = pretrain_loss(model, ckpt.params, solutions, targets, config)
     assert after.sft < before.sft
     assert after.mse < before.mse
     assert after.total < before.total
@@ -378,12 +377,12 @@ def test_preference_stage_descends(corpus):
     init = _init_ckpt(model, seed=4)
     config = default_svpo_config(epochs=3, batch_size=16)
     data = TrainData(pairs=pairs)
-    ckpts = train_loop(model, data, config, rng_seed=2, init=init)
+    ckpt = _train(model, data, config, 2, init)
     rows = stage_rows(model, data)
     ref_logprobs, _ = pair_logprobs(model, init.params, pairs, rows)
     before, _, _ = svpo_batch_grad(model, init.params, ref_logprobs, pairs,
                                    config, [], [], rows)
-    after, _, _ = svpo_batch_grad(model, ckpts[-1].params, ref_logprobs,
+    after, _, _ = svpo_batch_grad(model, ckpt.params, ref_logprobs,
                                   pairs, config, [], [], rows)
     assert after.total < before.total
     assert after.dpo < before.dpo
@@ -396,16 +395,14 @@ def test_implicit_diff_zero_at_reference(corpus):
                                  beta=0.1) == 0.0
 
 
-def test_missing_or_empty_inputs_raise(corpus):
-    _, model, pairs, _, _ = corpus
-    with pytest.raises(MissingCheckpoint):
-        train_loop(model, TrainData(pairs=pairs), default_svpo_config(),
-                   rng_seed=0)
+def test_empty_inputs_raise(corpus):
+    _, model, _, _, _ = corpus
     with pytest.raises(EmptyBatch):
-        train_loop(model, TrainData(), default_svpo_config(), rng_seed=0,
-                   init=_init_ckpt(model))
+        _train(model, TrainData(), default_svpo_config(), 0,
+               _init_ckpt(model))
     with pytest.raises(EmptyBatch):
-        train_loop(model, TrainData(), default_pretrain_config(), rng_seed=0)
+        _train(model, TrainData(), default_pretrain_config(), 0,
+               _init_ckpt(model))
     with pytest.raises(EmptyBatch):
         svpo_batch_grad(model, model.zeros_params(), np.zeros((0, 2)), [],
                         default_svpo_config(), [], [],
@@ -421,8 +418,7 @@ def test_log_rows_and_step_count(corpus):
     init = _init_ckpt(model)
     log = []
     config = default_svpo_config(epochs=2, batch_size=16)
-    train_loop(model, TrainData(pairs=pairs[:40]), config, rng_seed=1,
-               init=init, log=log)
+    _train(model, TrainData(pairs=pairs[:40]), config, 1, init, log)
     per_epoch = -(-40 // 16)
     assert len(log) == 2 * per_epoch
     assert [row["step"] for row in log] == list(range(1, len(log) + 1))
@@ -436,7 +432,7 @@ def test_log_rows_and_step_count(corpus):
     log2 = []
     config2 = default_pretrain_config(epochs=2, batch_size=8)
     data2 = TrainData(solutions=solutions[:3], value_targets=targets[:50])
-    train_loop(model, data2, config2, rng_seed=1, log=log2)
+    _train(model, data2, config2, 1, _init_ckpt(model), log2)
     assert len(log2) == 2 * -(-50 // 8)
     assert all(row["stage"] == "pretrain" for row in log2)
 
@@ -445,8 +441,7 @@ def test_checkpoint_roundtrip(tmp_path, corpus):
     _, model, pairs, _, _ = corpus
     init = _init_ckpt(model)
     config = default_svpo_config(epochs=1, batch_size=16)
-    ckpt = train_loop(model, TrainData(pairs=pairs[:16]), config, rng_seed=1,
-                      init=init)[-1]
+    ckpt = _train(model, TrainData(pairs=pairs[:16]), config, 1, init)
     path = tmp_path / "ckpt.json"
     save_checkpoint(ckpt, path)
     loaded = load_checkpoint(path)
