@@ -28,7 +28,7 @@ full (none), no_margin (svpo_w_margin = 0), no_mse (svpo_w_mse = 0),
 no_reg (svpo_w_reg = 0) and solution_dpo (all three, trained on
 solution-level pairs only); the arm sft scores the pretrain checkpoint.
 A sweep arm sets svpo_gamma. Exit codes: 0 success, 2 configuration
-error, 3 stage failure.
+error or a question file outside the Env's bounds, 3 stage failure.
 """
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ from .evaluate import (
     pretrain_stage, run_matrix, run_pipeline, save_corpus,
     save_eval, save_training, seed_config, summary_text, svpo_stage,
 )
+from .env import InvalidQuestion
 from .infer import inference_record, save_inference_records
 from .train import load_checkpoint, parse_kv_text
 
@@ -263,6 +264,9 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         return args.func(args, config, out)
+    except InvalidQuestion as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     except StageFailure as exc:
         print(f"error in stage {exc.stage!r}: {exc.cause}", file=sys.stderr)
         return 3

@@ -41,6 +41,10 @@ class NotTerminal(EnvError):
     """Raised when a reward is requested for an intermediate action."""
 
 
+class InvalidQuestion(EnvError, ValueError):
+    """Raised when a question's spec lies outside the Env's bounds."""
+
+
 @dataclass(frozen=True)
 class EnvConfig:
     """Environment shape: operation vocabulary, answer offsets, bounds.
@@ -189,8 +193,27 @@ class Env:
             self.register(questions)
 
     def register(self, questions: list[Question]) -> None:
+        """Add questions to the registry. Raises InvalidQuestion, naming
+        the question, for a start outside [start_lo, start_hi], a chain
+        length outside 1..max_depth-1 or a chain entry that is not an
+        intermediate action id; the features of such a question would
+        spill into other blocks. Nothing is registered then."""
+        config = self.config
+        ops = {a.id for a in self.vocab if a.kind == INTERMEDIATE}
         for q in questions:
-            self._questions[q.id] = q
+            if not config.start_lo <= q.start <= config.start_hi:
+                problem = (f"start {q.start} outside "
+                           f"[{config.start_lo}, {config.start_hi}]")
+            elif not 1 <= len(q.chain) < config.max_depth:
+                problem = (f"chain length {len(q.chain)} outside "
+                           f"1..{config.max_depth - 1}")
+            elif not ops.issuperset(q.chain):
+                problem = (f"chain entries {sorted(set(q.chain) - ops)} are "
+                           f"not intermediate action ids")
+            else:
+                continue
+            raise InvalidQuestion(f"question {q.id}: {problem}")
+        self._questions.update((q.id, q) for q in questions)
 
     def question(self, question_id: int) -> Question:
         return self._questions[question_id]

@@ -100,7 +100,7 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
     while live and level < env.config.max_depth:
         # every live beam sits at depth `level`, so all share one legal set
         legal, logp = model.legal_rows(states[0], logp)
-        probs = temper(logp, config.temperature)
+        probs = temper(logp, config.temperature).tolist()
         rows = logp.tolist()
         # the level's non-answering children, as parallel lists
         prefixes, logprobs, children, parents = [], [], [], []

@@ -13,9 +13,12 @@ correct solutions exist or the tree budget runs out.
 
 `build_forest` keeps one policy memo per forest: the legal actions,
 probabilities and tempered probabilities of every state the forest has
-evaluated, keyed by its steps. An expansion evaluates all of its new
-rollout children that the memo lacks in one batched forward
-(`Model.policy_value`) and draws their rollout steps row-wise from one
+evaluated, keyed by its steps. The probabilities are stored as lists of
+Python floats, since priors and draws read them one entry at a time. An
+expansion evaluates all of its new rollout children that the memo lacks
+in one batched forward (`Model.policy_value`, then one `np.exp`, one
+`temper` and one `legal_rows` over the batch) and draws each child's
+rollout step with `model.draw_index`, the uniforms from one
 `rng.random(m)` call. A node's rollout distribution is reused when the
 node is expanded, and every tree after the first reuses the states the
 earlier trees reached, so the policy runs at most once per distinct
@@ -23,7 +26,7 @@ state. The memo lives for one call, which has one question and one
 `params`, so it never outlives the parameters it was computed from.
 Every categorical draw consumes the generator exactly as
 `Generator.choice` would (see `model.sample_distinct` and
-`model.draw_rows`).
+`model.draw_index`).
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import TERMINAL, DepthExceeded, Env, Question, State
-from .model import (Model, PolicyValueParams, draw_rows, sample_distinct,
+from .model import (Model, PolicyValueParams, draw_index, sample_distinct,
                     spawn_generator, temper)
 
 _TREE_STREAM = 0x7EE
@@ -165,8 +168,7 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
         memo = {}
     [(legal, probs, tempered)] = _policies(model, params, [node.state],
                                            config.temperature, memo)
-    children = [(legal[i], float(probs[i]),
-                 env.transition(node.state, legal[i]))
+    children = [(legal[i], probs[i], env.transition(node.state, legal[i]))
                 for i in sample_distinct(tempered, config.n_children, rng)]
     rollout = [state for action, _, state in children
                if action.kind != TERMINAL and state.depth < max_depth]
@@ -174,8 +176,8 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
     if rollout:
         policies = _policies(model, params, rollout, config.temperature,
                              memo)
-        picks = draw_rows(np.array([t for _, _, t in policies]),
-                          rng.random(len(rollout)))
+        picks = [draw_index(t, u) for (_, _, t), u
+                 in zip(policies, rng.random(len(rollout)).tolist())]
         rollouts = iter(zip(policies, picks))
     results: list[tuple[int, float]] = []
     for action, prior, child_state in children:
@@ -198,7 +200,7 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
             reward = env.terminal_reward(child_state, r_action)
             grand = tree.add_node(child.id, r_action.id,
                                   env.transition(child_state, r_action),
-                                  float(r_probs[r_idx]), terminal=True,
+                                  r_probs[r_idx], terminal=True,
                                   reward=reward)
             results.append((grand.id, float(reward)))
         else:
@@ -209,14 +211,18 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
 def _policies(model: Model, params: PolicyValueParams, states,
               temperature: float, memo: dict) -> list[tuple]:
     """(legal actions, probabilities, tempered probabilities) of each
-    state, read from the memo; the states it lacks are evaluated in one
-    batched forward and stored there."""
+    state, the probabilities as lists of floats, read from the memo; the
+    states it lacks are evaluated in one batched forward and stored
+    there. The states sit at one depth (a node, or the rollout children
+    of one node), so they share one legal set and one `legal_rows`
+    call."""
     missing = [s for s in states if s.steps not in memo]
     if missing:
         logp, _, _, _ = model.policy_value(params, missing)
-        for state, p, t in zip(missing, np.exp(logp),
-                               temper(logp, temperature)):
-            memo[state.steps] = model.legal_rows(state, p, t)
+        legal, probs, tempered = model.legal_rows(
+            missing[0], np.exp(logp), temper(logp, temperature))
+        for state, p, t in zip(missing, probs.tolist(), tempered.tolist()):
+            memo[state.steps] = (legal, p, t)
     return [memo[s.steps] for s in states]
 
 

@@ -10,13 +10,18 @@ Log-probabilities are computed in log space with the usual max-shift.
 Search and decoding evaluate whole rows of states at once through
 `Model.policy_value`: MCTS scores all new rollout children of an
 expansion in one call and SBS all children of a level. `legal_logprobs`,
-`value` and `value_forward` are one-row calls into it. Sampling goes
-through `draw_rows` and `sample_distinct`, which consume a generator
-exactly as `Generator.choice` does. Training and win-rate scoring go
-through one batched prefix kernel, `Model.seq_logprob_grad`: it
-evaluates many (question, prefix) sequences at once and returns the
-gradient of any weighted sum of their log-probabilities and end-state
-values, from feature rows that `Model.prefix_rows` compiled once.
+`value` and `value_forward` are one-row calls into it. Feature rows come
+from one featurizer, `Featurizer.rows`: each row is a copy of its
+question's base row (the question-only blocks, computed once per
+question) with the state's few entries written by index. Sampling goes
+through `draw_index` and `sample_distinct`, which read Python float
+sequences (search keeps its probabilities as `.tolist()` rows) and
+consume a generator exactly as `Generator.choice` does. Training and
+win-rate scoring go through one batched prefix kernel,
+`Model.seq_logprob_grad`: it evaluates many (question, prefix) sequences
+at once and returns the gradient of any weighted sum of their
+log-probabilities and end-state values, from feature rows that
+`Model.prefix_rows` compiled once.
 """
 from __future__ import annotations
 
@@ -121,6 +126,11 @@ class Featurizer:
     deliberately dropped: recovering a workable step order from the
     unordered spec is the learning problem), scratch bucket one-hot with
     out-of-range flags, scaled scratch, and parity.
+
+    The first four blocks depend on the question alone. They form its
+    base row, computed once per Question value and kept (about 700 bytes
+    a question); `rows` copies it for each state and writes the state's
+    entries by index.
     """
 
     scratch_lo = SCRATCH_LO  # read by callers that index the bucket block
@@ -150,31 +160,62 @@ class Featurizer:
             self._offsets[name] = dim
             dim += width
         self.dim = dim
+        self._state_blocks = tuple(self._offsets[name] for name in (
+            "depth", "last", "bucket", "flags", "scaled", "parity"))
+        # base rows keyed by the Question value, so a question re-registered
+        # under the same id with another spec gets its own row
+        self._base: dict[Question, np.ndarray] = {}
 
     def block(self, name: str) -> int:
         """Start index of a named feature block (bias, depth, last, ...)."""
         return self._offsets[name]
 
+    def rows(self, env: Env, states) -> np.ndarray:
+        """The (len(states), dim) feature rows of `states`, each state's
+        question looked up in `env`. This is the one featurizer."""
+        question = env.question
+        return self._rows([question(s.question_id) for s in states], states)
+
     def features(self, question: Question, state: State) -> np.ndarray:
+        """The feature row of one state of `question`."""
+        return self._rows([question], [state])[0]
+
+    def _rows(self, questions, states) -> np.ndarray:
+        """Each row starts as a copy of its question's base row and then
+        gets the state's entries: depth, last action, scratch bucket or
+        flag, scaled scratch and parity."""
+        x = np.empty((len(states), self.dim))
+        base = self._base
+        depth, last, bucket, flags, scaled, parity = self._state_blocks
+        for i, (q, s) in enumerate(zip(questions, states)):
+            row = base.get(q)
+            if row is None:
+                row = base[q] = self._base_row(q)
+            x[i] = row
+            x[i, depth + s.depth] = 1.0
+            if s.steps:
+                x[i, last + s.steps[-1]] = 1.0
+            scratch = s.scratch
+            if scratch < SCRATCH_LO:
+                x[i, flags] = 1.0
+            elif scratch > SCRATCH_HI:
+                x[i, flags + 1] = 1.0
+            else:
+                x[i, bucket + (scratch - SCRATCH_LO)] = 1.0
+            x[i, scaled] = scratch / 16.0
+            x[i, parity] = float(scratch % 2)
+        return x
+
+    def _base_row(self, question: Question) -> np.ndarray:
+        """The question-only entries: bias, start, chain length and op
+        histogram; zeros elsewhere."""
         x = np.zeros(self.dim)
         off = self._offsets
         x[off["bias"]] = 1.0
-        x[off["depth"] + state.depth] = 1.0
-        if state.steps:
-            x[off["last"] + state.steps[-1]] = 1.0
         x[off["start"] + (question.start - self.config.start_lo)] = 1.0
         x[off["chain_len"] + len(question.chain) - 1] = 1.0
         for aid in question.chain:
             x[off["hist"] + aid] += 0.5
-        s = state.scratch
-        if s < SCRATCH_LO:
-            x[off["flags"]] = 1.0
-        elif s > SCRATCH_HI:
-            x[off["flags"] + 1] = 1.0
-        else:
-            x[off["bucket"] + (s - SCRATCH_LO)] = 1.0
-        x[off["scaled"]] = s / 16.0
-        x[off["parity"]] = float(s % 2)
         return x
 
 
@@ -209,14 +250,11 @@ class Model:
         Row i of the log-probs spans the whole vocabulary; answers are
         -inf in a depth-0 state, where Env.legal_actions forbids them
         (`legal_rows` restricts a row to the legal actions). Feature rows
-        come from `Featurizer.features`.
+        come from `Featurizer.rows`.
 
         Returns (log-probs (n, vocab), values (n,), hidden (n, h),
         features (n, d))."""
-        features = self.featurizer.features
-        question = self.env.question
-        x = np.array([features(question(s.question_id), s)
-                      for s in states]).reshape(-1, self.d)
+        x = self.featurizer.rows(self.env, states)
         hidden = np.tanh(x @ params.w_shared)
         depth0 = [i for i, s in enumerate(states) if s.depth == 0]
         logp = self._log_softmax(hidden @ params.w_policy, depth0)
@@ -269,10 +307,11 @@ class Model:
 
     def prefix_rows(self, question_ids, prefixes) -> PrefixRows:
         """Compile prefixes for `seq_logprob_grad`: every distinct state
-        along them is replayed through the Env and featurized once.
-        Raises IllegalPrefix when a prefix leaves the legal action set."""
-        env, features = self.env, self.featurizer.features
-        rows, paths, seen = [], {}, {}  # seen: state key -> (row, state)
+        along them is replayed through the Env, and all of them are
+        featurized in one `Featurizer.rows` call. Raises IllegalPrefix when
+        a prefix leaves the legal action set."""
+        env = self.env
+        states, paths, seen = [], {}, {}  # seen: state key -> (row, state)
         for qid, steps in zip(question_ids, prefixes):
             steps = tuple(steps)
             question = env.question(qid)
@@ -286,12 +325,12 @@ class Model:
                     except (IllegalAction, DepthExceeded) as exc:
                         raise IllegalPrefix(f"prefix {steps} of question "
                                             f"{qid}: {exc}") from exc
-                    seen[key] = (len(rows), state)
-                    rows.append(features(question, state))
+                    seen[key] = (len(states), state)
+                    states.append(state)
                 row, state = seen[key]
                 path.append(row)
             paths[qid, steps] = path
-        return PrefixRows(np.array(rows).reshape(-1, self.d), paths)
+        return PrefixRows(self.featurizer.rows(env, states), paths)
 
     def seq_logprob_grad(self, params: PolicyValueParams, rows: PrefixRows,
                          question_ids, prefixes, coef=None):
@@ -381,14 +420,15 @@ def _index(probs: np.ndarray, u: float) -> int:
     return int(cdf.searchsorted(u, side="right"))
 
 
-def draw_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row i's index for the uniform u[i], by `_index`'s arithmetic on
-    each row (cumsum, divided by the last entry, entries <= u counted), so
-    it equals `rng.choice(len(probs[i]), p=probs[i])` when rng yields
-    u[i]."""
-    cdf = probs.cumsum(axis=1)
-    cdf = cdf / cdf[:, -1:]
-    return (cdf <= u[:, None]).sum(axis=1)
+def draw_index(weights, u: float) -> int:
+    """The index `_index` picks for the uniform u, in Python floats: the
+    running sums, divided by the last one, and the count of them <= u.
+    The sums are added left to right as numpy's cumsum adds them, so it
+    equals `rng.choice(len(weights), p=weights)` when rng yields u.
+    `weights` is a sequence of floats with a positive sum."""
+    cdf = list(accumulate(weights))
+    total = cdf[-1]
+    return bisect_right([c / total for c in cdf], u)
 
 
 # a pick this close to a cdf boundary, relative to the mass left, is
@@ -399,12 +439,13 @@ _BOUNDARY = 1e-12
 _NORMAL = float(np.finfo(float).tiny)
 
 
-def sample_distinct(weights: np.ndarray, k: int,
+def sample_distinct(weights, k: int,
                     rng: np.random.Generator) -> list[int]:
     """min(k, len(weights)) distinct indices, drawn one by one without
     replacement, each in proportion to the weights still left. If the
     remaining mass underflows to zero (very low temperatures), the
-    leftovers are treated as uniform.
+    leftovers are treated as uniform. `weights` is any sequence of
+    floats, a list or an array.
 
     The picks and the generator's end state are those of one
     `Generator.choice` call per pick over the normalized weights left.
@@ -418,7 +459,7 @@ def sample_distinct(weights: np.ndarray, k: int,
     if n <= 0:
         return []
     remaining = list(range(len(weights)))
-    left = weights.tolist()
+    left = list(weights)
     picks: list[int] = []
     for u in rng.random(n).tolist():
         cdf = list(accumulate(left))

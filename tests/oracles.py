@@ -13,7 +13,8 @@ import numpy as np
 from svpo import infer, mcts
 from svpo.env import TERMINAL, IllegalAction
 from svpo.model import (
-    Gradients, Model, PolicyValueParams, spawn_generator, temper,
+    SCRATCH_HI, SCRATCH_LO, Featurizer, Gradients, Model, PolicyValueParams,
+    spawn_generator, temper,
 )
 from svpo.train import EmptyBatch, LossBreakdown, combine_total
 
@@ -133,6 +134,31 @@ def value_bump_params(model: Model, feature_index: int, unit: int = 0,
 
 
 # -- one-state policy and search helpers ------------------------------------
+
+def reference_features(featurizer: Featurizer, question, state) -> np.ndarray:
+    """One state's feature row, built from zeros entry by entry through
+    the public block offsets."""
+    x = np.zeros(featurizer.dim)
+    block = featurizer.block
+    x[block("bias")] = 1.0
+    x[block("depth") + state.depth] = 1.0
+    if state.steps:
+        x[block("last") + state.steps[-1]] = 1.0
+    x[block("start") + (question.start - featurizer.config.start_lo)] = 1.0
+    x[block("chain_len") + len(question.chain) - 1] = 1.0
+    for aid in question.chain:
+        x[block("hist") + aid] += 0.5
+    s = state.scratch
+    if s < SCRATCH_LO:
+        x[block("flags")] = 1.0
+    elif s > SCRATCH_HI:
+        x[block("flags") + 1] = 1.0
+    else:
+        x[block("bucket") + (s - SCRATCH_LO)] = 1.0
+    x[block("scaled")] = s / 16.0
+    x[block("parity")] = float(s % 2)
+    return x
+
 
 def step_logprob(model: Model, params: PolicyValueParams, state,
                  action_id: int) -> float:

@@ -138,6 +138,25 @@ def test_missing_artifacts_exit_3(tmp_path, capsys):
     assert "error in stage 'annotate'" in err
 
 
+def test_out_of_range_question_file_exits_2(tmp_path, capsys):
+    """An edited question whose start lies outside the Env's bounds is
+    refused when the next stage loads the questions, before any search."""
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY)
+    out = tmp_path / "out"
+    assert main(["gen", "--config", str(config), "--out", str(out)]) == 0
+    path = out / "questions_train.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[3]["spec"]["start"] = 0
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert main(["annotate", "--config", str(config),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and f"question {records[3]['id']}" in err
+    assert not (out / "forests.jsonl").exists()
+
+
 def test_unknown_arm_exit_3(staged, capsys):
     config, out = staged
     code = main(["ablate", "--config", str(config), "--out", str(out),

@@ -278,3 +278,41 @@ def test_config_validation():
     with pytest.raises(ValueError):
         gen_dataset(seed=1, n=2, difficulty="easy",
                     config=EnvConfig(answer_offsets=(1, -1)))
+
+
+@pytest.mark.parametrize("start, chain", [
+    (0, (0,)),                 # start below start_lo
+    (10, (0,)),                # start above start_hi
+    (3, ()),                   # empty chain
+    (3, (0,) * 8),             # chain as long as max_depth
+    (3, (0, 6)),               # an answer id in the chain
+    (3, (0, 11)),              # an id past the vocabulary
+    (3, (-1,)),                # a negative id
+], ids=["start_low", "start_high", "chain_empty", "chain_too_long",
+        "terminal_in_chain", "id_past_vocab", "negative_id"])
+def test_register_refuses_out_of_range_questions(start, chain):
+    """A question outside the Env's bounds would get features that spill
+    into other blocks (a start of 0 lands in the last-action block, a
+    chain of max_depth ops in the histogram), so registering it raises,
+    naming the question, and registers nothing."""
+    good = Question(id=1, start=3, chain=(0, 5), truth=8, difficulty="easy")
+    bad = Question(id=4242, start=start, chain=chain, truth=0,
+                   difficulty="easy")
+    env = Env()
+    with pytest.raises(envmod.InvalidQuestion, match="question 4242"):
+        env.register([good, bad])
+    with pytest.raises(KeyError):
+        env.question(good.id)
+    with pytest.raises(ValueError, match="question 4242"):
+        Env(questions=[bad])
+    env.register([good])
+    assert env.question(good.id) == good
+
+
+def test_register_accepts_the_bounds():
+    config = EnvConfig()
+    edge = [Question(0, config.start_lo, (0,), 0, "easy"),
+            Question(1, config.start_hi, (5,) * (config.max_depth - 1), 0,
+                     "hard")]
+    env = Env(config, edge + gen_dataset(3, 30, "hard"))
+    assert env.question(1) == edge[1]

@@ -1,5 +1,6 @@
 """Policy-value model tests: closed forms, sampling statistics, and
 finite-difference verification of every analytic gradient path."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,18 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svpo import model as model_module
-from svpo.env import Env, Question, gen_dataset
+from svpo.env import DIFFICULTY_STEPS, TERMINAL, Env, Question, gen_dataset
 from svpo.model import (
-    Featurizer, Model, Gradients, IllegalPrefix, draw_rows,
-    params_from_record, params_to_record, sample_distinct, spawn_generator,
-    temper,
+    SCRATCH_HI, SCRATCH_LO, Featurizer, Model, Gradients, IllegalPrefix,
+    draw_index, params_from_record, params_to_record, sample_distinct,
+    spawn_generator, temper,
 )
 from svpo.train import Checkpoint, load_checkpoint, save_checkpoint
 
 from oracles import (
     action_distribution, as_generator, choice_sample_distinct, draw,
-    fd_relative_error, sample_step, scripted_params, step_logprob,
-    value_bump_params,
+    fd_relative_error, reference_features, sample_step, scripted_params,
+    step_logprob, value_bump_params,
 )
 
 
@@ -231,7 +232,7 @@ def test_sample_distinct_matches_generator_choice(weights, one_hot, hot,
                                                   temperature, k, seed):
     """Same picks and same generator state as one choice call per pick,
     on raw weights (zero, tiny and subnormal ones included) and on
-    weights tempered down to 1e-3."""
+    weights tempered down to 1e-3, given as an array or as a list."""
     w = np.array(weights)
     if one_hot or w.sum() == 0:
         w = np.zeros(len(w))
@@ -239,11 +240,13 @@ def test_sample_distinct_matches_generator_choice(weights, one_hot, hot,
     if temperature is not None:
         with np.errstate(divide="ignore"):
             w = temper(np.log(w), temperature)
-    mine, theirs = spawn_generator(seed), spawn_generator(seed)
+    mine, listed, theirs = (spawn_generator(seed) for _ in range(3))
     for _ in range(3):
-        assert sample_distinct(w, k, mine) == \
-            choice_sample_distinct(w, k, theirs)
+        want = choice_sample_distinct(w, k, theirs)
+        assert sample_distinct(w, k, mine) == want
+        assert sample_distinct(w.tolist(), k, listed) == want
         assert mine.bit_generator.state == theirs.bit_generator.state
+        assert listed.bit_generator.state == theirs.bit_generator.state
 
 
 class _Uniforms:
@@ -303,18 +306,25 @@ def test_sample_distinct_falls_back_on_cdf_boundaries(weights, monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.lists(_WEIGHT, min_size=11, max_size=11),
-                     min_size=1, max_size=6),
-       hot=st.integers(0, 10), seed=st.integers(0, 2**63))
-def test_draw_rows_matches_draw_per_row(rows, hot, seed):
-    """Row-wise picks from one rng.random(n) equal one `draw` per row."""
-    probs = np.array(rows)
-    probs[probs.sum(axis=1) == 0, hot] = 1.0
-    probs /= probs.sum(axis=1, keepdims=True)
-    mine, theirs = spawn_generator(seed), spawn_generator(seed)
-    got = draw_rows(probs, mine.random(len(probs)))
-    assert got.tolist() == [draw(row, theirs) for row in probs]
-    assert mine.bit_generator.state == theirs.bit_generator.state
+@given(weights=st.lists(_WEIGHT, min_size=1, max_size=11),
+       hot=st.integers(0, 10), edge=st.integers(0, 10),
+       seed=st.integers(0, 2**63))
+def test_draw_index_matches_draw(weights, hot, edge, seed):
+    """draw_index on a list of floats picks what `draw` picks for the
+    same uniform, on raw and on normalized weights with zeros among
+    them, for a random uniform and for uniforms on and next to a
+    boundary of `draw`'s cdf."""
+    w = np.array(weights)
+    if w.sum() == 0:
+        w[hot % len(w)] = 1.0
+    for probs in (w, w / w.sum()):
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        b = float(cdf[edge % len(cdf)])
+        uniforms = [spawn_generator(seed).random(), b,
+                    float(np.nextafter(b, 0.0)), float(np.nextafter(b, 1.0))]
+        for u in uniforms:
+            assert draw_index(probs.tolist(), u) == draw(probs, _Uniforms([u]))
 
 
 def test_sample_distinct_underflow_is_uniform():
@@ -501,6 +511,47 @@ def test_featurizer_distinguishes_scratch_and_depth(setup):
     assert not np.array_equal(fz.features(q, s0), fz.features(q, s1))
 
 
+@settings(max_examples=60, deadline=None)
+@given(difficulty=st.sampled_from(sorted(DIFFICULTY_STEPS)),
+       seed=st.integers(0, 2**16),
+       walks=st.lists(st.tuples(st.integers(0, 7),
+                                st.lists(st.integers(0, 10), max_size=8)),
+                      min_size=1, max_size=6),
+       scratches=st.lists(st.tuples(st.integers(0, 50),
+                                    st.integers(-200, 300)), max_size=4))
+def test_featurizer_rows_match_reference(difficulty, seed, walks, scratches):
+    """Featurizer.rows equals the reference rows bit for bit on mixed
+    batches of reachable states of several questions, and on scratch
+    values below SCRATCH_LO, above SCRATCH_HI and odd and negative; so
+    does a second call, which reads the kept base rows, and each
+    one-row `features` call."""
+    questions = gen_dataset(seed, 8, difficulty)
+    env = Env(questions=questions)
+    fz = Featurizer(env.config)
+    states = []
+    for qi, walk in walks:
+        state = env.initial_state(questions[qi])
+        states.append(state)
+        for pick in walk[:env.config.max_depth]:
+            legal = env.legal_actions(state)
+            action = legal[pick % len(legal)]
+            state = env.transition(state, action)
+            states.append(state)
+            if action.kind == TERMINAL:
+                break
+    fixed = [SCRATCH_LO - 1, SCRATCH_LO, SCRATCH_HI, SCRATCH_HI + 1, -7]
+    for at, scratch in scratches + list(enumerate(fixed)):
+        states.append(dataclasses.replace(states[at % len(states)],
+                                          scratch=scratch))
+    want = np.array([reference_features(fz, env.question(s.question_id), s)
+                     for s in states])
+    assert np.array_equal(fz.rows(env, states), want)
+    assert np.array_equal(fz.rows(env, states[::-1]), want[::-1])
+    for s, row in zip(states, want):
+        assert np.array_equal(fz.features(env.question(s.question_id), s), row)
+    assert fz.rows(env, []).shape == (0, fz.dim)
+
+
 def test_prefix_rows_featurize_each_distinct_state_once(setup, monkeypatch):
     env, model, questions = setup
     rng = np.random.Generator(np.random.PCG64(23))
@@ -514,13 +565,13 @@ def test_prefix_rows_featurize_each_distinct_state_once(setup, monkeypatch):
     distinct = {(qid, steps[:t]) for qid, steps in zip(qids, prefixes)
                 for t in range(len(steps) + 1)}
     calls = []
-    features = model.featurizer.features
+    featurize = model.featurizer.rows
 
-    def counted(question, state):
-        calls.append((question.id, state.steps))
-        return features(question, state)
+    def counted(env, states):
+        calls.extend((state.question_id, state.steps) for state in states)
+        return featurize(env, states)
 
-    monkeypatch.setattr(model.featurizer, "features", counted)
+    monkeypatch.setattr(model.featurizer, "rows", counted)
     rows = model.prefix_rows(qids, prefixes)
     assert len(calls) == len(set(calls)) == len(distinct) == len(rows.x)
     assert set(calls) == distinct
