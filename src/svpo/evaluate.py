@@ -39,9 +39,8 @@ from .pairs import (
     load_solutions, load_value_targets, positive_negative_ratio,
 )
 from .train import (
-    Checkpoint, TrainConfig, TrainData, default_pretrain_config,
-    default_svpo_config, load_checkpoint, pair_logprobs, stage_rows,
-    train_loop,
+    Checkpoint, PretrainConfig, SVPOConfig, TrainData, load_checkpoint,
+    pair_logprobs, stage_rows, train_loop,
 )
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -132,8 +131,8 @@ class ExperimentConfig:
     max_value_targets: int = 20000
     search: SearchConfig = field(default_factory=SearchConfig)
     counts: PairCounts = field(default_factory=PairCounts)
-    pretrain: TrainConfig = field(default_factory=default_pretrain_config)
-    svpo: TrainConfig = field(default_factory=default_svpo_config)
+    pretrain: PretrainConfig = field(default_factory=PretrainConfig)
+    svpo: SVPOConfig = field(default_factory=SVPOConfig)
     sbs: SBSConfig = field(default_factory=SBSConfig)
     solution_level_only: bool = False
 
@@ -146,25 +145,25 @@ class ExperimentConfig:
             raise ValueError("sft_k must be >= 1")
         if self.max_value_targets < 0:
             raise ValueError("max_value_targets must be >= 0")
-        if self.pretrain.stage != "pretrain" or self.svpo.stage != "svpo":
-            raise ValueError("stage fields do not match their slots")
+        # train_loop runs the stage its config's type names
+        if (isinstance(self.pretrain, SVPOConfig)
+                or not isinstance(self.svpo, SVPOConfig)):
+            raise ValueError("stage configs do not match their slots")
 
 
 _SUBCONFIGS = {"search": SearchConfig, "counts": PairCounts,
-               "pretrain": TrainConfig, "svpo": TrainConfig,
+               "pretrain": PretrainConfig, "svpo": SVPOConfig,
                "sbs": SBSConfig}
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict:
     """Flatten to primitive key=value entries (sub-configs get prefixed
-    keys, e.g. search_c_puct); stage markers are implied and omitted."""
+    keys, e.g. search_c_puct)."""
     out: dict = {}
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if f.name in _SUBCONFIGS:
             for sub in dataclasses.fields(value):
-                if sub.name == "stage":
-                    continue
                 out[f"{f.name}_{sub.name}"] = getattr(value, sub.name)
         else:
             out[f.name] = value
@@ -177,24 +176,17 @@ def experiment_config_from_dict(items: dict) -> ExperimentConfig:
     plain = {f.name for f in dataclasses.fields(ExperimentConfig)
              if f.name not in _SUBCONFIGS}
     for key, value in items.items():
-        prefix = key.split("_", 1)[0]
+        prefix, _, sub_key = key.partition("_")
         if key in plain:
             top[key] = value
-        elif prefix in _SUBCONFIGS and "_" in key:
-            sub_key = key.split("_", 1)[1]
-            names = {f.name for f in dataclasses.fields(_SUBCONFIGS[prefix])}
-            if sub_key not in names or sub_key == "stage":
-                raise ValueError(f"unknown config key {key!r}")
+        elif prefix in _SUBCONFIGS and sub_key in {
+                f.name for f in dataclasses.fields(_SUBCONFIGS[prefix])}:
             nested[prefix][sub_key] = value
         else:
             raise ValueError(f"unknown config key {key!r}")
-    kwargs: dict = dict(top)
-    kwargs["search"] = SearchConfig(**nested["search"])
-    kwargs["counts"] = PairCounts(**nested["counts"])
-    kwargs["pretrain"] = default_pretrain_config(**nested["pretrain"])
-    kwargs["svpo"] = default_svpo_config(**nested["svpo"])
-    kwargs["sbs"] = SBSConfig(**nested["sbs"])
-    return ExperimentConfig(**kwargs)
+    for name, cls in _SUBCONFIGS.items():
+        top[name] = cls(**nested[name])
+    return ExperimentConfig(**top)
 
 
 def solution_level_pairs(env: Env,
@@ -245,15 +237,23 @@ def gen_stage(config: ExperimentConfig) -> Corpus:
             gen_dataset(seed + 1, config.n_test, config.difficulty))
 
 
+def labeled_forests(model: Model, params: PolicyValueParams,
+                    questions: list[Question], search: SearchConfig,
+                    rng_seed: int):
+    """Yield each question's search forest under `params`, its correct
+    solutions labeled, one question at a time."""
+    for question in questions:
+        # mixing the id keeps per-question search entropy independent
+        yield label_correct(build_forest(model, question, params, search,
+                                         rng_seed + question.id))
+
+
 def annotate_stage(corpus: Corpus, config: ExperimentConfig) -> None:
     """Search every training question under the initial policy."""
     with _stage("annotate"):
-        # mixing the id keeps per-question search entropy independent
-        corpus.forests = [
-            label_correct(build_forest(corpus.model, question,
-                                       corpus.init_params, config.search,
-                                       rng_seed=config.seed + question.id))
-            for question in corpus.train_questions]
+        corpus.forests = list(labeled_forests(
+            corpus.model, corpus.init_params, corpus.train_questions,
+            config.search, config.seed))
 
 
 def pairs_stage(corpus: Corpus, config: ExperimentConfig) -> None:
@@ -330,10 +330,8 @@ def build_heldout_pairs(model: Model, params: PolicyValueParams,
         raise ValueError(f"held-out questions overlap training ids: "
                          f"{sorted(overlap)[:3]}")
     pairs: list[PreferencePair] = []
-    for question in test_questions:
-        forest = build_forest(model, question, params, search,
-                              rng_seed + question.id)
-        label_correct(forest)
+    for forest in labeled_forests(model, params, test_questions, search,
+                                  rng_seed):
         pairs.extend(extract_pairs(forest, counts, rng_seed))
     return pairs
 

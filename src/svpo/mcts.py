@@ -147,12 +147,12 @@ def select(tree: SearchTree, c_puct: float = 1.25) -> int:
 def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
                         params: PolicyValueParams, config: SearchConfig,
                         rng: np.random.Generator,
-                        memo: dict | None = None) -> list[tuple[int, float]]:
+                        memo: dict) -> list[tuple[int, float]]:
     """Create sampled children of a non-terminal leaf and return the
     (node_id, leaf value) pairs the caller must back up.
 
-    `memo` is the forest's policy memo (see the module docstring); without
-    one, every distribution is computed afresh. Raises AlreadyExpanded for
+    `memo` is the forest's policy memo (see the module docstring); an
+    empty dict computes every distribution afresh. Raises AlreadyExpanded for
     a node with children or a terminal node, and env.DepthExceeded for a
     node at the Env's depth budget."""
     node = tree.nodes[node_id]
@@ -164,8 +164,6 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
     max_depth = env.config.max_depth
     if node.state.depth >= max_depth:
         raise DepthExceeded(f"node {node_id} is at the depth budget")
-    if memo is None:
-        memo = {}
     [(legal, probs, tempered)] = _policies(model, params, [node.state],
                                            config.temperature, memo)
     children = [(legal[i], probs[i], env.transition(node.state, legal[i]))

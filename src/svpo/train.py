@@ -1,11 +1,13 @@
 """Two-stage training: multi-task pretraining and step-level value
 preference optimization.
 
-Pretraining minimizes mean negative sequence log-probability over correct
-solutions plus a small mean squared error pulling the value head toward
-frozen search targets (reward at terminals, Q inside the tree).
+Pretraining (`PretrainConfig`) minimizes mean negative sequence
+log-probability over correct solutions plus a small mean squared error
+pulling the value head toward frozen search targets (reward at terminals,
+Q inside the tree).
 
-The preference stage scores each winner/loser pair two ways: an implicit
+The preference stage (`SVPOConfig`, which adds beta, gamma and the margin
+and coupling weights) scores each winner/loser pair two ways: an implicit
 reward difference from policy log-ratios against a frozen reference
 policy, and an explicit difference of value-head outputs at the two end
 states. Its loss combines a sigmoid preference term on the implicit
@@ -46,9 +48,6 @@ from .pairs import PreferencePair, ValueTarget
 
 _TRAIN_STREAM = 0x7A1
 
-PRETRAIN = "pretrain"
-SVPO = "svpo"
-
 LOG_FIELDS = ["step", "stage", "dpo", "margin", "reg", "sft", "mse", "total",
               "grad_norm", "max_abs_dr"]
 
@@ -58,26 +57,17 @@ class EmptyBatch(Exception):
 
 
 @dataclass
-class TrainConfig:
-    stage: str = SVPO
-    beta: float = 0.1
-    gamma: float = 0.5
-    w_margin: float = 0.25
-    w_mse: float = 0.25
-    w_reg: float = 0.001
-    w_sft: float = 5.0
+class PretrainConfig:
+    """Pretraining: imitation plus a lightly weighted value MSE."""
+
+    w_sft: float = 1.0
+    w_mse: float = 0.01
     lr: float = 0.05
     batch_size: int = 32
-    epochs: int = 4
+    epochs: int = 8
 
     def __post_init__(self):
-        if self.stage not in (PRETRAIN, SVPO):
-            raise ValueError(f"unknown stage {self.stage!r}")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if min(self.w_margin, self.w_mse, self.w_reg, self.w_sft) < 0:
+        if min(self.w_sft, self.w_mse) < 0:
             raise ValueError("loss weights must be >= 0")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
@@ -85,18 +75,32 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be >= 1")
 
 
-def default_pretrain_config(**overrides) -> TrainConfig:
-    """Pretraining: imitation plus a lightly weighted value MSE."""
-    base = dict(stage=PRETRAIN, w_sft=1.0, w_mse=0.01, w_margin=0.0,
-                w_reg=0.0, lr=0.05, batch_size=32, epochs=8)
-    base.update(overrides)
-    return TrainConfig(**base)
+@dataclass
+class SVPOConfig(PretrainConfig):
+    """The preference stage: the pretraining terms, reweighted, plus the
+    step-level preference, value-margin and coupling terms."""
+
+    w_sft: float = 5.0
+    w_mse: float = 0.25
+    epochs: int = 4
+    beta: float = 0.1
+    gamma: float = 0.5
+    w_margin: float = 0.25
+    w_reg: float = 0.001
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.beta <= 0:
+            raise ValueError("beta must be positive")
+        if self.gamma < 0:
+            raise ValueError("gamma must be >= 0")
+        if min(self.w_margin, self.w_reg) < 0:
+            raise ValueError("loss weights must be >= 0")
 
 
-def default_svpo_config(**overrides) -> TrainConfig:
-    base = dict(stage=SVPO, epochs=4)
-    base.update(overrides)
-    return TrainConfig(**base)
+# the earlier factory names, which svpobench's tests import
+default_pretrain_config = PretrainConfig
+default_svpo_config = SVPOConfig
 
 
 @dataclass(frozen=True)
@@ -109,13 +113,6 @@ class LossBreakdown:
     sft: float = 0.0
     mse: float = 0.0
     total: float = 0.0
-
-
-def combine_total(config: TrainConfig, dpo: float, margin: float, reg: float,
-                  sft: float, mse: float) -> float:
-    """The weighted total; pretraining passes zero preference terms."""
-    return (dpo + config.w_margin * margin + config.w_reg * reg
-            + config.w_sft * sft + config.w_mse * mse)
 
 
 @dataclass
@@ -187,7 +184,7 @@ def _dataset_prefixes(solutions: list[Solution], targets: list[ValueTarget]):
             [s.steps for s in solutions] + [t.prefix for t in targets])
 
 
-def _dataset_loss(config: TrainConfig, sol_logprobs: np.ndarray,
+def _dataset_loss(config: PretrainConfig, sol_logprobs: np.ndarray,
                   tgt_values: np.ndarray, targets: list[ValueTarget]):
     """Mean solution NLL and value-target squared error, and their weighted
     kernel coefficients (a, b) over the solutions, then the targets."""
@@ -208,7 +205,7 @@ def _dataset_loss(config: TrainConfig, sol_logprobs: np.ndarray,
 
 def svpo_batch_grad(model: Model, params: PolicyValueParams,
                     ref_logprobs: np.ndarray, batch: list[PreferencePair],
-                    config: TrainConfig, solutions: list[Solution],
+                    config: SVPOConfig, solutions: list[Solution],
                     targets: list[ValueTarget], rows: PrefixRows):
     """Mean loss terms and mean weighted gradient for one svpo step.
 
@@ -259,13 +256,16 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
     _, _, grad = model.seq_logprob_grad(params, rows, qids + data_qids,
                                         prefixes + data_prefixes, coef)
     max_abs_dr = terms.pop("max_abs_dr")
-    breakdown = LossBreakdown(total=combine_total(config, **terms), **terms)
+    total = (terms["dpo"] + config.w_margin * terms["margin"]
+             + config.w_reg * terms["reg"] + config.w_sft * terms["sft"]
+             + config.w_mse * terms["mse"])
+    breakdown = LossBreakdown(total=total, **terms)
     return breakdown, grad, max_abs_dr
 
 
 def pretrain_batch_grad(model: Model, params: PolicyValueParams,
                         solutions: list[Solution],
-                        targets: list[ValueTarget], config: TrainConfig,
+                        targets: list[ValueTarget], config: PretrainConfig,
                         rows: PrefixRows):
     """Mean solution NLL plus weighted mean squared value error, and its
     gradient, from one kernel call over the compiled prefixes `rows`."""
@@ -281,8 +281,8 @@ def pretrain_batch_grad(model: Model, params: PolicyValueParams,
 
     _, _, grad = model.seq_logprob_grad(
         params, rows, *_dataset_prefixes(solutions, targets), coef)
-    breakdown = LossBreakdown(total=combine_total(config, 0, 0, 0, **terms),
-                              **terms)
+    total = config.w_sft * terms["sft"] + config.w_mse * terms["mse"]
+    breakdown = LossBreakdown(total=total, **terms)
     return breakdown, grad
 
 
@@ -297,17 +297,19 @@ def _order(n: int, rng) -> np.ndarray:
     return rng.permutation(n) if n else np.array([], int)
 
 
-def train_loop(model: Model, data: TrainData, config: TrainConfig,
+def train_loop(model: Model, data: TrainData, config: PretrainConfig,
                rng_seed: int, init: Checkpoint, rows: PrefixRows,
                log: list | None = None) -> Checkpoint:
-    """Run one stage from `init` and return the final checkpoint.
+    """Run the stage that `config`'s type names from `init` and return
+    the final checkpoint.
 
     In the svpo stage the `init` params (normally the pretrain result)
     also become the frozen reference policy. `rows` are compiled prefix
     rows covering every prefix of `data`; a superset gives the same bits.
     Deterministic in (data, config, rng_seed, init).
     """
-    svpo = config.stage == SVPO
+    svpo = isinstance(config, SVPOConfig)
+    stage = "svpo" if svpo else "pretrain"
     if svpo and not data.pairs:
         raise EmptyBatch("svpo stage needs preference pairs")
     if not svpo and not data.solutions and not data.value_targets:
@@ -344,7 +346,7 @@ def train_loop(model: Model, data: TrainData, config: TrainConfig,
                 max_dr = 0.0
             _apply(params, grad, config.lr)
             step += 1
-            _log_row(log, step, config.stage, breakdown, grad, max_dr)
+            _log_row(log, step, stage, breakdown, grad, max_dr)
     return Checkpoint(params=params, ref_params=ref_params, step=step,
                       config=dict(vars(config)))
 

@@ -16,7 +16,7 @@ from svpo.model import (
     SCRATCH_HI, SCRATCH_LO, Featurizer, Gradients, Model, PolicyValueParams,
     spawn_generator, temper,
 )
-from svpo.train import EmptyBatch, LossBreakdown, combine_total
+from svpo.train import EmptyBatch, LossBreakdown
 
 FD_EPS = 1e-5
 
@@ -249,7 +249,8 @@ def svpo_pair_terms(model: Model, params: PolicyValueParams,
     mse = (w_ev.value - pair.q_w) ** 2
     breakdown = LossBreakdown(
         dpo=dpo, margin=margin, reg=reg, sft=sft, mse=mse,
-        total=combine_total(config, dpo, margin, reg, sft, mse))
+        total=(dpo + config.w_margin * margin + config.w_reg * reg
+               + config.w_sft * sft + config.w_mse * mse))
 
     def combo(*parts) -> Gradients:
         g = zero_grad(params)
@@ -297,7 +298,7 @@ def pretrain_loss(model: Model, params: PolicyValueParams, solutions,
         mse += (model.value(params, state) - tgt.target) ** 2
     mse = mse / len(targets) if targets else 0.0
     return LossBreakdown(sft=sft, mse=mse,
-                         total=combine_total(config, 0, 0, 0, sft, mse))
+                         total=config.w_sft * sft + config.w_mse * mse)
 
 
 def dataset_grad(model: Model, params: PolicyValueParams, solutions,

@@ -121,13 +121,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # difficulty would fail only inside the gen stage; both are refused
     # before any stage runs
     out = tmp_path / "out"
-    for line in ("svpo_lr = nan", "pretrain_gamma = inf",
+    for line in ("svpo_lr = nan", "pretrain_lr = inf",
                  "difficulty = hrad"):
         bad.write_text(TINY + line + "\n")
         capsys.readouterr()
         assert main(["pipeline", "--config", str(bad),
                      "--out", str(out)]) == 2, line
         assert "config error" in capsys.readouterr().err
+    # pretraining's config holds only the fields its loss reads
+    for key in ("beta", "gamma", "w_margin", "w_reg", "stage"):
+        bad.write_text(TINY + f"pretrain_{key} = 1\n")
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(bad),
+                     "--out", str(out)]) == 2, key
+        assert "unknown config key" in capsys.readouterr().err
     assert not out.exists()
 
 

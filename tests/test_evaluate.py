@@ -22,8 +22,8 @@ from svpo.pairs import (
     PairCounts, PreferencePair, extract_pairs, label_correct,
 )
 from svpo.train import (
-    PAIR_CHUNK, TrainData, default_pretrain_config, default_svpo_config,
-    stage_rows,
+    PAIR_CHUNK, PretrainConfig, SVPOConfig, TrainData,
+    default_pretrain_config, default_svpo_config, stage_rows,
 )
 
 from oracles import (
@@ -216,9 +216,8 @@ def test_config_key_set_is_pinned():
     assert sorted(experiment_config_to_dict(ExperimentConfig())) == [
         "counts_n_cousin", "counts_n_sibling", "counts_n_terminal",
         "difficulty", "max_value_targets", "n_test", "n_train",
-        "pretrain_batch_size", "pretrain_beta", "pretrain_epochs",
-        "pretrain_gamma", "pretrain_lr", "pretrain_w_margin",
-        "pretrain_w_mse", "pretrain_w_reg", "pretrain_w_sft",
+        "pretrain_batch_size", "pretrain_epochs", "pretrain_lr",
+        "pretrain_w_mse", "pretrain_w_sft",
         "sbs_b1", "sbs_b2", "sbs_temperature",
         "search_c_puct", "search_max_simulations", "search_max_trees",
         "search_n_children", "search_target_correct", "search_temperature",
@@ -226,6 +225,15 @@ def test_config_key_set_is_pinned():
         "svpo_batch_size", "svpo_beta", "svpo_epochs", "svpo_gamma",
         "svpo_lr", "svpo_w_margin", "svpo_w_mse", "svpo_w_reg", "svpo_w_sft",
     ]
+
+
+def test_stage_configs_must_match_their_slots():
+    """The stage a slot trains is its config's type: a preference config
+    in the pretrain slot would run preference training there."""
+    with pytest.raises(ValueError):
+        ExperimentConfig(pretrain=SVPOConfig())
+    with pytest.raises(ValueError):
+        ExperimentConfig(svpo=PretrainConfig())
 
 
 @pytest.mark.parametrize("arm", sorted(ARMS))

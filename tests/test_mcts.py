@@ -93,7 +93,7 @@ def test_expand_terminal_child_value_is_reward(toy):
     params = scripted_params(model, {1: ans0.id}, logit=25.0)
     rng = spawn_generator(0)
     results = expand_and_evaluate(tree, child.id, model, params,
-                                  SearchConfig(), rng)
+                                  SearchConfig(), rng, {})
     by_node = {nid: v for nid, v in results}
     ans_nodes = [n for n in tree.nodes
                  if n.action == ans0.id and n.parent == child.id]
@@ -115,7 +115,8 @@ def test_expand_rollout_terminal_kept_as_grandchild(toy):
     add2 = find_action(env, "add+2")
     params = scripted_params(model, {1: ans0.id}, logit=25.0)
     rng = spawn_generator(1)
-    results = expand_and_evaluate(tree, 0, model, params, SearchConfig(), rng)
+    results = expand_and_evaluate(tree, 0, model, params, SearchConfig(), rng,
+                                  {})
     assert len(results) == 5  # five distinct ops sampled at the root
     for nid, value in results:
         node = tree.nodes[nid]
@@ -135,7 +136,7 @@ def test_expand_nonterminal_rollout_backs_up_zero(toy):
     add1 = find_action(env, "add+1")
     params = scripted_params(model, {1: add1.id}, logit=25.0)
     results = expand_and_evaluate(tree, 0, model, params, SearchConfig(),
-                                  spawn_generator(2))
+                                  spawn_generator(2), {})
     assert len(results) == 5
     for nid, value in results:
         node = tree.nodes[nid]
@@ -156,8 +157,7 @@ def test_expand_depth_cutoff_is_incorrect_terminal(toy):
                           small_env.transition(tree.root.state, add1), 1.0)
     params = small_model.zeros_params()
     results = expand_and_evaluate(tree, child.id, small_model, params,
-                                  SearchConfig(),
-                                  spawn_generator(3))
+                                  SearchConfig(), spawn_generator(3), {})
     assert results
     for nid, value in results:
         node = tree.nodes[nid]
@@ -174,9 +174,10 @@ def test_expand_errors(toy):
     tree = new_tree(env, q)
     params = model.zeros_params()
     cfg = SearchConfig()
-    expand_and_evaluate(tree, 0, model, params, cfg, spawn_generator(4))
+    expand_and_evaluate(tree, 0, model, params, cfg, spawn_generator(4), {})
     with pytest.raises(AlreadyExpanded):
-        expand_and_evaluate(tree, 0, model, params, cfg, spawn_generator(5))
+        expand_and_evaluate(tree, 0, model, params, cfg, spawn_generator(5),
+                            {})
     # a non-terminal node parked at the depth budget cannot be expanded
     deep_state = tree.root.state
     for _ in range(env.config.max_depth):
@@ -184,7 +185,7 @@ def test_expand_errors(toy):
     deep = tree.add_node(0, env.vocab[0].id, deep_state, 0.1)
     with pytest.raises(DepthExceeded):
         expand_and_evaluate(tree, deep.id, model, params, cfg,
-                            spawn_generator(6))
+                            spawn_generator(6), {})
 
 
 def test_backup_incremental_mean_exact(toy):

@@ -14,7 +14,7 @@ from svpo.pairs import (
     extract_sft_solutions, extract_value_targets, label_correct,
 )
 from svpo.train import (
-    Checkpoint, EmptyBatch, TrainConfig, TrainData,
+    Checkpoint, EmptyBatch, PretrainConfig, SVPOConfig, TrainData,
     default_pretrain_config, default_svpo_config, load_checkpoint,
     pair_logprobs, parse_kv_text, pretrain_batch_grad, save_checkpoint,
     stage_rows, svpo_batch_grad, train_loop,
@@ -456,16 +456,17 @@ def test_checkpoint_roundtrip(tmp_path, corpus):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(stage="bogus")
-    with pytest.raises(ValueError):
-        TrainConfig(lr=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(gamma=-0.5)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(beta=0.0)
+    for cls in (PretrainConfig, SVPOConfig):
+        for bad in ({"lr": -0.1}, {"batch_size": 0}, {"epochs": 0},
+                    {"w_sft": -1.0}, {"w_mse": -1.0}):
+            with pytest.raises(ValueError):
+                cls(**bad)
+    for bad in ({"beta": 0.0}, {"gamma": -0.5}, {"w_margin": -1.0},
+                {"w_reg": -1.0}):
+        with pytest.raises(ValueError):
+            SVPOConfig(**bad)
+    with pytest.raises(TypeError):  # no preference terms in pretraining
+        PretrainConfig(beta=0.1)
 
 
 def test_kv_config_files():
