@@ -7,8 +7,13 @@ that answer are parked, the rest compete on the value head's score of
 their new state. A parked candidate is scored with the value of the state
 it answered from, since the true reward is not observable at inference
 time. The final result is the parked-or-live candidate with the highest
-score, so a run that never answers comes back as an unfinished, incorrect
-solution rather than an error.
+(score, log-prob), parked and earlier first on ties, so a run that never
+answers comes back as an unfinished, incorrect solution, not an error.
+
+A decode seeds one generator and reads its uniforms in disjoint blocks
+of w = min(b2, vocabulary size), beam slot j at level L from offset
+(j * max_depth + L) * w: slot-major, so the top slot's draws do not
+depend on b1. A slot's blocks are drawn when it first lives.
 
 Beam search scores the root, and then all non-answering children of a
 level, in one batched forward (`Model.policy_value`) per level. A
@@ -16,12 +21,12 @@ retained beam keeps its row's log-probs, from which the next level
 samples, so no state is evaluated twice. Every live beam of a level sits
 at the same depth and so has the same legal actions: a level costs one
 `legal_rows` and one `temper` call over the stacked live rows, one
-seeded generator and one `sample_distinct` call per live beam (b1 at
-most), and one forward. Only the b1 survivors and the parked answers
-become `BeamCandidate`s. Greedy decoding evaluates one state per step.
-Sampling goes through `model.sample_distinct`, which MCTS expansion uses
-too: a seed gives the same picks and leaves the generator in the same
-state as that many `Generator.choice` calls would.
+`sample_distinct` call per live beam (b1 at most), and one forward. Only
+the b1 survivors become `BeamCandidate`s, and only the best answer so
+far is kept, its reward computed once. Greedy decoding evaluates one
+state per step. Sampling goes through `model.sample_distinct`, which
+MCTS expansion uses too: given a generator's uniforms it picks what as
+many `Generator.choice` calls would from the same stream.
 """
 from __future__ import annotations
 
@@ -84,17 +89,20 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
              trace: list | None = None) -> BeamCandidate:
     """Run the search and return the winning candidate (see `sbs`).
 
-    Each (level, beam slot) draws from its own seed stream, so the top
-    beam's sampling does not depend on how many sibling beams exist.
-    Children are ranked by (value, log-prob, lower beam slot).
+    One seed stream per decode, read in fixed (slot, level) blocks, so
+    the top beam's sampling does not depend on how many sibling beams
+    exist. Children are ranked by (value, log-prob, lower beam slot).
     """
     env = model.env
+    width = min(config.b2, len(env.vocab))
+    rng = spawn_generator(_SBS_STREAM, rng_seed, question.id)
+    uniforms: list[float] = []
     root = env.initial_state(question)
     logp, values, _, _ = model.policy_value(params, [root])
     # live beams, their states and their whole-vocabulary log-prob rows
     live = [BeamCandidate((), 0.0, float(values[0]), False)]
     states = [root]
-    parked: list[BeamCandidate] = []
+    best = None  # parked answer: ((score, logprob), prefix, state, action)
     level = 0
     # a state at the Env's depth budget has no legal actions
     while live and level < env.config.max_depth:
@@ -102,12 +110,14 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
         legal, logp = model.legal_rows(states[0], logp)
         probs = temper(logp, config.temperature).tolist()
         rows = logp.tolist()
+        n = min(config.b2, len(legal))
         # the level's non-answering children, as parallel lists
         prefixes, logprobs, children, parents = [], [], [], []
         for beam_idx, (beam, state) in enumerate(zip(live, states)):
-            rng = spawn_generator(_SBS_STREAM, rng_seed, question.id, level,
-                                  beam_idx)
-            picks = sample_distinct(probs[beam_idx], config.b2, rng)
+            start = (beam_idx * env.config.max_depth + level) * width
+            if start + n > len(uniforms):  # the slot's first block
+                uniforms += rng.random(env.config.max_depth * width).tolist()
+            picks = sample_distinct(probs[beam_idx], uniforms[start:start + n])
             if trace is not None:
                 trace.append(("expand", level, beam_idx, beam.prefix,
                               tuple(legal[i].id for i in picks)))
@@ -118,9 +128,9 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
                 logprob = beam.logprob + row[i]
                 if action.kind == TERMINAL:
                     # scored by the value of the state answered from
-                    parked.append(BeamCandidate(
-                        prefix, logprob, beam.value_score, True,
-                        env.terminal_reward(state, action)))
+                    key = (beam.value_score, logprob)
+                    if best is None or key > best[0]:
+                        best = (key, prefix, state, action)
                     continue
                 prefixes.append(prefix)
                 logprobs.append(logprob)
@@ -137,7 +147,12 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
         if trace is not None:
             trace.append(("retain", level, tuple(c.prefix for c in live)))
         level += 1
-    return max(parked + live, key=lambda c: (c.value_score, c.logprob))
+    top = max(live, key=lambda c: (c.value_score, c.logprob), default=None)
+    if best is None or (top and (top.value_score, top.logprob) > best[0]):
+        return top
+    (score, logprob), prefix, state, action = best
+    return BeamCandidate(prefix, logprob, score, True,
+                         env.terminal_reward(state, action))
 
 
 def sbs(model: Model, params: PolicyValueParams, question: Question,

@@ -166,8 +166,9 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
         raise DepthExceeded(f"node {node_id} is at the depth budget")
     [(legal, probs, tempered)] = _policies(model, params, [node.state],
                                            config.temperature, memo)
+    uniforms = rng.random(min(config.n_children, len(tempered))).tolist()
     children = [(legal[i], probs[i], env.transition(node.state, legal[i]))
-                for i in sample_distinct(tempered, config.n_children, rng)]
+                for i in sample_distinct(tempered, uniforms)]
     rollout = [state for action, _, state in children
                if action.kind != TERMINAL and state.depth < max_depth]
     rollouts = iter(())

@@ -15,8 +15,9 @@ from one featurizer, `Featurizer.rows`: each row is a copy of its
 question's base row (the question-only blocks, computed once per
 question) with the state's few entries written by index. Sampling goes
 through `draw_index` and `sample_distinct`, which read Python float
-sequences (search keeps its probabilities as `.tolist()` rows) and
-consume a generator exactly as `Generator.choice` does. Training and
+sequences (search keeps its probabilities as `.tolist()` rows) and take
+their uniforms from the caller, so that a generator's uniforms pick what
+`Generator.choice` would pick from the same stream. Training and
 win-rate scoring go through one batched prefix kernel,
 `Model.seq_logprob_grad`: it evaluates many (question, prefix) sequences
 at once and returns the gradient of any weighted sum of their
@@ -439,29 +440,26 @@ _BOUNDARY = 1e-12
 _NORMAL = float(np.finfo(float).tiny)
 
 
-def sample_distinct(weights, k: int,
-                    rng: np.random.Generator) -> list[int]:
-    """min(k, len(weights)) distinct indices, drawn one by one without
-    replacement, each in proportion to the weights still left. If the
-    remaining mass underflows to zero (very low temperatures), the
+def sample_distinct(weights, uniforms: list[float]) -> list[int]:
+    """len(uniforms) distinct indices, drawn one by one without
+    replacement, each in proportion to the weights still left; pick i
+    reads uniforms[i], and there must be at most len(weights) of them.
+    If the remaining mass underflows to zero (very low temperatures), the
     leftovers are treated as uniform. `weights` is any sequence of
     floats, a list or an array.
 
-    The picks and the generator's end state are those of one
-    `Generator.choice` call per pick over the normalized weights left.
-    All uniforms come from one `rng.random(n)` call, which yields the
-    values n `random()` calls would. Each pick scales its uniform by the
+    Given the uniforms a generator yields, the picks are those of one
+    `Generator.choice` call per pick over the normalized weights left, so
+    a caller that passes `rng.random(n).tolist()` consumes the generator
+    exactly as n such calls would. Each pick scales its uniform by the
     mass left and bisects the running sums in Python floats. A pick whose
     scaled uniform lies within 1e-12 times that mass of a boundary, or
     whose mass is zero or subnormal, is redone in choice's numpy
     arithmetic (`_index`)."""
-    n = min(k, len(weights))
-    if n <= 0:
-        return []
     remaining = list(range(len(weights)))
     left = list(weights)
     picks: list[int] = []
-    for u in rng.random(n).tolist():
+    for u in uniforms:
         cdf = list(accumulate(left))
         mass = cdf[-1]
         x = u * mass

@@ -468,8 +468,12 @@ def reference_forest(model: Model, question, params: PolicyValueParams,
 def reference_sbs_best(model: Model, params: PolicyValueParams, question,
                        config, rng_seed: int, trace: list):
     """`infer.sbs_best` with `choice_sample_distinct` draws and one
-    `legal_logprobs` or `value` call per state."""
+    `legal_logprobs` or `value` call per state. Slot j at level L draws
+    from a fresh copy of the decode's stream, first skipping the
+    (j * max_depth + L) * min(b2, vocabulary size) uniforms of the blocks
+    before its own."""
     env = model.env
+    width = min(config.b2, len(env.vocab))
     root = env.initial_state(question)
     live = [(infer.BeamCandidate((), 0.0, model.value(params, root), False),
              root)]
@@ -480,8 +484,8 @@ def reference_sbs_best(model: Model, params: PolicyValueParams, question,
         pool = []
         for beam_idx, (beam, state) in enumerate(live):
             legal, logprobs, _, _ = model.legal_logprobs(params, state)
-            rng = spawn_generator(infer._SBS_STREAM, rng_seed, question.id,
-                                  level, beam_idx)
+            rng = spawn_generator(infer._SBS_STREAM, rng_seed, question.id)
+            rng.random((beam_idx * env.config.max_depth + level) * width)
             picks = choice_sample_distinct(
                 temper(logprobs, config.temperature), config.b2, rng)
             trace.append(("expand", level, beam_idx, beam.prefix,

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from svpo import infer
 from svpo.env import Env, EnvConfig, Question, TERMINAL, gen_dataset
 from svpo.infer import (
     SBSConfig, greedy_decode, inference_record, load_inference_records,
@@ -253,8 +254,10 @@ def test_value_guidance_beats_uniform_greedy():
     greedy_acc = np.mean([greedy_decode(model, params, q).correct
                           for q in held_qs])
     config = SBSConfig(b1=1, b2=5, temperature=1.0)
+    # one decode seed's accuracy over these 20 questions has an SD of
+    # about 0.06 around a mean of about 0.08, so average over 40 seeds
     sbs_accs = [np.mean([sbs(model, params, q, config, seed).correct
-                         for q in held_qs]) for seed in range(5)]
+                         for q in held_qs]) for seed in range(40)]
     assert greedy_acc == 0.0
     assert np.mean(sbs_accs) > greedy_acc
     assert np.mean(sbs_accs) > 0.05
@@ -331,3 +334,97 @@ def test_sbs_matches_choice_reference(setup):
                                                     rel=1e-12, abs=0)
             assert got.logprob == pytest.approx(want.logprob, rel=1e-12,
                                                 abs=0)
+
+
+@pytest.fixture(scope="module")
+def hard_setup():
+    env = Env(EnvConfig())
+    questions = gen_dataset(seed=61, n=4, difficulty="hard")
+    env.register(questions)
+    model = Model(env)
+    return model, model.init_params(seed=5, scale=1.0), questions
+
+
+def test_sbs_spawns_one_generator_per_decode(hard_setup, monkeypatch):
+    """A decode seeds one stream, however many levels and beam slots it
+    runs (these decodes run all eight levels)."""
+    model, params, questions = hard_setup
+    spawned = []
+
+    def counted(*entropy):
+        spawned.append(entropy)
+        return spawn_generator(*entropy)
+
+    monkeypatch.setattr(infer, "spawn_generator", counted)
+    for b1, q in itertools.product((1, 3), questions):
+        spawned.clear()
+        trace = []
+        sbs_best(model, params, q, SBSConfig(b1=b1), rng_seed=7, trace=trace)
+        assert max(entry[1] for entry in trace) == \
+            model.env.config.max_depth - 1
+        assert spawned == [(infer._SBS_STREAM, 7, q.id)]
+
+
+class _CountingGenerator:
+    """A generator that counts the uniforms drawn from it."""
+
+    def __init__(self, rng, drawn):
+        self.rng, self.drawn = rng, drawn
+
+    def random(self, size):
+        self.drawn.append(size)
+        return self.rng.random(size)
+
+
+def test_huge_b2_draws_only_the_live_slots_blocks(hard_setup, monkeypatch):
+    """Blocks are as wide as the vocabulary at most, so a b2 far above
+    it draws no more than b1 slots' blocks at every level."""
+    model, params, questions = hard_setup
+    env = model.env
+    drawn = []
+    monkeypatch.setattr(infer, "spawn_generator", lambda *entropy:
+                        _CountingGenerator(spawn_generator(*entropy), drawn))
+    for b1 in (1, 3):
+        config = SBSConfig(b1=b1, b2=10**6)
+        for q in questions:
+            drawn.clear()
+            trace = []
+            sbs_best(model, params, q, config, rng_seed=7, trace=trace)
+            widest = max(len(entry[4]) for entry in trace
+                         if entry[0] == "expand")
+            assert widest == len(env.vocab)
+            assert sum(drawn) <= b1 * env.config.max_depth * len(env.vocab)
+
+
+def test_top_slot_draws_do_not_depend_on_b1(hard_setup):
+    """Slot 0 expands the same prefix with the same draws at levels 0 and
+    1 whether one beam is kept or three (from level 2 on its prefix may
+    be a child of another slot)."""
+    model, params, questions = hard_setup
+    for q in questions:
+        top = {}
+        for b1 in (1, 3):
+            trace = []
+            sbs_best(model, params, q, SBSConfig(b1=b1), rng_seed=7,
+                     trace=trace)
+            top[b1] = [entry for entry in trace if entry[0] == "expand"
+                       and entry[1] < 2 and entry[2] == 0]
+        assert len(top[1]) == 2
+        assert top[1] == top[3]
+
+
+def test_sbs_golden_decodes(hard_setup):
+    """Pins the stream layout: seeded hard decodes return these prefixes
+    (every one an answer) at b1 = 1 and b1 = 3."""
+    model, params, questions = hard_setup
+    golden = {
+        1: [(5, 2, 3, 10), (0, 5, 1, 1, 1, 10), (2, 4, 3, 4, 0, 8),
+            (2, 4, 4, 3, 4, 9)],
+        3: [(5, 2, 3, 2, 3, 3, 3, 6), (1, 1, 1, 3, 4, 0, 5, 8),
+            (3, 4, 4, 3, 1, 8), (1, 4, 3, 4, 4, 7)],
+    }
+    for b1, prefixes in golden.items():
+        got = [sbs_best(model, params, q, SBSConfig(b1=b1), rng_seed=7)
+               for q in questions]
+        assert [best.prefix for best in got] == prefixes
+        assert all(best.finished for best in got)

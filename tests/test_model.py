@@ -230,8 +230,9 @@ _ANY_WEIGHT = st.one_of(_WEIGHT, st.floats(5e-324, 1e-308))
        k=st.integers(1, 12), seed=st.integers(0, 2**63))
 def test_sample_distinct_matches_generator_choice(weights, one_hot, hot,
                                                   temperature, k, seed):
-    """Same picks and same generator state as one choice call per pick,
-    on raw weights (zero, tiny and subnormal ones included) and on
+    """Given min(k, n) uniforms of a stream, the picks of one choice
+    call per pick on the same stream, which it leaves where drawing the
+    uniforms left it; on raw weights (zero, tiny and subnormal ones included) and on
     weights tempered down to 1e-3, given as an array or as a list."""
     w = np.array(weights)
     if one_hot or w.sum() == 0:
@@ -240,26 +241,23 @@ def test_sample_distinct_matches_generator_choice(weights, one_hot, hot,
     if temperature is not None:
         with np.errstate(divide="ignore"):
             w = temper(np.log(w), temperature)
-    mine, listed, theirs = (spawn_generator(seed) for _ in range(3))
+    mine, theirs = spawn_generator(seed), spawn_generator(seed)
     for _ in range(3):
         want = choice_sample_distinct(w, k, theirs)
-        assert sample_distinct(w, k, mine) == want
-        assert sample_distinct(w.tolist(), k, listed) == want
+        uniforms = mine.random(min(k, len(w))).tolist()
+        assert sample_distinct(w, uniforms) == want
+        assert sample_distinct(w.tolist(), uniforms) == want
         assert mine.bit_generator.state == theirs.bit_generator.state
-        assert listed.bit_generator.state == theirs.bit_generator.state
 
 
 class _Uniforms:
-    """Generator stand-in yielding fixed uniforms, singly or k at a time."""
+    """Generator stand-in yielding fixed uniforms one at a time."""
 
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self, size=None):
-        if size is None:
-            return self.values.pop(0)
-        out, self.values = self.values[:size], self.values[size:]
-        return np.array(out)
+    def random(self):
+        return self.values.pop(0)
 
 
 def _draw_one_by_one(weights, k, rng):
@@ -301,7 +299,7 @@ def test_sample_distinct_falls_back_on_cdf_boundaries(weights, monkeypatch):
     monkeypatch.setattr(model_module, "_index", counted)
     for u, picks in zip(uniforms, want):
         fallbacks.clear()
-        assert sample_distinct(w, 1, _Uniforms([u])) == picks
+        assert sample_distinct(w, [u]) == picks
         assert fallbacks == [u]
 
 
@@ -331,11 +329,13 @@ def test_sample_distinct_underflow_is_uniform():
     rng = spawn_generator(4)
     counts = np.zeros(4)
     for _ in range(3000):
-        picks = sample_distinct(np.array([1.0, 0.0, 0.0, 0.0]), 2, rng)
+        picks = sample_distinct(np.array([1.0, 0.0, 0.0, 0.0]),
+                                rng.random(2).tolist())
         assert picks[0] == 0 and len(set(picks)) == 2
         counts[picks[1]] += 1
     assert counts[0] == 0 and counts[1:].min() > 900
-    assert sorted(sample_distinct(np.ones(3), 9, rng)) == [0, 1, 2]
+    assert sorted(sample_distinct(np.ones(3), rng.random(3).tolist())) == \
+        [0, 1, 2]
 
 
 def test_temper_is_shift_safe():
