@@ -21,12 +21,15 @@ retained beam keeps its row's log-probs, from which the next level
 samples, so no state is evaluated twice. Every live beam of a level sits
 at the same depth and so has the same legal actions: a level costs one
 `legal_rows` and one `temper` call over the stacked live rows, one
-`sample_distinct` call per live beam (b1 at most), and one forward. Only
-the b1 survivors become `BeamCandidate`s, and only the best answer so
-far is kept, its reward computed once. Greedy decoding evaluates one
-state per step. Sampling goes through `model.sample_distinct`, which
-MCTS expansion uses too: given a generator's uniforms it picks what as
-many `Generator.choice` calls would from the same stream.
+`sample_distinct` call per live beam (b1 at most), and one forward. A
+level whose every pick answers leaves no child to score, and the search
+ends there without a forward. Live beams are kept as parallel lists,
+only the returned candidate becomes a `BeamCandidate`, and only the
+best answer so far is kept, its reward computed once. Greedy decoding
+evaluates one state per step. Sampling goes through
+`model.sample_distinct`, which MCTS expansion uses too: given a
+generator's uniforms it picks what as many `Generator.choice` calls
+would from the same stream.
 """
 from __future__ import annotations
 
@@ -99,8 +102,9 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
     uniforms: list[float] = []
     root = env.initial_state(question)
     logp, values, _, _ = model.policy_value(params, [root])
-    # live beams, their states and their whole-vocabulary log-prob rows
-    live = [BeamCandidate((), 0.0, float(values[0]), False)]
+    # live beams as parallel lists: prefixes, log-probs, value scores and
+    # states, with their whole-vocabulary log-prob rows in `logp`
+    live, live_logprobs, live_values = [()], [0.0], [float(values[0])]
     states = [root]
     best = None  # parked answer: ((score, logprob), prefix, state, action)
     level = 0
@@ -113,22 +117,23 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
         n = min(config.b2, len(legal))
         # the level's non-answering children, as parallel lists
         prefixes, logprobs, children, parents = [], [], [], []
-        for beam_idx, (beam, state) in enumerate(zip(live, states)):
+        for beam_idx, state in enumerate(states):
             start = (beam_idx * env.config.max_depth + level) * width
             if start + n > len(uniforms):  # the slot's first block
                 uniforms += rng.random(env.config.max_depth * width).tolist()
             picks = sample_distinct(probs[beam_idx], uniforms[start:start + n])
+            beam_prefix = live[beam_idx]
             if trace is not None:
-                trace.append(("expand", level, beam_idx, beam.prefix,
+                trace.append(("expand", level, beam_idx, beam_prefix,
                               tuple(legal[i].id for i in picks)))
-            row = rows[beam_idx]
+            beam_logprob, row = live_logprobs[beam_idx], rows[beam_idx]
             for i in picks:
                 action = legal[i]
-                prefix = beam.prefix + (action.id,)
-                logprob = beam.logprob + row[i]
+                prefix = beam_prefix + (action.id,)
+                logprob = beam_logprob + row[i]
                 if action.kind == TERMINAL:
                     # scored by the value of the state answered from
-                    key = (beam.value_score, logprob)
+                    key = (live_values[beam_idx], logprob)
                     if best is None or key > best[0]:
                         best = (key, prefix, state, action)
                     continue
@@ -136,20 +141,27 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
                 logprobs.append(logprob)
                 children.append(env.transition(state, action))
                 parents.append(beam_idx)
-        logp, values, _, _ = model.policy_value(params, children)
-        values = values.tolist()
-        keep = sorted(range(len(children)), key=lambda j: (
-            -values[j], -logprobs[j], parents[j]))[:config.b1]
-        live = [BeamCandidate(prefixes[j], logprobs[j], values[j], False)
-                for j in keep]
+        if children:
+            logp, values, _, _ = model.policy_value(params, children)
+            values = values.tolist()
+            keep = sorted(range(len(children)), key=lambda j: (
+                -values[j], -logprobs[j], parents[j]))[:config.b1]
+            logp = logp[keep]
+        else:  # every pick answered: the search ends without a forward
+            keep = []
+        live = [prefixes[j] for j in keep]
+        live_logprobs = [logprobs[j] for j in keep]
+        live_values = [values[j] for j in keep]
         states = [children[j] for j in keep]
-        logp = logp[keep]
         if trace is not None:
-            trace.append(("retain", level, tuple(c.prefix for c in live)))
+            trace.append(("retain", level, tuple(live)))
         level += 1
-    top = max(live, key=lambda c: (c.value_score, c.logprob), default=None)
-    if best is None or (top and (top.value_score, top.logprob) > best[0]):
-        return top
+    if live:
+        top = max(range(len(live)),
+                  key=lambda j: (live_values[j], live_logprobs[j]))
+        key = (live_values[top], live_logprobs[top])
+        if best is None or key > best[0]:
+            return BeamCandidate(live[top], key[1], key[0], False)
     (score, logprob), prefix, state, action = best
     return BeamCandidate(prefix, logprob, score, True,
                          env.terminal_reward(state, action))

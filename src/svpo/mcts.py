@@ -13,19 +13,26 @@ correct solutions exist or the tree budget runs out.
 
 `build_forest` keeps one policy memo per forest: the legal actions,
 probabilities and tempered probabilities of every state the forest has
-evaluated, keyed by its steps. The probabilities are stored as lists of
-Python floats, since priors and draws read them one entry at a time. An
-expansion evaluates all of its new rollout children that the memo lacks
-in one batched forward (`Model.policy_value`, then one `np.exp`, one
-`temper` and one `legal_rows` over the batch) and draws each child's
-rollout step with `model.draw_index`, the uniforms from one
-`rng.random(m)` call. A node's rollout distribution is reused when the
-node is expanded, and every tree after the first reuses the states the
-earlier trees reached, so the policy runs at most once per distinct
-state. The memo lives for one call, which has one question and one
-`params`, so it never outlives the parameters it was computed from.
-Every categorical draw consumes the generator exactly as
-`Generator.choice` would (see `model.sample_distinct` and
+evaluated, keyed by its steps, and the legal action list of every depth
+it has reached, keyed by the depth (legal sets depend on depth alone).
+The probabilities are stored as lists of Python floats, since priors and
+draws read them one entry at a time. An expansion walks its sampled
+children once, transitioning each and collecting the ones that need a
+rollout; it evaluates those the memo lacks in one batched policy-only
+forward (`Model.policy`, then one `np.exp` and one `temper` over the
+batch, restricted to the depth's legal ids) and draws each child's
+rollout step with `model.draw_index`. A node's rollout distribution is
+reused when the node is expanded, and every tree after the first reuses
+the states the earlier trees reached, so the policy runs at most once
+per distinct state. The memo lives for one call, which has one question
+and one `params`, so it never outlives the parameters it was computed
+from.
+
+Each tree reads its generator through a `Uniforms` reader, which draws
+`rng.random(64)` blocks as lists of floats and hands out k uniforms at a
+time; reading n of them gives `rng.random(n).tolist()`, so the stream is
+the generator's own. Every categorical draw consumes that stream exactly
+as `Generator.choice` would (see `model.sample_distinct` and
 `model.draw_index`).
 """
 from __future__ import annotations
@@ -42,6 +49,7 @@ from .model import (Model, PolicyValueParams, draw_index, sample_distinct,
                     spawn_generator, temper)
 
 _TREE_STREAM = 0x7EE
+_UNIFORM_BLOCK = 64  # uniforms a tree reader draws at a time
 
 
 class MCTSError(Exception):
@@ -69,7 +77,7 @@ class SearchConfig:
             raise ValueError("search budgets must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     id: int
     parent: int | None
@@ -96,12 +104,12 @@ class SearchTree:
     def add_node(self, parent: int | None, action: int | None, state: State,
                  prior: float, terminal: bool = False,
                  reward: int | None = None) -> TreeNode:
-        node = TreeNode(id=len(self.nodes), parent=parent, action=action,
-                        state=state, prior=prior, terminal=terminal,
-                        reward=reward)
-        self.nodes.append(node)
+        nodes = self.nodes
+        node = TreeNode(len(nodes), parent, action, state, prior, 0, 0.0,
+                        terminal, reward, False, [])
         if parent is not None:
-            self.nodes[parent].children.append(node.id)
+            nodes[parent].children.append(node.id)
+        nodes.append(node)
         return node
 
     def path_ids(self, node_id: int) -> list[int]:
@@ -128,33 +136,62 @@ def new_tree(env: Env, question: Question) -> SearchTree:
     return tree
 
 
+class Uniforms:
+    """A generator's uniforms, drawn in blocks of `_UNIFORM_BLOCK` as
+    Python floats and handed out k at a time. Reading n uniforms in any
+    split gives `rng.random(n).tolist()`: each double takes one draw of
+    the bit generator, so a block boundary does not move the stream."""
+
+    __slots__ = ("_rng", "_buf", "_pos")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._buf: list[float] = []
+        self._pos = 0
+
+    def take(self, k: int) -> list[float]:
+        """The next k uniforms."""
+        end = self._pos + k
+        while end > len(self._buf):
+            self._buf = (self._buf[self._pos:]
+                         + self._rng.random(_UNIFORM_BLOCK).tolist())
+            end -= self._pos
+            self._pos = 0
+        out = self._buf[self._pos:end]
+        self._pos = end
+        return out
+
+
 def select(tree: SearchTree, c_puct: float = 1.25) -> int:
     """Descend by PUCT until a node with no expanded children; ties break
     toward the lowest child index."""
-    node = tree.root
+    nodes = tree.nodes
+    node = nodes[0]
     while node.children:
         parent_sqrt = math.sqrt(node.N)
         best_id, best_score = -1, -math.inf
         for cid in node.children:
-            child = tree.nodes[cid]
+            child = nodes[cid]
             score = child.Q + c_puct * child.prior * parent_sqrt / (1 + child.N)
             if score > best_score:
                 best_id, best_score = cid, score
-        node = tree.nodes[best_id]
+        node = nodes[best_id]
     return node.id
 
 
 def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
                         params: PolicyValueParams, config: SearchConfig,
-                        rng: np.random.Generator,
+                        uniforms: Uniforms,
                         memo: dict) -> list[tuple[int, float]]:
     """Create sampled children of a non-terminal leaf and return the
     (node_id, leaf value) pairs the caller must back up.
 
-    `memo` is the forest's policy memo (see the module docstring); an
-    empty dict computes every distribution afresh. Raises AlreadyExpanded for
-    a node with children or a terminal node, and env.DepthExceeded for a
-    node at the Env's depth budget."""
+    `uniforms` is the tree's reader; `memo` is the forest's policy memo
+    (see the module docstring), and an empty dict computes every
+    distribution afresh. Children are added in sampled order, each
+    followed by its answering rollout grandchild. Raises AlreadyExpanded
+    for a node with children or a terminal node, and env.DepthExceeded
+    for a node at the Env's depth budget."""
     node = tree.nodes[node_id]
     if node.children:
         raise AlreadyExpanded(f"node {node_id} already has children")
@@ -162,45 +199,48 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
         raise AlreadyExpanded(f"node {node_id} is terminal")
     env = model.env
     max_depth = env.config.max_depth
-    if node.state.depth >= max_depth:
+    state = node.state
+    if state.depth >= max_depth:
         raise DepthExceeded(f"node {node_id} is at the depth budget")
-    [(legal, probs, tempered)] = _policies(model, params, [node.state],
+    [(legal, probs, tempered)] = _policies(model, params, [state],
                                            config.temperature, memo)
-    uniforms = rng.random(min(config.n_children, len(tempered))).tolist()
-    children = [(legal[i], probs[i], env.transition(node.state, legal[i]))
-                for i in sample_distinct(tempered, uniforms)]
-    rollout = [state for action, _, state in children
-               if action.kind != TERMINAL and state.depth < max_depth]
-    rollouts = iter(())
-    if rollout:
-        policies = _policies(model, params, rollout, config.temperature,
-                             memo)
-        picks = [draw_index(t, u) for (_, _, t), u
-                 in zip(policies, rng.random(len(rollout)).tolist())]
-        rollouts = iter(zip(policies, picks))
-    results: list[tuple[int, float]] = []
-    for action, prior, child_state in children:
+    picks = sample_distinct(
+        tempered, uniforms.take(min(config.n_children, len(tempered))))
+    # one pass over the sampled children: (action id, prior, state,
+    # reward), the reward None for a child that a rollout evaluates
+    children, rollout = [], []
+    for i in picks:
+        action = legal[i]
+        child_state = env.transition(state, action)
         if action.kind == TERMINAL:
-            reward = env.terminal_reward(node.state, action)
-            child = tree.add_node(node_id, action.id, child_state, prior,
-                                  terminal=True, reward=reward)
+            reward = env.terminal_reward(state, action)
+        elif child_state.depth >= max_depth:
+            # depth cutoff without an answer counts as an incorrect terminal
+            reward = -1
+        else:
+            reward = None
+            rollout.append(child_state)
+        children.append((action.id, probs[i], child_state, reward))
+    if rollout:
+        policies = iter(zip(
+            _policies(model, params, rollout, config.temperature, memo),
+            uniforms.take(len(rollout))))
+    add_node = tree.add_node
+    results: list[tuple[int, float]] = []
+    for aid, prior, child_state, reward in children:
+        if reward is not None:
+            child = add_node(node_id, aid, child_state, prior, True, reward)
             results.append((child.id, float(reward)))
             continue
-        if child_state.depth >= max_depth:
-            # depth cutoff without an answer counts as an incorrect terminal
-            child = tree.add_node(node_id, action.id, child_state, prior,
-                                  terminal=True, reward=-1)
-            results.append((child.id, -1.0))
-            continue
-        child = tree.add_node(node_id, action.id, child_state, prior)
-        (r_legal, r_probs, _), r_idx = next(rollouts)
+        child = add_node(node_id, aid, child_state, prior)
+        (r_legal, r_probs, r_tempered), u = next(policies)
+        r_idx = draw_index(r_tempered, u)
         r_action = r_legal[r_idx]
         if r_action.kind == TERMINAL:
             reward = env.terminal_reward(child_state, r_action)
-            grand = tree.add_node(child.id, r_action.id,
-                                  env.transition(child_state, r_action),
-                                  r_probs[r_idx], terminal=True,
-                                  reward=reward)
+            grand = add_node(child.id, r_action.id,
+                             env.transition(child_state, r_action),
+                             r_probs[r_idx], True, reward)
             results.append((grand.id, float(reward)))
         else:
             results.append((child.id, 0.0))
@@ -211,15 +251,22 @@ def _policies(model: Model, params: PolicyValueParams, states,
               temperature: float, memo: dict) -> list[tuple]:
     """(legal actions, probabilities, tempered probabilities) of each
     state, the probabilities as lists of floats, read from the memo; the
-    states it lacks are evaluated in one batched forward and stored
-    there. The states sit at one depth (a node, or the rollout children
-    of one node), so they share one legal set and one `legal_rows`
-    call."""
+    states it lacks are evaluated in one batched policy forward and
+    stored there. The states sit at one depth (a node, or the rollout
+    children of one node), so they share one legal set, which the memo
+    keeps under the depth."""
     missing = [s for s in states if s.steps not in memo]
     if missing:
-        logp, _, _, _ = model.policy_value(params, missing)
-        legal, probs, tempered = model.legal_rows(
-            missing[0], np.exp(logp), temper(logp, temperature))
+        logp, _, _ = model.policy(params, missing)
+        depth = missing[0].depth
+        if depth not in memo:
+            legal = model.env.legal_actions(missing[0])
+            memo[depth] = (legal, [a.id for a in legal]
+                           if len(legal) < model.vocab_size else None)
+        legal, ids = memo[depth]
+        probs, tempered = np.exp(logp), temper(logp, temperature)
+        if ids is not None:
+            probs, tempered = probs[:, ids], tempered[:, ids]
         for state, p, t in zip(missing, probs.tolist(), tempered.tolist()):
             memo[state.steps] = (legal, p, t)
     return [memo[s.steps] for s in states]
@@ -228,9 +275,10 @@ def _policies(model: Model, params: PolicyValueParams, states,
 def backup(tree: SearchTree, node_id: int, value: float) -> None:
     """Incremental mean update along the path from node_id to the root:
     N += 1, Q += (value - Q) / N at every node on the path."""
+    nodes = tree.nodes
     cur: int | None = node_id
     while cur is not None:
-        node = tree.nodes[cur]
+        node = nodes[cur]
         node.N += 1
         node.Q += (value - node.Q) / node.N
         cur = node.parent
@@ -262,7 +310,7 @@ def build_forest(model: Model, question: Question, params: PolicyValueParams,
     found: set[tuple[int, ...]] = set()
     memo: dict = {}
     for t in range(config.max_trees):
-        rng = spawn_generator(_TREE_STREAM, rng_seed, t)
+        uniforms = Uniforms(spawn_generator(_TREE_STREAM, rng_seed, t))
         tree = new_tree(model.env, question)
         for _ in range(config.max_simulations):
             leaf_id = select(tree, config.c_puct)
@@ -271,7 +319,7 @@ def build_forest(model: Model, question: Question, params: PolicyValueParams,
                 updates = [(leaf_id, float(leaf.reward))]
             else:
                 updates = expand_and_evaluate(tree, leaf_id, model, params,
-                                              config, rng, memo)
+                                              config, uniforms, memo)
             for nid, value in updates:
                 backup(tree, nid, value)
                 if trace is not None:

@@ -7,13 +7,18 @@ pairwise value differences in (-2, 2). All gradients are derived by hand
 and exposed analytically; nothing here depends on an autodiff framework.
 Log-probabilities are computed in log space with the usual max-shift.
 
-Search and decoding evaluate whole rows of states at once through
-`Model.policy_value`: MCTS scores all new rollout children of an
-expansion in one call and SBS all children of a level. `legal_logprobs`,
-`value` and `value_forward` are one-row calls into it. Feature rows come
-from one featurizer, `Featurizer.rows`: each row is a copy of its
-question's base row (the question-only blocks, computed once per
-question) with the state's few entries written by index. Sampling goes
+Search and decoding evaluate whole rows of states at once. MCTS reads
+only the policy and calls `Model.policy` (feature rows, trunk, masked
+log-softmax), scoring all new rollout children of an expansion in one
+call. SBS scores all children of a level through `Model.policy_value`,
+which adds the value head on top of `policy`; `legal_logprobs`, `value`
+and `value_forward` are one-row calls into it. Feature rows come from
+one featurizer, `Featurizer.rows`: each row is a copy of its question's
+base row (the question-only blocks, computed once per question and kept
+by question id) with the state's few entries written by index. A batch
+holds one question's states, so the question and its base row are
+looked up only when a state's question id differs from the previous
+state's. Sampling goes
 through `draw_index` and `sample_distinct`, which read Python float
 sequences (search keeps its probabilities as `.tolist()` rows) and take
 their uniforms from the caller, so that a generator's uniforms pick what
@@ -129,9 +134,9 @@ class Featurizer:
     out-of-range flags, scaled scratch, and parity.
 
     The first four blocks depend on the question alone. They form its
-    base row, computed once per Question value and kept (about 700 bytes
-    a question); `rows` copies it for each state and writes the state's
-    entries by index.
+    base row, computed once per question and kept by question id with
+    the Question it was built from (about 700 bytes a question); `rows`
+    copies it for each state and writes the state's entries by index.
     """
 
     scratch_lo = SCRATCH_LO  # read by callers that index the bucket block
@@ -163,9 +168,10 @@ class Featurizer:
         self.dim = dim
         self._state_blocks = tuple(self._offsets[name] for name in (
             "depth", "last", "bucket", "flags", "scaled", "parity"))
-        # base rows keyed by the Question value, so a question re-registered
-        # under the same id with another spec gets its own row
-        self._base: dict[Question, np.ndarray] = {}
+        # question id -> (Question, base row); the Question is compared by
+        # identity, so a question re-registered under the same id gets its
+        # own row
+        self._base: dict[int, tuple[Question, np.ndarray]] = {}
 
     def block(self, name: str) -> int:
         """Start index of a named feature block (bias, depth, last, ...)."""
@@ -174,25 +180,26 @@ class Featurizer:
     def rows(self, env: Env, states) -> np.ndarray:
         """The (len(states), dim) feature rows of `states`, each state's
         question looked up in `env`. This is the one featurizer."""
-        question = env.question
-        return self._rows([question(s.question_id) for s in states], states)
+        return self._rows(states, env.question)
 
     def features(self, question: Question, state: State) -> np.ndarray:
         """The feature row of one state of `question`."""
-        return self._rows([question], [state])[0]
+        return self._rows([state], lambda _: question)[0]
 
-    def _rows(self, questions, states) -> np.ndarray:
+    def _rows(self, states, question_of) -> np.ndarray:
         """Each row starts as a copy of its question's base row and then
         gets the state's entries: depth, last action, scratch bucket or
-        flag, scaled scratch and parity."""
+        flag, scaled scratch and parity. `question_of(id)` gives a
+        state's Question; it and the base row are looked up only when
+        the question id changes from the previous state's."""
         x = np.empty((len(states), self.dim))
-        base = self._base
         depth, last, bucket, flags, scaled, parity = self._state_blocks
-        for i, (q, s) in enumerate(zip(questions, states)):
-            row = base.get(q)
-            if row is None:
-                row = base[q] = self._base_row(q)
-            x[i] = row
+        qid = base = None
+        for i, s in enumerate(states):
+            if s.question_id != qid:
+                qid = s.question_id
+                base = self._base_row(question_of(qid))
+            x[i] = base
             x[i, depth + s.depth] = 1.0
             if s.steps:
                 x[i, last + s.steps[-1]] = 1.0
@@ -209,7 +216,11 @@ class Featurizer:
 
     def _base_row(self, question: Question) -> np.ndarray:
         """The question-only entries: bias, start, chain length and op
-        histogram; zeros elsewhere."""
+        histogram; zeros elsewhere. Kept per question id while the same
+        Question object asks for it."""
+        cached = self._base.get(question.id)
+        if cached is not None and cached[0] is question:
+            return cached[1]
         x = np.zeros(self.dim)
         off = self._offsets
         x[off["bias"]] = 1.0
@@ -217,6 +228,7 @@ class Featurizer:
         x[off["chain_len"] + len(question.chain) - 1] = 1.0
         for aid in question.chain:
             x[off["hist"] + aid] += 0.5
+        self._base[question.id] = (question, x)
         return x
 
 
@@ -245,20 +257,27 @@ class Model:
 
     # -- forward ----------------------------------------------------------
 
-    def policy_value(self, params: PolicyValueParams, states):
-        """The batched forward over a list of states, one row each.
+    def policy(self, params: PolicyValueParams, states):
+        """The batched policy forward over a list of states, one row
+        each: feature rows, the tanh trunk and the masked log-softmax.
 
         Row i of the log-probs spans the whole vocabulary; answers are
         -inf in a depth-0 state, where Env.legal_actions forbids them
         (`legal_rows` restricts a row to the legal actions). Feature rows
-        come from `Featurizer.rows`.
+        come from `Featurizer.rows`. An empty list gives empty arrays.
 
-        Returns (log-probs (n, vocab), values (n,), hidden (n, h),
-        features (n, d))."""
+        Returns (log-probs (n, vocab), hidden (n, h), features (n, d))."""
         x = self.featurizer.rows(self.env, states)
         hidden = np.tanh(x @ params.w_shared)
         depth0 = [i for i, s in enumerate(states) if s.depth == 0]
-        logp = self._log_softmax(hidden @ params.w_policy, depth0)
+        return self._log_softmax(hidden @ params.w_policy, depth0), hidden, x
+
+    def policy_value(self, params: PolicyValueParams, states):
+        """`policy` plus the value head on its hidden activations.
+
+        Returns (log-probs (n, vocab), values (n,), hidden (n, h),
+        features (n, d))."""
+        logp, hidden, x = self.policy(params, states)
         values = np.tanh((hidden * params.w_value).sum(axis=1))
         return logp, values, hidden, x
 

@@ -14,6 +14,7 @@ is borrowed from another tree of the same forest, sibling-like first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,23 +142,23 @@ def extract_pairs(forest: Forest, counts: PairCounts,
             tree=t))
 
     for t, tree in enumerate(forest.trees):
+        by_depth = wrong_terminals = None
         node = tree.root
         while not node.terminal:
             correct_children = [tree.nodes[c] for c in node.children
                                 if tree.nodes[c].correct]
             if not correct_children:
                 break
+            if by_depth is None:  # the tree is walked: group its losers
+                by_depth, wrong_terminals = _loser_pools(tree)
             n_w = min(correct_children, key=lambda n: (-n.Q, n.id))
             depth = n_w.state.depth
             siblings = [tree.nodes[c] for c in node.children
                         if not tree.nodes[c].correct and (t, c) not in used]
-            cousins = [n for n in tree.nodes
-                       if n.state.depth == depth and not n.correct
-                       and n.parent is not None and n.parent != node.id
-                       and (t, n.id) not in used]
-            terminals = [n for n in tree.nodes
-                         if n.terminal and not n.correct
-                         and n.state.depth != depth and (t, n.id) not in used]
+            cousins = [n for n in by_depth.get(depth, ())
+                       if n.parent != node.id and (t, n.id) not in used]
+            terminals = [n for n in wrong_terminals
+                         if n.state.depth != depth and (t, n.id) not in used]
             if siblings or cousins or terminals:
                 for loser in _draw(rng, siblings, counts.n_sibling):
                     emit(t, n_w, t, loser, SIBLING)
@@ -173,6 +174,16 @@ def extract_pairs(forest: Forest, counts: PairCounts,
                          classify_kind(n_w.state.steps, loser.state.steps))
             node = n_w
     return pairs
+
+
+def _loser_pools(tree: SearchTree):
+    """The tree's non-correct non-root nodes by depth, and its wrong
+    terminals, each in arena order."""
+    wrong = [n for n in tree.nodes[1:] if not n.correct]
+    by_depth: dict[int, list[TreeNode]] = {}
+    for n in wrong:
+        by_depth.setdefault(n.state.depth, []).append(n)
+    return by_depth, [n for n in wrong if n.terminal]
 
 
 def _cross_tree_fallback(forest: Forest, t: int, n_w: TreeNode, depth: int,
@@ -228,7 +239,8 @@ def extract_sft_solutions(env: Env, forest: Forest, k: int) -> list[Solution]:
             if not (node.terminal and node.reward == 1):
                 continue
             path = tree.path_ids(node.id)[1:]
-            mean_q = sum(tree.nodes[i].Q for i in path) / len(path)
+            # fsum: exact, so tied paths rank alike on every Python
+            mean_q = math.fsum(tree.nodes[i].Q for i in path) / len(path)
             key = node.state.steps
             cand = (-mean_q, t, node.id)
             if key not in ranked or cand < ranked[key]:

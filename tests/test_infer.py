@@ -263,6 +263,29 @@ def test_value_guidance_beats_uniform_greedy():
     assert np.mean(sbs_accs) > 0.05
 
 
+def test_sbs_sends_no_empty_forward(setup, monkeypatch):
+    """A level whose every pick answers ends the search without a
+    forward over an empty state list."""
+    env, model, questions = setup
+    params = scripted_params(model, {1: _answer_id(env)}, logit=25.0)
+    sizes = []
+    inner = model.policy_value
+
+    def counted(p, states):
+        sizes.append(len(states))
+        return inner(p, states)
+
+    monkeypatch.setattr(model, "policy_value", counted)
+    for q in questions[:3]:
+        sizes.clear()
+        trace = []
+        best = sbs_best(model, params, q, SBSConfig(b1=1, b2=1), rng_seed=0,
+                        trace=trace)
+        assert trace[-1] == ("retain", 1, ())
+        assert best.finished and best.prefix[-1] == _answer_id(env)
+        assert sizes == [1, 1]
+
+
 def test_sbs_config_validation():
     with pytest.raises(ValueError):
         SBSConfig(b1=0)

@@ -1,5 +1,6 @@
 """Tree search tests: PUCT numerics, expansion values, backup arithmetic,
 replay-log bookkeeping, determinism, and dump/load fidelity."""
+import hashlib
 import json
 import math
 import subprocess
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 from svpo import env as envmod
+from svpo import mcts
 from svpo.env import Env, EnvConfig, Question, TERMINAL, gen_dataset
 from svpo.mcts import (
     AlreadyExpanded, DepthExceeded, Forest, SearchConfig, SearchTree,
-    backup, build_forest, correct_solutions, expand_and_evaluate,
+    Uniforms, backup, build_forest, correct_solutions, expand_and_evaluate,
     forest_from_record, forest_to_record, load_forests, new_tree,
     save_forests, select,
 )
@@ -91,9 +93,9 @@ def test_expand_terminal_child_value_is_reward(toy):
                           prior=1.0)
     ans0 = find_action(env, "ans+0")
     params = scripted_params(model, {1: ans0.id}, logit=25.0)
-    rng = spawn_generator(0)
+    uniforms = Uniforms(spawn_generator(0))
     results = expand_and_evaluate(tree, child.id, model, params,
-                                  SearchConfig(), rng, {})
+                                  SearchConfig(), uniforms, {})
     by_node = {nid: v for nid, v in results}
     ans_nodes = [n for n in tree.nodes
                  if n.action == ans0.id and n.parent == child.id]
@@ -114,9 +116,9 @@ def test_expand_rollout_terminal_kept_as_grandchild(toy):
     ans0 = find_action(env, "ans+0")
     add2 = find_action(env, "add+2")
     params = scripted_params(model, {1: ans0.id}, logit=25.0)
-    rng = spawn_generator(1)
-    results = expand_and_evaluate(tree, 0, model, params, SearchConfig(), rng,
-                                  {})
+    uniforms = Uniforms(spawn_generator(1))
+    results = expand_and_evaluate(tree, 0, model, params, SearchConfig(),
+                                  uniforms, {})
     assert len(results) == 5  # five distinct ops sampled at the root
     for nid, value in results:
         node = tree.nodes[nid]
@@ -136,7 +138,7 @@ def test_expand_nonterminal_rollout_backs_up_zero(toy):
     add1 = find_action(env, "add+1")
     params = scripted_params(model, {1: add1.id}, logit=25.0)
     results = expand_and_evaluate(tree, 0, model, params, SearchConfig(),
-                                  spawn_generator(2), {})
+                                  Uniforms(spawn_generator(2)), {})
     assert len(results) == 5
     for nid, value in results:
         node = tree.nodes[nid]
@@ -157,7 +159,8 @@ def test_expand_depth_cutoff_is_incorrect_terminal(toy):
                           small_env.transition(tree.root.state, add1), 1.0)
     params = small_model.zeros_params()
     results = expand_and_evaluate(tree, child.id, small_model, params,
-                                  SearchConfig(), spawn_generator(3), {})
+                                  SearchConfig(), Uniforms(spawn_generator(3)),
+                                  {})
     assert results
     for nid, value in results:
         node = tree.nodes[nid]
@@ -174,10 +177,11 @@ def test_expand_errors(toy):
     tree = new_tree(env, q)
     params = model.zeros_params()
     cfg = SearchConfig()
-    expand_and_evaluate(tree, 0, model, params, cfg, spawn_generator(4), {})
+    expand_and_evaluate(tree, 0, model, params, cfg,
+                        Uniforms(spawn_generator(4)), {})
     with pytest.raises(AlreadyExpanded):
-        expand_and_evaluate(tree, 0, model, params, cfg, spawn_generator(5),
-                            {})
+        expand_and_evaluate(tree, 0, model, params, cfg,
+                            Uniforms(spawn_generator(5)), {})
     # a non-terminal node parked at the depth budget cannot be expanded
     deep_state = tree.root.state
     for _ in range(env.config.max_depth):
@@ -185,7 +189,7 @@ def test_expand_errors(toy):
     deep = tree.add_node(0, env.vocab[0].id, deep_state, 0.1)
     with pytest.raises(DepthExceeded):
         expand_and_evaluate(tree, deep.id, model, params, cfg,
-                            spawn_generator(6), {})
+                            Uniforms(spawn_generator(6)), {})
 
 
 def test_backup_incremental_mean_exact(toy):
@@ -427,13 +431,13 @@ def test_build_forest_evaluates_each_state_once(toy, monkeypatch):
     env, model, questions = toy
     params = model.init_params(seed=5, scale=0.5)
     calls = []
-    inner = model.policy_value
+    inner = model.policy
 
     def counted(p, states):
         calls.extend(state.steps for state in states)
         return inner(p, states)
 
-    monkeypatch.setattr(model, "policy_value", counted)
+    monkeypatch.setattr(model, "policy", counted)
     config = SearchConfig(target_correct=99)  # build every tree
     for q in questions[:3]:
         calls.clear()
@@ -470,3 +474,71 @@ def test_forests_do_not_depend_on_earlier_params(toy):
                                 str(p_seed)], capture_output=True,
                                text=True, check=True)
         assert fresh.stdout.strip() == got
+
+
+def _structure_digest(forest):
+    """sha256 of every node's (parent, action, N, Q, terminal, reward) in
+    tree and arena order. Priors are left out: their last bits follow
+    the BLAS build."""
+    nodes = [[n.parent, n.action, n.N, repr(n.Q), n.terminal, n.reward]
+             for tree in forest.trees for n in tree.nodes]
+    return hashlib.sha256(json.dumps(nodes).encode()).hexdigest()
+
+
+def test_golden_forest_structure():
+    """Pins two seeded hard forests node by node. Unlike the choice
+    reference, which shares `select`, `backup` and `new_tree` with the
+    code under test, this catches a fault in those too."""
+    questions = gen_dataset(seed=2, n=2, difficulty="hard")
+    model = Model(Env(questions=questions))
+    params = model.init_params(seed=1)
+    golden = [
+        (5, 127, "b5d649f5054b56a06e6cdd769c1bc139"
+                 "fcb2d6d98d81bea45cee7c175b75082a"),
+        (2, 156, "9d06b11410027a32131baba346a71e50"
+                 "a50f0d1ad216c99ab94ec1065fc51ed8"),
+    ]
+    for q, (n_trees, n_nodes, digest) in zip(questions, golden):
+        forest = build_forest(model, q, params, SearchConfig(),
+                              rng_seed=q.id)
+        assert len(forest.trees) == n_trees
+        assert sum(len(tree.nodes) for tree in forest.trees) == n_nodes
+        assert _structure_digest(forest) == digest
+
+
+def test_uniforms_read_the_generators_stream():
+    """Reading n uniforms in any split, across block boundaries and in
+    takes wider than a block, gives rng.random(n).tolist()."""
+    sizes = [0, 1, 5, 2, 64, 3, 130, 7, 1, 63, 64]
+    reader = Uniforms(spawn_generator(9))
+    got = [u for k in sizes for u in reader.take(k)]
+    assert got == spawn_generator(9).random(sum(sizes)).tolist()
+
+
+def test_build_forest_calls_the_module_globals(toy, monkeypatch):
+    """build_forest looks `select`, `expand_and_evaluate` and `backup` up
+    as module globals on every call, so a wrapper put there sees every
+    simulation."""
+    env, model, questions = toy
+    params = model.init_params(seed=6, scale=0.5)
+    calls = {"select": 0, "expand_and_evaluate": 0, "backup": 0}
+    terminal_leaves = []
+    for name in calls:
+        inner = getattr(mcts, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            result = _inner(*args, **kwargs)
+            if _name == "select":
+                terminal_leaves.append(args[0].nodes[result].terminal)
+            return result
+
+        monkeypatch.setattr(mcts, name, counted)
+    config = SearchConfig(max_simulations=30, max_trees=3, target_correct=99)
+    trace = []
+    forest = build_forest(model, questions[0], params, config, rng_seed=4,
+                          trace=trace)
+    assert calls["select"] == len(forest.trees) * config.max_simulations
+    assert calls["backup"] == len(trace) > 0
+    # a simulation expands its leaf unless the leaf is terminal
+    assert 0 < calls["expand_and_evaluate"] == terminal_leaves.count(False)

@@ -552,6 +552,42 @@ def test_featurizer_rows_match_reference(difficulty, seed, walks, scratches):
     assert fz.rows(env, []).shape == (0, fz.dim)
 
 
+def test_policy_is_policy_value_without_the_value_head(setup):
+    """`policy` returns policy_value's log-probs, hidden activations and
+    features bit for bit, and an empty state list gives empty arrays."""
+    env, model, questions = setup
+    params = model.init_params(seed=4, scale=0.5)
+    state = env.initial_state(questions[0])
+    states = [state, env.transition(state, env.vocab[1])]
+    logp, hidden, x = model.policy(params, states)
+    want = model.policy_value(params, states)
+    for got, expect in zip((logp, hidden, x), (want[0], want[2], want[3])):
+        assert np.array_equal(got, expect)
+    empty = model.policy(params, [])
+    assert [a.shape for a in empty] == [(0, model.vocab_size),
+                                        (0, params.h), (0, model.d)]
+
+
+def test_reregistered_question_gets_its_own_rows():
+    """Base rows are kept by question id; a question registered again
+    under the same id with another spec gets rows of its own, and the
+    old Question object still gets its old row."""
+    env = Env()
+    old = Question(id=9, start=3, chain=(0, 1), truth=6, difficulty="easy")
+    env.register([old])
+    fz = Featurizer(env.config)
+    state = env.initial_state(old)
+    before = fz.rows(env, [state])
+    new = Question(id=9, start=7, chain=(5,), truth=14, difficulty="easy")
+    env.register([new])
+    after = fz.rows(env, [state, env.initial_state(new)])
+    assert np.array_equal(after[0], reference_features(fz, new, state))
+    assert np.array_equal(after[1], reference_features(
+        fz, new, env.initial_state(new)))
+    assert not np.array_equal(after[0], before[0])
+    assert np.array_equal(fz.features(old, state), before[0])
+
+
 def test_prefix_rows_featurize_each_distinct_state_once(setup, monkeypatch):
     env, model, questions = setup
     rng = np.random.Generator(np.random.PCG64(23))

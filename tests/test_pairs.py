@@ -302,6 +302,28 @@ def test_sft_solutions_ranked_and_distinct(simple):
     assert [s.steps for s in only_one] == [sols[0].steps]
 
 
+def test_sft_ties_rank_by_tree_and_node_id(simple):
+    """Path Qs that are permutations of each other tie exactly (math.fsum),
+    so the earlier (tree, node id) ranks first. Plain float addition
+    gives 0.3 + 0.2 + 0.1 = 0.6 but 0.1 + 0.2 + 0.3 = 0.6000000000000001,
+    and Python 3.12 changed how `sum` adds them."""
+    env, q, a = simple
+    first = [
+        ((a["add1"],), 0.3, 1),
+        ((a["add1"], a["add2"]), 0.2, 1),
+        ((a["add1"], a["add2"], a["ans0"]), 0.1, 1),
+    ]
+    second = [
+        ((a["add2"],), 0.1, 1),
+        ((a["add2"], a["add1"]), 0.2, 1),
+        ((a["add2"], a["add1"], a["ans0"]), 0.3, 1),
+    ]
+    forest = label_correct(handcraft_forest(env, q, [first, second]))
+    sols = extract_sft_solutions(env, forest, 2)
+    assert [s.steps for s in sols] == [(a["add1"], a["add2"], a["ans0"]),
+                                       (a["add2"], a["add1"], a["ans0"])]
+
+
 def test_sft_solutions_from_search_are_correct(searched_corpus):
     env, questions, forests = searched_corpus
     for q, forest in zip(questions[:20], forests[:20]):
