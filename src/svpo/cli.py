@@ -28,12 +28,13 @@ full (none), no_margin (svpo_w_margin = 0), no_mse (svpo_w_mse = 0),
 no_reg (svpo_w_reg = 0) and solution_dpo (all three, trained on
 solution-level pairs only); the arm sft scores the pretrain checkpoint.
 A sweep arm sets svpo_gamma. Exit codes: 0 success, 2 configuration
-error or a question file outside the Env's bounds, 3 stage failure.
+error (an unknown or repeated key, a non-finite number, or a value not
+of its field's type, such as `solution_level_only = no` or `seed = 1.5`)
+or a question file outside the Env's bounds, 3 stage failure.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -47,7 +48,8 @@ from .evaluate import (
     save_eval, save_training, seed_config, summary_text, svpo_stage,
 )
 from .env import InvalidQuestion
-from .infer import inference_record, save_inference_records
+from .infer import inference_record
+from .records import save_csv, save_jsonl
 from .train import load_checkpoint, parse_kv_text
 
 DEFAULT_SEEDS = "0,1,2,3,4"
@@ -115,7 +117,7 @@ def cmd_infer(args, config: ExperimentConfig, out: Path) -> int:
     records = [inference_record(corpus.model, ckpt.params, q, args.mode,
                                 sbs_config, rng_seed=config.seed)
                for q in corpus.test_questions]
-    save_inference_records(records, out / name)
+    save_jsonl(records, out / name)
     acc = sum(r["correct"] for r in records) / len(records)
     print(f"{args.mode} accuracy {acc:.4f} over {len(records)} questions "
           f"-> {name}")
@@ -166,8 +168,7 @@ def cmd_ablate(args, config: ExperimentConfig, out: Path) -> int:
             rows.append(row)
     _write_csv(out / "ablation.csv", rows)
     (out / "ablation.json").write_text(
-        json.dumps(_round(_stringify_keys(results)), sort_keys=True,
-                   indent=2) + "\n")
+        summary_text(_round(_stringify_keys(results))))
     print(f"ablation over arms {arms} and seeds {seeds} -> ablation.csv")
     return 0
 
@@ -182,8 +183,7 @@ def cmd_sweep(args, config: ExperimentConfig, out: Path) -> int:
             for gamma in gammas for seed in seeds]
     _write_csv(out / "sweep.csv", rows)
     (out / "sweep.json").write_text(
-        json.dumps(_round(_stringify_keys(results)), sort_keys=True,
-                   indent=2) + "\n")
+        summary_text(_round(_stringify_keys(results))))
     print(f"gamma sweep over {gammas} -> sweep.csv")
     return 0
 
@@ -201,13 +201,7 @@ def _stringify_keys(value):
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        path.write_text("")
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    save_csv(rows, path, list(rows[0]) if rows else [])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,11 +10,12 @@ which the test oracles rely on.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .records import load_jsonl, save_jsonl
 
 INTERMEDIATE = "intermediate"
 TERMINAL = "terminal"
@@ -307,16 +308,8 @@ def question_from_record(rec: dict) -> Question:
 
 
 def save_dataset(questions: list[Question], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for q in questions:
-            fh.write(json.dumps(question_to_record(q)) + "\n")
+    save_jsonl(map(question_to_record, questions), path)
 
 
 def load_dataset(path: str | Path) -> list[Question]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(question_from_record(json.loads(line)))
-    return out
+    return [question_from_record(rec) for rec in load_jsonl(path)]

@@ -17,7 +17,6 @@ scored.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 from contextlib import contextmanager
@@ -38,6 +37,7 @@ from .pairs import (
     extract_sft_solutions, extract_value_targets, label_correct, load_pairs,
     load_solutions, load_value_targets, positive_negative_ratio,
 )
+from .records import load_csv
 from .train import (
     Checkpoint, PretrainConfig, SVPOConfig, TrainData, load_checkpoint,
     pair_logprobs, stage_rows, train_loop,
@@ -156,34 +156,48 @@ _SUBCONFIGS = {"search": SearchConfig, "counts": PairCounts,
                "sbs": SBSConfig}
 
 
-def experiment_config_to_dict(config: ExperimentConfig) -> dict:
-    """Flatten to primitive key=value entries (sub-configs get prefixed
-    keys, e.g. search_c_puct)."""
-    out: dict = {}
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
+# the value types each annotated field type takes; a bool, which
+# subclasses int, passes only where a bool is meant
+_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
+def _config_keys() -> dict:
+    """Flat config key -> (sub-config slot or None, dataclass field);
+    sub-config keys are prefixed with their slot, e.g. search_c_puct."""
+    keys: dict = {}
+    for f in dataclasses.fields(ExperimentConfig):
         if f.name in _SUBCONFIGS:
-            for sub in dataclasses.fields(value):
-                out[f"{f.name}_{sub.name}"] = getattr(value, sub.name)
+            for sub in dataclasses.fields(_SUBCONFIGS[f.name]):
+                keys[f"{f.name}_{sub.name}"] = (f.name, sub)
         else:
-            out[f.name] = value
-    return out
+            keys[f.name] = (None, f)
+    return keys
+
+
+def experiment_config_to_dict(config: ExperimentConfig) -> dict:
+    """Flatten to primitive key=value entries."""
+    return {key: getattr(config if slot is None else getattr(config, slot),
+                         f.name)
+            for key, (slot, f) in _config_keys().items()}
 
 
 def experiment_config_from_dict(items: dict) -> ExperimentConfig:
+    """The config of flat key=value entries (see experiment_config_to_dict).
+    Refuses an unknown key, and a value whose type is not its field's: a
+    bool field takes a bool, an int field an int, a float field an int or
+    a float (kept as given), a str field a str."""
+    slots = _config_keys()
     top: dict = {}
     nested: dict[str, dict] = {name: {} for name in _SUBCONFIGS}
-    plain = {f.name for f in dataclasses.fields(ExperimentConfig)
-             if f.name not in _SUBCONFIGS}
     for key, value in items.items():
-        prefix, _, sub_key = key.partition("_")
-        if key in plain:
-            top[key] = value
-        elif prefix in _SUBCONFIGS and sub_key in {
-                f.name for f in dataclasses.fields(_SUBCONFIGS[prefix])}:
-            nested[prefix][sub_key] = value
-        else:
+        if key not in slots:
             raise ValueError(f"unknown config key {key!r}")
+        slot, f = slots[key]
+        if not (isinstance(value, _FIELD_TYPES[f.type])
+                and isinstance(value, bool) == (f.type == "bool")):
+            raise ValueError(f"config key {key!r} needs type {f.type}, "
+                             f"not {value!r}")
+        (top if slot is None else nested[slot])[f.name] = value
     for name, cls in _SUBCONFIGS.items():
         top[name] = cls(**nested[name])
     return ExperimentConfig(**top)
@@ -453,10 +467,13 @@ def run_pipeline(config: ExperimentConfig,
 
 
 # -- artifacts ----------------------------------------------------------------
-# Every file a run leaves under its output directory is written and read
-# here, by run_pipeline and the staged CLI commands alike. The save_*
-# functions are imported when called, so a wrapper installed on their
-# modules (as svpobench's tracing does) sees every write.
+# Every file a run leaves under its output directory is named, written
+# and read here, by run_pipeline and the staged CLI commands alike. Each
+# module's save_*/load_* pair maps its objects to records; the bytes of
+# the JSON-lines and CSV files come from `records`, those of the JSON
+# reports from `summary_text`. The save_* functions are imported when
+# called, so a wrapper installed on their modules (as svpobench's tracing
+# does) sees every write.
 
 def save_corpus(corpus: Corpus, out: Path,
                 stages=("gen", "annotate", "pairs")) -> None:
@@ -512,8 +529,7 @@ def load_training_checkpoint(out: Path, stage: str) -> Checkpoint:
 
 def load_training_log(out: Path, stage: str) -> list[dict]:
     """A training stage's log rows, values as strings."""
-    with open(out / f"{stage}_log.csv", newline="") as fh:
-        return list(csv.DictReader(fh))
+    return load_csv(out / f"{stage}_log.csv")
 
 
 def save_eval(out: Path, heldout: list[PreferencePair],

@@ -33,9 +33,7 @@ would from the same stream.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -195,14 +193,3 @@ def inference_record(model: Model, params: PolicyValueParams,
             "steps": list(solution.steps), "predicted": solution.predicted,
             "truth": question.truth, "correct": solution.correct,
             "score": score}
-
-
-def save_inference_records(records: list[dict], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-
-
-def load_inference_records(path: str | Path) -> list[dict]:
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]

@@ -37,7 +37,6 @@ as `Generator.choice` would (see `model.sample_distinct` and
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +46,7 @@ import numpy as np
 from .env import TERMINAL, DepthExceeded, Env, Question, State
 from .model import (Model, PolicyValueParams, draw_index, sample_distinct,
                     spawn_generator, temper)
+from .records import load_jsonl, save_jsonl
 
 _TREE_STREAM = 0x7EE
 _UNIFORM_BLOCK = 64  # uniforms a tree reader draws at a time
@@ -334,15 +334,11 @@ def build_forest(model: Model, question: Question, params: PolicyValueParams,
 # -- (de)serialization ------------------------------------------------------
 
 def forest_to_record(forest: Forest) -> dict:
-    trees = []
-    for tree in forest.trees:
-        nodes = []
-        for n in sorted(tree.nodes, key=lambda n: n.id):
-            nodes.append({"id": n.id, "parent": n.parent, "action": n.action,
-                          "N": n.N, "Q": n.Q, "prior": n.prior,
-                          "terminal": n.terminal, "reward": n.reward,
-                          "correct": n.correct})
-        trees.append({"nodes": nodes})
+    trees = [{"nodes": [{"id": n.id, "parent": n.parent, "action": n.action,
+                         "N": n.N, "Q": n.Q, "prior": n.prior,
+                         "terminal": n.terminal, "reward": n.reward,
+                         "correct": n.correct} for n in tree.nodes]}
+             for tree in forest.trees]
     return {"question_id": forest.question_id, "labeled": forest.labeled,
             "trees": trees}
 
@@ -373,16 +369,8 @@ def forest_from_record(env: Env, rec: dict) -> Forest:
 
 
 def save_forests(forests: list[Forest], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for forest in forests:
-            fh.write(json.dumps(forest_to_record(forest)) + "\n")
+    save_jsonl(map(forest_to_record, forests), path)
 
 
 def load_forests(env: Env, path: str | Path) -> list[Forest]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(forest_from_record(env, json.loads(line)))
-    return out
+    return [forest_from_record(env, rec) for rec in load_jsonl(path)]

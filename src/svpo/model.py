@@ -31,7 +31,6 @@ log-probabilities and end-state values, from feature rows that
 """
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -495,29 +494,12 @@ def sample_distinct(weights, uniforms: list[float]) -> list[int]:
     return picks
 
 
-_WORD = (1 << 32) - 1
-
-
 def spawn_generator(*entropy: int) -> np.random.Generator:
-    """Deterministic generator from a tuple of non-negative integers.
-
-    The generator is `SeedSequence(entropy)`'s. Each integer is split here
-    into little-endian 32-bit words, which is how SeedSequence coerces
-    it, and the word array goes in instead; this skips numpy's slower
-    per-integer coercion. Raises ValueError on a negative integer, as
-    that coercion does."""
-    words = []
-    for n in entropy:
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(n & _WORD)
-        n >>= 32
-        while n:
-            words.append(n & _WORD)
-            n >>= 32
-    seeds = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.PCG64(seeds))
+    """Deterministic generator from a tuple of non-negative integers:
+    `SeedSequence(entropy)`'s, which raises ValueError on a negative
+    integer."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy)))
 
 
 # -- parameter (de)serialization ------------------------------------------

@@ -13,7 +13,6 @@ is borrowed from another tree of the same forest, sibling-like first.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +22,7 @@ import numpy as np
 from .env import Env, Solution
 from .mcts import Forest, SearchTree, TreeNode
 from .model import spawn_generator
+from .records import load_jsonl, save_jsonl
 
 _PAIR_STREAM = 0xBA1
 
@@ -278,51 +278,30 @@ def pair_from_record(rec: dict) -> PreferencePair:
 
 
 def save_pairs(pairs: list[PreferencePair], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for p in pairs:
-            fh.write(json.dumps(pair_to_record(p)) + "\n")
+    save_jsonl(map(pair_to_record, pairs), path)
 
 
 def load_pairs(path: str | Path) -> list[PreferencePair]:
-    with open(path) as fh:
-        return [pair_from_record(json.loads(line))
-                for line in fh if line.strip()]
+    return [pair_from_record(rec) for rec in load_jsonl(path)]
 
 
 def save_value_targets(targets: list[ValueTarget], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for t in targets:
-            fh.write(json.dumps({"question_id": t.question_id,
-                                 "prefix": list(t.prefix),
-                                 "target": t.target}) + "\n")
+    save_jsonl(({"question_id": t.question_id, "prefix": list(t.prefix),
+                 "target": t.target} for t in targets), path)
 
 
 def load_value_targets(path: str | Path) -> list[ValueTarget]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                out.append(ValueTarget(rec["question_id"],
-                                       tuple(rec["prefix"]), rec["target"]))
-    return out
+    return [ValueTarget(rec["question_id"], tuple(rec["prefix"]),
+                        rec["target"]) for rec in load_jsonl(path)]
 
 
 def save_solutions(solutions: list[Solution], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        for s in solutions:
-            fh.write(json.dumps({"question_id": s.question_id,
-                                 "steps": list(s.steps),
-                                 "predicted": s.predicted,
-                                 "correct": s.correct}) + "\n")
+    save_jsonl(({"question_id": s.question_id, "steps": list(s.steps),
+                 "predicted": s.predicted, "correct": s.correct}
+                for s in solutions), path)
 
 
 def load_solutions(path: str | Path) -> list[Solution]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                out.append(Solution(rec["question_id"], tuple(rec["steps"]),
-                                    rec["predicted"], rec["correct"]))
-    return out
+    return [Solution(rec["question_id"], tuple(rec["steps"]),
+                     rec["predicted"], rec["correct"])
+            for rec in load_jsonl(path)]

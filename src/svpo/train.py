@@ -45,6 +45,7 @@ from .model import (
     params_to_record, spawn_generator,
 )
 from .pairs import PreferencePair, ValueTarget
+from .records import save_csv
 
 _TRAIN_STREAM = 0x7A1
 
@@ -388,13 +389,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
            "params": params_to_record(ckpt.params),
            "ref_params": (params_to_record(ckpt.ref_params)
                           if ckpt.ref_params is not None else None)}
-    with open(path, "w") as fh:
-        json.dump(rec, fh)
+    Path(path).write_text(json.dumps(rec))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    with open(path) as fh:
-        rec = json.load(fh)
+    rec = json.loads(Path(path).read_text())
     return Checkpoint(
         params=params_from_record(rec["params"]),
         ref_params=(params_from_record(rec["ref_params"])
@@ -403,11 +402,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 def save_log_csv(log: list[dict], path: str | Path) -> None:
-    import csv
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LOG_FIELDS)
-        writer.writeheader()
-        writer.writerows(log)
+    save_csv(log, path, LOG_FIELDS)
 
 
 # -- flat key=value config files ----------------------------------------------
@@ -415,7 +410,8 @@ def save_log_csv(log: list[dict], path: str | Path) -> None:
 def parse_kv_text(text: str) -> dict:
     """Parse `key = value` lines; '#' starts a comment. Values are coerced
     to int, float, or bool when they look like one; a non-finite number
-    (nan, inf) is refused, since it passes every range check."""
+    (nan, inf), which passes every range check, and a key set twice are
+    refused."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -424,6 +420,8 @@ def parse_kv_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"line {lineno}: {key} is set twice")
         out[key] = _coerce(value)
         if isinstance(out[key], float) and not math.isfinite(out[key]):
             raise ValueError(f"line {lineno}: {key} must be finite")

@@ -117,12 +117,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["gen", "--config", str(missing),
                  "--out", str(tmp_path)]) == 2
-    # a non-finite number would pass every range check, and an unknown
-    # difficulty would fail only inside the gen stage; both are refused
-    # before any stage runs
+    # a non-finite number would pass every range check, an unknown
+    # difficulty would fail only inside the gen stage, and so would a seed
+    # of 1.5 or 2.5 children; "no" is a truthy string and true would run
+    # on one question; a key set twice (TINY sets the seed) would keep
+    # its last value. All are refused before any stage runs
     out = tmp_path / "out"
-    for line in ("svpo_lr = nan", "pretrain_lr = inf",
-                 "difficulty = hrad"):
+    for line in ("svpo_lr = nan", "pretrain_lr = inf", "difficulty = hrad",
+                 "solution_level_only = no", "n_train = true",
+                 "seed = 1.5", "search_n_children = 2.5", "seed = 1"):
         bad.write_text(TINY + line + "\n")
         capsys.readouterr()
         assert main(["pipeline", "--config", str(bad),

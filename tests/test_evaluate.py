@@ -208,6 +208,18 @@ def test_experiment_config_roundtrip_and_rejection():
         experiment_config_from_dict({"pretrain_stage": "svpo"})
     with pytest.raises(ValueError):  # arms are weight overrides now
         experiment_config_from_dict({"no_margin": True})
+    # a value must be of its field's type: bool for bool, an int that is
+    # not a bool for int, an int or a float for float, a str for str
+    for key, value in [("solution_level_only", "no"),
+                       ("solution_level_only", 1), ("n_train", True),
+                       ("seed", 1.5), ("search_n_children", 2.5),
+                       ("svpo_lr", True), ("svpo_gamma", "0.5"),
+                       ("difficulty", 3)]:
+        with pytest.raises(ValueError, match=key):
+            experiment_config_from_dict({key: value})
+    # a float field keeps an int as an int, so summary.json keeps its bytes
+    lr = experiment_config_from_dict({"svpo_lr": 1}).svpo.lr
+    assert lr == 1 and type(lr) is int
 
 
 def test_config_key_set_is_pinned():

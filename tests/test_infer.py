@@ -7,12 +7,12 @@ import pytest
 from svpo import infer
 from svpo.env import Env, EnvConfig, Question, TERMINAL, gen_dataset
 from svpo.infer import (
-    SBSConfig, greedy_decode, inference_record, load_inference_records,
-    sbs, sbs_best, save_inference_records,
+    SBSConfig, greedy_decode, inference_record, sbs, sbs_best,
 )
 from svpo.mcts import SearchConfig, build_forest
 from svpo.model import Model
 from svpo.pairs import extract_value_targets, label_correct
+from svpo.records import load_jsonl, save_jsonl
 from svpo.train import spawn_generator
 
 from oracles import (reference_sbs_best, scripted_params,
@@ -325,8 +325,8 @@ def test_inference_records_and_roundtrip(tmp_path, setup):
         inference_record(model, params, questions[0], "mcts")
 
     path = tmp_path / "results.jsonl"
-    save_inference_records([greedy_rec, sbs_rec], path)
-    assert load_inference_records(path) == [greedy_rec, sbs_rec]
+    save_jsonl([greedy_rec, sbs_rec], path)
+    assert list(load_jsonl(path)) == [greedy_rec, sbs_rec]
 
 
 def test_sbs_matches_choice_reference(setup):

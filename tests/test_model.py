@@ -371,8 +371,8 @@ def test_temper_of_stacked_rows_is_each_rows_temper(data, width, with_inf,
     (2**64 + 3, 2**40), (5, 2**32 - 1, 2**96 + 2**33 + 1, 0),
 ])
 def test_spawn_generator_is_the_seed_sequence_stream(entropy):
-    """spawn_generator's own word split seeds the stream numpy's
-    coercion of the integers would, for values of one to four words."""
+    """spawn_generator seeds the stream numpy's SeedSequence does for
+    the integers, for values of one to four 32-bit words."""
     theirs = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy)))
     assert spawn_generator(*entropy).random(8).tolist() == \
