@@ -452,6 +452,10 @@ def eval_stage(corpus: Corpus, sft_ckpt: Checkpoint, svpo_ckpt: Checkpoint,
 
 def run_pipeline(config: ExperimentConfig,
                  out_dir: str | Path | None = None) -> ReportBundle:
+    """Every stage end to end, artifacts written to `out_dir` if given.
+    Seeded outputs repeat at a fixed BLAS thread count: the preference
+    stage's checkpoint and log differ between 1 and 2 threads. The
+    benchmark pins one thread."""
     corpus = build_corpus(config)
     sft_ckpt = pretrain_stage(corpus, config)
     log: list = []

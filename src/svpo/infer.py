@@ -35,8 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .env import Question, Solution, TERMINAL
 from .model import (Model, PolicyValueParams, sample_distinct,
                     spawn_generator, temper)

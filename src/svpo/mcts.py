@@ -18,15 +18,14 @@ it has reached, keyed by the depth (legal sets depend on depth alone).
 The probabilities are stored as lists of Python floats, since priors and
 draws read them one entry at a time. An expansion walks its sampled
 children once, transitioning each and collecting the ones that need a
-rollout; it evaluates those the memo lacks in one batched policy-only
-forward (`Model.policy`, then one `np.exp` and one `temper` over the
-batch, restricted to the depth's legal ids) and draws each child's
-rollout step with `model.draw_index`. A node's rollout distribution is
-reused when the node is expanded, and every tree after the first reuses
-the states the earlier trees reached, so the policy runs at most once
-per distinct state. The memo lives for one call, which has one question
-and one `params`, so it never outlives the parameters it was computed
-from.
+rollout; it evaluates those the memo lacks in one batched forward
+(`Model.logits` on the depth's legal ids, then `temper`) and draws each
+child's rollout step with `model.draw_index`. A node's rollout
+distribution is reused when the node is expanded, and every tree after
+the first reuses the states the earlier trees reached, so the policy
+runs at most once per distinct state. The memo lives for one call,
+which has one question and one `params`, so it never outlives the
+parameters it was computed from.
 
 Each tree reads its generator through a `Uniforms` reader, which draws
 `rng.random(64)` blocks as lists of floats and hands out k uniforms at a
@@ -250,24 +249,26 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
 def _policies(model: Model, params: PolicyValueParams, states,
               temperature: float, memo: dict) -> list[tuple]:
     """(legal actions, probabilities, tempered probabilities) of each
-    state, the probabilities as lists of floats, read from the memo; the
-    states it lacks are evaluated in one batched policy forward and
-    stored there. The states sit at one depth (a node, or the rollout
-    children of one node), so they share one legal set, which the memo
-    keeps under the depth."""
+    state, read from the memo; the states it lacks get one batched
+    forward. The states sit at one depth (a node, or the rollout
+    children of one node), so they share one legal set, kept in the memo
+    under the depth. Both rows are softmaxes of the logits on that set
+    (no mask needed), as lists of floats; one list at temperature 1."""
     missing = [s for s in states if s.steps not in memo]
     if missing:
-        logp, _, _ = model.policy(params, missing)
+        logits, _, _ = model.logits(params, missing)
         depth = missing[0].depth
         if depth not in memo:
             legal = model.env.legal_actions(missing[0])
             memo[depth] = (legal, [a.id for a in legal]
                            if len(legal) < model.vocab_size else None)
         legal, ids = memo[depth]
-        probs, tempered = np.exp(logp), temper(logp, temperature)
         if ids is not None:
-            probs, tempered = probs[:, ids], tempered[:, ids]
-        for state, p, t in zip(missing, probs.tolist(), tempered.tolist()):
+            logits = logits[:, ids]
+        probs = temper(logits, 1.0).tolist()
+        tempered = (probs if temperature == 1.0
+                    else temper(logits, temperature).tolist())
+        for state, p, t in zip(missing, probs, tempered):
             memo[state.steps] = (legal, p, t)
     return [memo[s.steps] for s in states]
 

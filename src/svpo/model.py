@@ -8,26 +8,25 @@ and exposed analytically; nothing here depends on an autodiff framework.
 Log-probabilities are computed in log space with the usual max-shift.
 
 Search and decoding evaluate whole rows of states at once. MCTS reads
-only the policy and calls `Model.policy` (feature rows, trunk, masked
-log-softmax), scoring all new rollout children of an expansion in one
-call. SBS scores all children of a level through `Model.policy_value`,
-which adds the value head on top of `policy`; `legal_logprobs`, `value`
-and `value_forward` are one-row calls into it. Feature rows come from
-one featurizer, `Featurizer.rows`: each row is a copy of its question's
-base row (the question-only blocks, computed once per question and kept
-by question id) with the state's few entries written by index. A batch
-holds one question's states, so the question and its base row are
-looked up only when a state's question id differs from the previous
-state's. Sampling goes
-through `draw_index` and `sample_distinct`, which read Python float
-sequences (search keeps its probabilities as `.tolist()` rows) and take
-their uniforms from the caller, so that a generator's uniforms pick what
-`Generator.choice` would pick from the same stream. Training and
-win-rate scoring go through one batched prefix kernel,
-`Model.seq_logprob_grad`: it evaluates many (question, prefix) sequences
-at once and returns the gradient of any weighted sum of their
-log-probabilities and end-state values, from feature rows that
-`Model.prefix_rows` compiled once.
+only the policy and calls `Model.logits` (feature rows, trunk, policy
+head), scoring all new rollout children of an expansion in one call. SBS
+scores all children of a level through `Model.policy_value`, which adds
+the masked log-softmax and the value head to `logits`; `legal_logprobs`,
+`value` and `value_forward` are one-row calls into it. Feature rows come
+from one featurizer, `Featurizer.rows`: each row is a copy of its
+question's base row (the question-only blocks, computed once per
+question and kept by question id) with the state's few entries written
+by index. A batch holds one question's states, so the question and its
+base row are looked up only when a state's question id differs from the
+previous state's. Sampling goes through `draw_index` and
+`sample_distinct`, which read Python float sequences (search keeps its
+probabilities as `.tolist()` rows) and take their uniforms from the
+caller, so that a generator's uniforms pick what `Generator.choice`
+would pick from the same stream. Training and win-rate scoring go
+through one batched prefix kernel, `Model.seq_logprob_grad`: it
+evaluates many (question, prefix) sequences at once and returns the
+gradient of any weighted sum of their log-probabilities and end-state
+values, from feature rows that `Model.prefix_rows` compiled once.
 """
 from __future__ import annotations
 
@@ -256,27 +255,25 @@ class Model:
 
     # -- forward ----------------------------------------------------------
 
-    def policy(self, params: PolicyValueParams, states):
-        """The batched policy forward over a list of states, one row
-        each: feature rows, the tanh trunk and the masked log-softmax.
+    def logits(self, params: PolicyValueParams, states):
+        """Feature rows (`Featurizer.rows`), tanh trunk and policy head of
+        each state, with no softmax or mask; empty arrays for no states.
 
-        Row i of the log-probs spans the whole vocabulary; answers are
-        -inf in a depth-0 state, where Env.legal_actions forbids them
-        (`legal_rows` restricts a row to the legal actions). Feature rows
-        come from `Featurizer.rows`. An empty list gives empty arrays.
-
-        Returns (log-probs (n, vocab), hidden (n, h), features (n, d))."""
+        Returns (logits (n, vocab), hidden (n, h), features (n, d))."""
         x = self.featurizer.rows(self.env, states)
         hidden = np.tanh(x @ params.w_shared)
-        depth0 = [i for i, s in enumerate(states) if s.depth == 0]
-        return self._log_softmax(hidden @ params.w_policy, depth0), hidden, x
+        return hidden @ params.w_policy, hidden, x
 
     def policy_value(self, params: PolicyValueParams, states):
-        """`policy` plus the value head on its hidden activations.
+        """`logits`, its log-softmax over the whole vocabulary (answers
+        -inf in a depth-0 state, where Env.legal_actions forbids them)
+        and the value head.
 
         Returns (log-probs (n, vocab), values (n,), hidden (n, h),
         features (n, d))."""
-        logp, hidden, x = self.policy(params, states)
+        logits, hidden, x = self.logits(params, states)
+        depth0 = [i for i, s in enumerate(states) if s.depth == 0]
+        logp = self._log_softmax(logits, depth0)
         values = np.tanh((hidden * params.w_value).sum(axis=1))
         return logp, values, hidden, x
 

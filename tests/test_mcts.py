@@ -431,13 +431,13 @@ def test_build_forest_evaluates_each_state_once(toy, monkeypatch):
     env, model, questions = toy
     params = model.init_params(seed=5, scale=0.5)
     calls = []
-    inner = model.policy
+    inner = model.logits
 
     def counted(p, states):
         calls.extend(state.steps for state in states)
         return inner(p, states)
 
-    monkeypatch.setattr(model, "policy", counted)
+    monkeypatch.setattr(model, "logits", counted)
     config = SearchConfig(target_correct=99)  # build every tree
     for q in questions[:3]:
         calls.clear()
@@ -446,6 +446,33 @@ def test_build_forest_evaluates_each_state_once(toy, monkeypatch):
         assert calls and len(calls) == len(set(calls))
         # the memo spans trees: later roots are not evaluated again
         assert calls.count(()) == 1
+
+
+def test_unit_temperature_prior_row_is_the_sampling_row(toy):
+    """At temperature 1 every memo entry keeps one list as its prior row
+    and its sampling row, and the rows of a depth-0 and a deeper state
+    are exp of policy_value's log-probs on the legal ids."""
+    env, model, questions = toy
+    params = model.init_params(seed=5, scale=0.5)
+    tree = new_tree(env, questions[0])
+    memo = {}
+    expand_and_evaluate(tree, 0, model, params, SearchConfig(),
+                        Uniforms(spawn_generator(3)), memo)
+    rows = [entry for key, entry in memo.items() if isinstance(key, tuple)]
+    assert len(rows) > 1
+    assert all(tempered is probs for _, probs, tempered in rows)
+    root = tree.root
+    for node in (root, tree.nodes[root.children[0]]):
+        legal, logprobs, _, _ = model.legal_logprobs(params, node.state)
+        got_legal, probs, _ = memo[node.state.steps]
+        assert got_legal == legal
+        np.testing.assert_allclose(probs, np.exp(logprobs), rtol=1e-14,
+                                   atol=0)
+    legal, probs, _ = memo[root.state.steps]
+    ids = [a.id for a in legal]
+    for cid in root.children:
+        child = tree.nodes[cid]
+        assert child.prior == probs[ids.index(child.action)]
 
 
 _FRESH_FOREST = """

@@ -552,18 +552,23 @@ def test_featurizer_rows_match_reference(difficulty, seed, walks, scratches):
     assert fz.rows(env, []).shape == (0, fz.dim)
 
 
-def test_policy_is_policy_value_without_the_value_head(setup):
-    """`policy` returns policy_value's log-probs, hidden activations and
-    features bit for bit, and an empty state list gives empty arrays."""
+def test_policy_value_is_the_masked_log_softmax_of_logits(setup):
+    """policy_value's log-probs are `_log_softmax` of `logits` with the
+    depth-0 rows masked, bit for bit, on a depth-0 and a deeper state;
+    hidden activations and features are the same arrays, and an empty
+    state list gives empty arrays."""
     env, model, questions = setup
     params = model.init_params(seed=4, scale=0.5)
     state = env.initial_state(questions[0])
     states = [state, env.transition(state, env.vocab[1])]
-    logp, hidden, x = model.policy(params, states)
+    logits, hidden, x = model.logits(params, states)
     want = model.policy_value(params, states)
+    logp = model._log_softmax(logits, [0])
     for got, expect in zip((logp, hidden, x), (want[0], want[2], want[3])):
         assert np.array_equal(got, expect)
-    empty = model.policy(params, [])
+    assert np.isneginf(logp[0, model._answer_ids]).all()
+    assert np.isfinite(logp[1]).all()
+    empty = model.logits(params, [])
     assert [a.shape for a in empty] == [(0, model.vocab_size),
                                         (0, params.h), (0, model.d)]
 
