@@ -24,9 +24,9 @@ plus pretrain_log.csv, which the pipeline does not write:
 infer decodes the test split with a checkpoint (inference_*.jsonl).
 ablate, sweep, and pipeline are self-contained drivers. An ablation arm
 is a set of config overrides applied before the preference stage:
-full (none), no_margin (svpo_w_margin = 0), no_mse (svpo_w_mse = 0),
-no_reg (svpo_w_reg = 0) and solution_dpo (all three, trained on
-solution-level pairs only); the arm sft scores the pretrain checkpoint.
+full (none), no_margin (svpo_w_margin = 0), no_mse (svpo_w_mse = 0)
+and solution_dpo (both, trained on solution-level pairs only); the arm
+sft scores the pretrain checkpoint.
 A sweep arm sets svpo_gamma. Exit codes: 0 success, 2 configuration
 error (an unknown or repeated key, a non-finite number, or a value not
 of its field's type, such as `solution_level_only = no` or `seed = 1.5`)

@@ -565,9 +565,8 @@ ARMS = {
     "full": {},
     "no_margin": {"svpo_w_margin": 0.0},
     "no_mse": {"svpo_w_mse": 0.0},
-    "no_reg": {"svpo_w_reg": 0.0},
     "solution_dpo": {"svpo_w_margin": 0.0, "svpo_w_mse": 0.0,
-                     "svpo_w_reg": 0.0, "solution_level_only": True},
+                     "solution_level_only": True},
     "sft": None,
 }
 

@@ -18,12 +18,12 @@ question's base row (the question-only blocks, computed once per
 question and kept by question id) with the state's few entries written
 by index. A batch holds one question's states, so the question and its
 base row are looked up only when a state's question id differs from the
-previous state's. Sampling goes through `draw_index` and
-`sample_distinct`, which read Python float sequences (search keeps its
-probabilities as `.tolist()` rows) and take their uniforms from the
-caller, so that a generator's uniforms pick what `Generator.choice`
-would pick from the same stream. Training and win-rate scoring go
-through one batched prefix kernel, `Model.seq_logprob_grad`: it
+previous state's. Sampling goes through `sample_distinct`, which reads
+a Python float sequence (search keeps its probabilities as `.tolist()`
+rows) and takes its uniforms from the caller, so that a generator's
+uniforms pick what `Generator.choice` would pick from the same stream;
+a single draw is a call with one uniform. Training and win-rate scoring
+go through one batched prefix kernel, `Model.seq_logprob_grad`: it
 evaluates many (question, prefix) sequences at once and returns the
 gradient of any weighted sum of their log-probabilities and end-state
 values, from feature rows that `Model.prefix_rows` compiled once.
@@ -434,17 +434,6 @@ def _index(probs: np.ndarray, u: float) -> int:
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     return int(cdf.searchsorted(u, side="right"))
-
-
-def draw_index(weights, u: float) -> int:
-    """The index `_index` picks for the uniform u, in Python floats: the
-    running sums, divided by the last one, and the count of them <= u.
-    The sums are added left to right as numpy's cumsum adds them, so it
-    equals `rng.choice(len(weights), p=weights)` when rng yields u.
-    `weights` is a sequence of floats with a positive sum."""
-    cdf = list(accumulate(weights))
-    total = cdf[-1]
-    return bisect_right([c / total for c in cdf], u)
 
 
 # a pick this close to a cdf boundary, relative to the mass left, is

@@ -29,6 +29,7 @@ _PAIR_STREAM = 0xBA1
 SIBLING = "sibling"
 COUSIN = "cousin"
 TERMINAL_KIND = "terminal"
+_KIND_ORDER = (SIBLING, COUSIN, TERMINAL_KIND)  # cross-tree loser preference
 
 
 class UnlabeledForest(Exception):
@@ -188,29 +189,21 @@ def _loser_pools(tree: SearchTree):
 
 def _cross_tree_fallback(forest: Forest, t: int, n_w: TreeNode, depth: int,
                          used: set[tuple[int, int]]):
-    """One loser from another tree: sibling-like first (same depth, shares
-    all but the last action with the winner), then cousin-like (same
-    depth), then a wrong terminal at another depth. Deterministic: lowest
-    (tree, node id) wins."""
+    """One loser from another tree: a non-correct node at the winner's
+    depth or a wrong terminal at another depth, ranked by its
+    `classify_kind` against the winner (sibling, then cousin, then
+    terminal), then by lowest (tree, node id)."""
     winner_steps = n_w.state.steps
-    sib, cous, term = [], [], []
-    for ot, other in enumerate(forest.trees):
-        if ot == t:
-            continue
-        for node in other.nodes:
-            if node.correct or node.parent is None or (ot, node.id) in used:
-                continue
-            if node.state.depth == depth:
-                if _divergence(winner_steps, node.state.steps) == depth - 1:
-                    sib.append((ot, node))
-                else:
-                    cous.append((ot, node))
-            elif node.terminal:
-                term.append((ot, node))
-    for pool in (sib, cous, term):
-        if pool:
-            return min(pool, key=lambda p: (p[0], p[1].id))
-    return None
+    candidates = [(ot, node) for ot, other in enumerate(forest.trees)
+                  if ot != t for node in other.nodes
+                  if not (node.correct or node.parent is None
+                          or (ot, node.id) in used)
+                  and (node.state.depth == depth or node.terminal)]
+    if not candidates:
+        return None
+    return min(candidates, key=lambda p: (
+        _KIND_ORDER.index(classify_kind(winner_steps, p[1].state.steps)),
+        p[0], p[1].id))
 
 
 def extract_value_targets(forest: Forest) -> list[ValueTarget]:

@@ -7,17 +7,22 @@ pulling the value head toward frozen search targets (reward at terminals,
 Q inside the tree).
 
 The preference stage (`SVPOConfig`, which adds beta, gamma and the margin
-and coupling weights) scores each winner/loser pair two ways: an implicit
-reward difference from policy log-ratios against a frozen reference
-policy, and an explicit difference of value-head outputs at the two end
-states. Its loss combines a sigmoid preference term on the implicit
-difference, a hinge pushing the explicit difference past a margin, a
-squared coupling term tying the implicit difference to the explicit one
-(the explicit side enters as a constant: the value head receives no
-gradient from it), plus the reweighted pretraining terms. Those carried
-terms range over the solutions and value targets of the stage's
-TrainData; the pipeline passes the corpus's SFT solutions and value
-targets, which cycle alongside the pair batches.
+weight) scores each winner/loser pair two ways: an implicit reward
+difference from policy log-ratios against a frozen reference policy, and
+an explicit difference of value-head outputs at the two end states. Its
+loss combines a sigmoid preference term on the implicit difference, a
+hinge pushing the explicit difference past a margin, plus the reweighted
+pretraining terms. Those carried terms range over the solutions and value
+targets of the stage's TrainData; the pipeline passes the corpus's SFT
+solutions and value targets, which cycle alongside the pair batches.
+
+The paper's abstract says the explicit value model is trained, from the
+perspective of learning-to-rank, to replicate the behavior of the
+implicit reward model; its full text is not in this repository. This
+code reads that as: the value head learns the same pairwise ranking the
+implicit reward is trained on, through the margin hinge over the same
+winner/loser pairs the sigmoid term ranks, and the search's values
+through the MSE. No term ties the two differences' magnitudes together.
 
 Every loss is coefficient arithmetic over one call per batch of the
 model's batched prefix kernel, `Model.seq_logprob_grad`: it returns each
@@ -49,7 +54,7 @@ from .records import save_csv
 
 _TRAIN_STREAM = 0x7A1
 
-LOG_FIELDS = ["step", "stage", "dpo", "margin", "reg", "sft", "mse", "total",
+LOG_FIELDS = ["step", "stage", "dpo", "margin", "sft", "mse", "total",
               "grad_norm", "max_abs_dr"]
 
 
@@ -79,7 +84,8 @@ class PretrainConfig:
 @dataclass
 class SVPOConfig(PretrainConfig):
     """The preference stage: the pretraining terms, reweighted, plus the
-    step-level preference, value-margin and coupling terms."""
+    step-level preference term (inverse temperature beta) and the value
+    margin hinge (margin gamma, weight w_margin)."""
 
     w_sft: float = 5.0
     w_mse: float = 0.25
@@ -87,7 +93,6 @@ class SVPOConfig(PretrainConfig):
     beta: float = 0.1
     gamma: float = 0.5
     w_margin: float = 0.25
-    w_reg: float = 0.001
 
     def __post_init__(self):
         super().__post_init__()
@@ -95,7 +100,7 @@ class SVPOConfig(PretrainConfig):
             raise ValueError("beta must be positive")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if min(self.w_margin, self.w_reg) < 0:
+        if self.w_margin < 0:
             raise ValueError("loss weights must be >= 0")
 
 
@@ -110,7 +115,6 @@ class LossBreakdown:
 
     dpo: float = 0.0
     margin: float = 0.0
-    reg: float = 0.0
     sft: float = 0.0
     mse: float = 0.0
     total: float = 0.0
@@ -210,7 +214,7 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
                     targets: list[ValueTarget], rows: PrefixRows):
     """Mean loss terms and mean weighted gradient for one svpo step.
 
-    The preference terms (dpo, margin, reg) come from the pair batch, the
+    The preference terms (dpo, margin) come from the pair batch, the
     carried pretraining terms (sft, mse) from the solution and value-target
     batches; an empty dataset makes its term zero. `ref_logprobs` holds the
     batch's reference log-probs as pair_logprobs returns them, and `rows`
@@ -220,9 +224,9 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
     ratio bound never binds while this stays inside the value range.
 
     Every term folds into per-prefix coefficients of one kernel call over
-    the distinct winner and loser prefixes plus the carried datasets. The
-    coupling term's coefficient lands on the log-prob path only, so the
-    value head stays structurally untouched by it."""
+    the distinct winner and loser prefixes plus the carried datasets: the
+    preference term's on the log-prob path, the hinge's on the value
+    path."""
     if not batch:
         raise EmptyBatch("empty pair batch")
     qids, prefixes, w, l = pair_prefixes(batch)
@@ -235,16 +239,14 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
         dr_pi = config.beta * ((lp[w] - ref_logprobs[:, 0])
                                - (lp[l] - ref_logprobs[:, 1]))
         dr_phi = v[w] - v[l]
-        pi = config.beta * ((_sigmoid(dr_pi) - 1.0)
-                            + config.w_reg * 2.0 * (dr_pi - dr_phi))
+        pi = config.beta * (_sigmoid(dr_pi) - 1.0)
         hinge = np.where(dr_phi < config.gamma, -config.w_margin, 0.0)
         terms["sft"], terms["mse"], a_data, b_data = _dataset_loss(
             config, logprobs[n_pre:n_pre + n_sol], values[n_pre + n_sol:],
             targets)
         terms.update(
             dpo=float(_softplus(-dr_pi).sum() / n),
-            margin=float(np.maximum(0.0, config.gamma - dr_phi).sum() / n),
-            reg=float(((dr_pi - dr_phi) ** 2).sum() / n))
+            margin=float(np.maximum(0.0, config.gamma - dr_phi).sum() / n))
         terms["max_abs_dr"] = float(np.abs(dr_pi).max())
         a = np.zeros(n_pre)
         b = np.zeros(n_pre)
@@ -258,8 +260,7 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
                                         prefixes + data_prefixes, coef)
     max_abs_dr = terms.pop("max_abs_dr")
     total = (terms["dpo"] + config.w_margin * terms["margin"]
-             + config.w_reg * terms["reg"] + config.w_sft * terms["sft"]
-             + config.w_mse * terms["mse"])
+             + config.w_sft * terms["sft"] + config.w_mse * terms["mse"])
     breakdown = LossBreakdown(total=total, **terms)
     return breakdown, grad, max_abs_dr
 
@@ -376,8 +377,8 @@ def _log_row(log, step: int, stage: str, breakdown: LossBreakdown,
     if log is None:
         return
     log.append({"step": step, "stage": stage, "dpo": breakdown.dpo,
-                "margin": breakdown.margin, "reg": breakdown.reg,
-                "sft": breakdown.sft, "mse": breakdown.mse,
+                "margin": breakdown.margin, "sft": breakdown.sft,
+                "mse": breakdown.mse,
                 "total": breakdown.total, "grad_norm": grad.norm(),
                 "max_abs_dr": max_abs_dr})
 

@@ -229,10 +229,8 @@ def svpo_pair_terms(model: Model, params: PolicyValueParams,
                     ref_params: PolicyValueParams, pair, config):
     """Per-pair loss terms and their unweighted analytic gradients.
 
-    Returns (LossBreakdown, {term: Gradients}, implicit difference). The
-    coupling term's gradient flows only through the implicit difference:
-    the explicit value gap is treated as a constant there. sft and mse
-    are the pair-derived forms (winner NLL, winner end-state error
+    Returns (LossBreakdown, {term: Gradients}, implicit difference). sft
+    and mse are the pair-derived forms (winner NLL, winner end-state error
     against its stored q)."""
     question = model.env.question(pair.question_id)
     w_ev = model.grads_logprob_and_value(params, question, pair.winner)
@@ -244,13 +242,12 @@ def svpo_pair_terms(model: Model, params: PolicyValueParams,
     dr_phi = w_ev.value - l_ev.value
     dpo = _softplus(-dr_pi)
     margin = max(0.0, config.gamma - dr_phi)
-    reg = (dr_pi - dr_phi) ** 2
     sft = -w_ev.logprob
     mse = (w_ev.value - pair.q_w) ** 2
     breakdown = LossBreakdown(
-        dpo=dpo, margin=margin, reg=reg, sft=sft, mse=mse,
-        total=(dpo + config.w_margin * margin + config.w_reg * reg
-               + config.w_sft * sft + config.w_mse * mse))
+        dpo=dpo, margin=margin, sft=sft, mse=mse,
+        total=(dpo + config.w_margin * margin + config.w_sft * sft
+               + config.w_mse * mse))
 
     def combo(*parts) -> Gradients:
         g = zero_grad(params)
@@ -268,7 +265,6 @@ def svpo_pair_terms(model: Model, params: PolicyValueParams,
     grads = {
         "dpo": from_pi(_sigmoid(dr_pi) - 1.0),
         "margin": from_phi(-1.0 if dr_phi < config.gamma else 0.0),
-        "reg": from_pi(2.0 * (dr_pi - dr_phi)),
         "sft": combo((w_ev.grad_logprob, -1.0)),
         "mse": combo((w_ev.grad_value, 2.0 * (w_ev.value - pair.q_w))),
     }
@@ -324,8 +320,8 @@ def svpo_batch_oracle(model: Model, params: PolicyValueParams,
     """svpo_batch_grad's (mean terms, gradient, max |implicit diff|), one
     pair at a time; the carried terms come from the datasets (zero when
     both are empty)."""
-    weights = {"dpo": 1.0, "margin": config.w_margin, "reg": config.w_reg}
-    sums = dict.fromkeys(["dpo", "margin", "reg", "sft", "mse"], 0.0)
+    weights = {"dpo": 1.0, "margin": config.w_margin}
+    sums = dict.fromkeys(["dpo", "margin", "sft", "mse"], 0.0)
     grad = zero_grad(params)
     max_abs_dr = 0.0
     for pair in batch:

@@ -131,12 +131,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert main(["pipeline", "--config", str(bad),
                      "--out", str(out)]) == 2, line
         assert "config error" in capsys.readouterr().err
-    # pretraining's config holds only the fields its loss reads
-    for key in ("beta", "gamma", "w_margin", "w_reg", "stage"):
-        bad.write_text(TINY + f"pretrain_{key} = 1\n")
+    # pretraining's config holds only the fields its loss reads, and the
+    # preference stage has no coupling weight
+    for line in ("pretrain_beta = 1", "pretrain_gamma = 1",
+                 "pretrain_w_margin = 1", "pretrain_stage = 1",
+                 "svpo_w_reg = 0.001"):
+        bad.write_text(TINY + line + "\n")
         capsys.readouterr()
         assert main(["pipeline", "--config", str(bad),
-                     "--out", str(out)]) == 2, key
+                     "--out", str(out)]) == 2, line
         assert "unknown config key" in capsys.readouterr().err
     assert not out.exists()
 

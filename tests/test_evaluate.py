@@ -235,7 +235,7 @@ def test_config_key_set_is_pinned():
         "search_n_children", "search_target_correct", "search_temperature",
         "seed", "sft_k", "solution_level_only",
         "svpo_batch_size", "svpo_beta", "svpo_epochs", "svpo_gamma",
-        "svpo_lr", "svpo_w_margin", "svpo_w_mse", "svpo_w_reg", "svpo_w_sft",
+        "svpo_lr", "svpo_w_margin", "svpo_w_mse", "svpo_w_sft",
     ]
 
 
@@ -335,18 +335,23 @@ def test_pipeline_preference_stage_carries_pretraining_terms(tiny_bundle):
 
 
 def test_every_training_arm_changes_the_trained_params(tiny_bundle):
+    """Each arm moves some trained weight by more than 1e-3 from full's:
+    an arm whose term only flips low bits measures nothing."""
     bundle, _ = tiny_bundle
     flat = experiment_config_to_dict(bundle.config)
     trained = {}
     for arm, overrides in ARMS.items():
         if overrides is not None:
             cfg = experiment_config_from_dict({**flat, **overrides})
-            params = svpo_stage(bundle.corpus, bundle.sft_ckpt, cfg).params
-            trained[arm] = params_to_record(params)
-    assert trained["full"] == params_to_record(bundle.svpo_ckpt.params)
-    for arm, record in trained.items():
-        if arm != "full":
-            assert record != trained["full"], arm
+            trained[arm] = svpo_stage(bundle.corpus, bundle.sft_ckpt,
+                                      cfg).params
+    full = trained.pop("full")
+    assert params_to_record(full) == params_to_record(bundle.svpo_ckpt.params)
+    for arm, params in trained.items():
+        moved = max(float(np.abs(getattr(params, name)
+                                 - getattr(full, name)).max())
+                    for name in ("w_shared", "w_policy", "w_value"))
+        assert moved > 1e-3, (arm, moved)
 
 
 def test_solution_level_filter(tiny_bundle):
@@ -446,6 +451,6 @@ def test_run_matrix_refuses_bad_overrides_before_any_work(monkeypatch,
 
 
 def test_arm_table_is_complete():
-    assert set(ARMS) == {"full", "no_margin", "no_mse", "no_reg",
-                         "solution_dpo", "sft"}
+    assert set(ARMS) == {"full", "no_margin", "no_mse", "solution_dpo",
+                         "sft"}
     assert ARMS["solution_dpo"]["solution_level_only"] is True

@@ -11,7 +11,7 @@ from svpo import model as model_module
 from svpo.env import DIFFICULTY_STEPS, TERMINAL, Env, Question, gen_dataset
 from svpo.model import (
     SCRATCH_HI, SCRATCH_LO, Featurizer, Model, Gradients, IllegalPrefix,
-    draw_index, params_from_record, params_to_record, sample_distinct,
+    params_from_record, params_to_record, sample_distinct,
     spawn_generator, temper,
 )
 from svpo.train import Checkpoint, load_checkpoint, save_checkpoint
@@ -301,28 +301,6 @@ def test_sample_distinct_falls_back_on_cdf_boundaries(weights, monkeypatch):
         fallbacks.clear()
         assert sample_distinct(w, [u]) == picks
         assert fallbacks == [u]
-
-
-@settings(max_examples=200, deadline=None)
-@given(weights=st.lists(_WEIGHT, min_size=1, max_size=11),
-       hot=st.integers(0, 10), edge=st.integers(0, 10),
-       seed=st.integers(0, 2**63))
-def test_draw_index_matches_draw(weights, hot, edge, seed):
-    """draw_index on a list of floats picks what `draw` picks for the
-    same uniform, on raw and on normalized weights with zeros among
-    them, for a random uniform and for uniforms on and next to a
-    boundary of `draw`'s cdf."""
-    w = np.array(weights)
-    if w.sum() == 0:
-        w[hot % len(w)] = 1.0
-    for probs in (w, w / w.sum()):
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
-        b = float(cdf[edge % len(cdf)])
-        uniforms = [spawn_generator(seed).random(), b,
-                    float(np.nextafter(b, 0.0)), float(np.nextafter(b, 1.0))]
-        for u in uniforms:
-            assert draw_index(probs.tolist(), u) == draw(probs, _Uniforms([u]))
 
 
 def test_sample_distinct_underflow_is_uniform():

@@ -88,11 +88,11 @@ def test_every_artifact_writer_keeps_its_bytes(tmp_path):
         b'{"step": 4, ' + config_bytes + b', "params": ' + params_bytes
         + b', "ref_params": ' + params_bytes + b'}')
 
-    row = dict(zip(LOG_FIELDS, [1, "svpo", 0.6931471805599453, 0.0, 1e-07,
-                                2.5, 0.1, 3.3, 12.0, 0.1 + 0.2]))
+    row = dict(zip(LOG_FIELDS, [1, "svpo", 0.6931471805599453, 1e-07, 2.5,
+                                0.1, 3.3, 12.0, 0.1 + 0.2]))
     assert written("svpo_log.csv", save_log_csv, [row, row]) == (
-        b"step,stage,dpo,margin,reg,sft,mse,total,grad_norm,max_abs_dr\r\n"
-        + b"1,svpo,0.6931471805599453,0.0,1e-07,2.5,0.1,3.3,12.0,"
+        b"step,stage,dpo,margin,sft,mse,total,grad_norm,max_abs_dr\r\n"
+        + b"1,svpo,0.6931471805599453,1e-07,2.5,0.1,3.3,12.0,"
         b"0.30000000000000004\r\n" * 2)
 
     assert written("inference_sbs_b3.jsonl", save_jsonl, [

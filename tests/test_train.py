@@ -61,9 +61,8 @@ def test_dpo_is_log2_when_policy_equals_reference(corpus):
 
 
 def test_zero_params_closed_forms(corpus):
-    # V == 0 everywhere: margin saturates at gamma, the coupling term
-    # vanishes (both diffs are 0), mse is q_w^2, and sft is the sum of
-    # uniform log-counts along the winner prefix.
+    # V == 0 everywhere: margin saturates at gamma, mse is q_w^2, and sft
+    # is the sum of uniform log-counts along the winner prefix.
     _, model, pairs, _, _ = corpus
     params = model.zeros_params()
     config = default_svpo_config()
@@ -71,7 +70,6 @@ def test_zero_params_closed_forms(corpus):
     assert value_diff(model, params, pair) == 0.0
     breakdown = svpo_loss(model, params, params, pair, config)
     assert breakdown.margin == pytest.approx(config.gamma, abs=1e-15)
-    assert breakdown.reg == 0.0
     assert breakdown.mse == pytest.approx(pair.q_w ** 2, abs=1e-12)
     # default vocab: 6 ops legal at depth 0, 6 ops + 5 answers afterwards
     expected_sft = sum(math.log(6.0 if i == 0 else 11.0)
@@ -86,8 +84,7 @@ def test_total_is_the_weighted_sum(corpus):
     config = default_svpo_config()
     breakdown = svpo_loss(model, params, ref, pairs[1], config)
     expected = (breakdown.dpo + config.w_margin * breakdown.margin
-                + config.w_reg * breakdown.reg + config.w_sft * breakdown.sft
-                + config.w_mse * breakdown.mse)
+                + config.w_sft * breakdown.sft + config.w_mse * breakdown.mse)
     assert breakdown.total == pytest.approx(expected, abs=1e-12)
 
 
@@ -111,7 +108,7 @@ def test_pretrain_total_weighting(corpus):
                               config)
     assert breakdown.total == pytest.approx(
         breakdown.sft + 0.01 * breakdown.mse, abs=1e-12)
-    assert breakdown.dpo == breakdown.margin == breakdown.reg == 0.0
+    assert breakdown.dpo == breakdown.margin == 0.0
 
 
 # -- analytic gradients against finite differences --------------------------
@@ -140,21 +137,6 @@ def test_fd_per_term(corpus, term):
     assert fd_relative_error(f, params, grads[term], rng, n_coords=15) < 1e-4
 
 
-def test_fd_coupling_term_with_frozen_value_gap(corpus):
-    # The coupling term's gradient treats the explicit gap as a constant,
-    # so the matching scalar function freezes it at the base params.
-    model, params, ref, config, pair = _fd_setup(corpus)
-    _, grads, _ = svpo_pair_terms(model, params, ref, pair, config)
-    frozen_gap = value_diff(model, params, pair)
-
-    def f(p):
-        dr = implicit_reward_diff(model, p, ref, pair, config.beta)
-        return (dr - frozen_gap) ** 2
-
-    rng = np.random.default_rng(41)
-    assert fd_relative_error(f, params, grads["reg"], rng, n_coords=15) < 1e-4
-
-
 def test_fd_batch_gradient(corpus):
     model, params, ref, config, _ = _fd_setup(corpus)
     _, _, pairs, solutions, targets = corpus
@@ -166,42 +148,17 @@ def test_fd_batch_gradient(corpus):
     _, analytic, _ = svpo_batch_grad(model, params,
                                      pair_logprobs(model, ref, batch, rows)[0],
                                      batch, config, sols, tgts, rows)
-    frozen_gaps = [value_diff(model, params, p) for p in batch]
 
     def f(p):
         total = 0.0
-        for pair, gap in zip(batch, frozen_gaps):
+        for pair in batch:
             breakdown = svpo_loss(model, p, ref, pair, config)
-            dr = implicit_reward_diff(model, p, ref, pair, config.beta)
-            total += (breakdown.dpo + config.w_margin * breakdown.margin
-                      + config.w_reg * (dr - gap) ** 2)
+            total += breakdown.dpo + config.w_margin * breakdown.margin
         return (total / len(batch)
                 + pretrain_loss(model, p, sols, tgts, config).total)
 
     rng = np.random.default_rng(42)
     assert fd_relative_error(f, params, analytic, rng, n_coords=20) < 1e-4
-
-
-def test_coupling_gradient_never_touches_value_head(corpus):
-    _, model, pairs, _, _ = corpus
-    params = model.init_params(seed=21, scale=0.4)
-    ref = model.init_params(seed=22, scale=0.4)
-    config = default_svpo_config()
-    for pair in pairs[:10]:
-        _, grads, _ = svpo_pair_terms(model, params, ref, pair, config)
-        assert np.all(grads["reg"].w_value == 0.0)
-    # end to end: switching the coupling weight on changes the policy-path
-    # gradient but leaves the value-head gradient bit-identical
-    batch = pairs[:16]
-    rows = stage_rows(model, TrainData(pairs=batch))
-    ref_logprobs, _ = pair_logprobs(model, ref, batch, rows)
-    _, g_off, _ = svpo_batch_grad(model, params, ref_logprobs, batch,
-                                  default_svpo_config(w_reg=0.0), [], [],
-                                  rows)
-    _, g_on, _ = svpo_batch_grad(model, params, ref_logprobs, batch,
-                                 default_svpo_config(w_reg=1.0), [], [], rows)
-    assert np.array_equal(g_off.w_value, g_on.w_value)
-    assert not np.array_equal(g_off.w_shared, g_on.w_shared)
 
 
 # -- the batched kernel against one-at-a-time oracles -----------------------
@@ -424,9 +381,8 @@ def test_log_rows_and_step_count(corpus):
     assert [row["step"] for row in log] == list(range(1, len(log) + 1))
     assert all(row["stage"] == "svpo" for row in log)
     assert all(row["grad_norm"] >= 0.0 for row in log)
-    assert list(log[0].keys()) == ["step", "stage", "dpo", "margin", "reg",
-                                   "sft", "mse", "total", "grad_norm",
-                                   "max_abs_dr"]
+    assert list(log[0].keys()) == ["step", "stage", "dpo", "margin", "sft",
+                                   "mse", "total", "grad_norm", "max_abs_dr"]
     assert all(0.0 <= row["max_abs_dr"] < 20.0 for row in log)
     # pretrain batches advance in lockstep, driven by the larger dataset
     log2 = []
@@ -461,8 +417,7 @@ def test_config_validation():
                     {"w_sft": -1.0}, {"w_mse": -1.0}):
             with pytest.raises(ValueError):
                 cls(**bad)
-    for bad in ({"beta": 0.0}, {"gamma": -0.5}, {"w_margin": -1.0},
-                {"w_reg": -1.0}):
+    for bad in ({"beta": 0.0}, {"gamma": -0.5}, {"w_margin": -1.0}):
         with pytest.raises(ValueError):
             SVPOConfig(**bad)
     with pytest.raises(TypeError):  # no preference terms in pretraining
