@@ -11,17 +11,18 @@ plus pretrain_log.csv, which the pipeline does not write:
     annotate  reads  questions_*.jsonl
               writes forests.jsonl
     pairs     reads  questions_*.jsonl, forests.jsonl
-              writes pairs.jsonl, value_targets.jsonl, solutions.jsonl,
-                     pair_stats.json
+              writes pairs.jsonl, value_targets.jsonl, solutions.jsonl
     pretrain  reads  questions_*.jsonl, pairs.jsonl, value_targets.jsonl,
-                     solutions.jsonl, pair_stats.json
+                     solutions.jsonl
               writes ckpt_pretrain.json, pretrain_log.csv
     svpo      reads  what pretrain reads, ckpt_pretrain.json
               writes ckpt_svpo.json, svpo_log.csv
     eval      reads  what svpo reads, ckpt_svpo.json, svpo_log.csv
               writes pairs_heldout.jsonl, summary.json
 
-infer decodes the test split with a checkpoint (inference_*.jsonl).
+infer decodes the test split with a checkpoint (inference_*.jsonl); in
+sbs mode --b1 defaults to the config's sbs_b1. eval reports SBS at
+b1 = 1 and 3 whatever sbs_b1 holds.
 ablate, sweep, and pipeline are self-contained drivers. An ablation arm
 is a set of config overrides applied before the preference stage:
 full (none), no_margin (svpo_w_margin = 0), no_mse (svpo_w_mse = 0)
@@ -29,7 +30,8 @@ and solution_dpo (both, trained on solution-level pairs only); the arm
 sft scores the pretrain checkpoint.
 A sweep arm sets svpo_gamma. Exit codes: 0 success, 2 configuration
 error (an unknown or repeated key, a non-finite number, or a value not
-of its field's type, such as `solution_level_only = no` or `seed = 1.5`)
+of its field's type, such as `solution_level_only = no` or `seed = 1.5`),
+a malformed --seeds or --gammas list or an unknown arm (before any work)
 or a question file outside the Env's bounds, 3 stage failure.
 """
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .evaluate import (
 )
 from .env import InvalidQuestion
 from .infer import inference_record
+from .pairs import positive_negative_ratio
 from .records import save_csv, save_jsonl
 from .train import load_checkpoint, parse_kv_text
 
@@ -83,7 +86,7 @@ def cmd_pairs(args, config: ExperimentConfig, out: Path) -> int:
     pairs_stage(corpus, config)
     save_corpus(corpus, out, ("pairs",))
     print(f"extracted {len(corpus.pairs)} pairs "
-          f"(1:{corpus.pos_neg_ratio:.4f}) -> pairs.jsonl")
+          f"(1:{positive_negative_ratio(corpus.pairs):.4f}) -> pairs.jsonl")
     return 0
 
 
@@ -112,10 +115,11 @@ def cmd_infer(args, config: ExperimentConfig, out: Path) -> int:
     sbs_config = None
     name = f"inference_{args.mode}.jsonl"
     if args.mode == "sbs":
-        sbs_config = dataclasses.replace(config.sbs, b1=args.b1)
-        name = f"inference_sbs_b{args.b1}.jsonl"
-    records = [inference_record(corpus.model, ckpt.params, q, args.mode,
-                                sbs_config, rng_seed=config.seed)
+        sbs_config = config.sbs if args.b1 is None \
+            else dataclasses.replace(config.sbs, b1=args.b1)
+        name = f"inference_sbs_b{sbs_config.b1}.jsonl"
+    records = [inference_record(corpus.model, ckpt.params, q, sbs_config,
+                                rng_seed=config.seed)
                for q in corpus.test_questions]
     save_jsonl(records, out / name)
     acc = sum(r["correct"] for r in records) / len(records)
@@ -136,6 +140,8 @@ def cmd_eval(args, config: ExperimentConfig, out: Path) -> int:
     return 0
 
 
+# argparse types: a malformed list is a usage error (exit 2) before any work
+
 def _seed_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
@@ -144,12 +150,16 @@ def _gamma_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-def cmd_ablate(args, config: ExperimentConfig, out: Path) -> int:
-    arms = [arm.strip() for arm in args.arms.split(",") if arm.strip()]
+def _arm_list(text: str) -> list[str]:
+    arms = [arm.strip() for arm in text.split(",") if arm.strip()]
     for arm in arms:
         if arm not in ARMS:
-            raise StageFailure("ablate", ValueError(f"unknown arm {arm!r}"))
-    seeds = _seed_list(args.seeds)
+            raise argparse.ArgumentTypeError(f"unknown arm {arm!r}")
+    return arms
+
+
+def cmd_ablate(args, config: ExperimentConfig, out: Path) -> int:
+    arms, seeds = args.arms, args.seeds
     results = run_matrix(config, seeds, {arm: ARMS[arm] for arm in arms},
                          with_win_rates=True)
     rows = []
@@ -174,8 +184,7 @@ def cmd_ablate(args, config: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_sweep(args, config: ExperimentConfig, out: Path) -> int:
-    gammas = _gamma_list(args.gammas)
-    seeds = _seed_list(args.seeds)
+    gammas, seeds = args.gammas, args.seeds
     results = run_matrix(config, seeds,
                          {gamma: {"svpo_gamma": gamma} for gamma in gammas})
     rows = [{"gamma": gamma, "seed": seed,
@@ -229,19 +238,21 @@ def build_parser() -> argparse.ArgumentParser:
     add("svpo", cmd_svpo, "preference optimization stage")
     p = add("infer", cmd_infer, "decode the test set with a checkpoint")
     p.add_argument("--mode", choices=("greedy", "sbs"), default="greedy")
-    p.add_argument("--b1", type=int, default=1, help="beams kept (sbs mode)")
+    p.add_argument("--b1", type=int, default=None,
+                   help="beams kept (sbs mode; default: the config's sbs_b1)")
     p.add_argument("--ckpt", default="ckpt_svpo.json",
                    help="checkpoint filename under --out")
     add("eval", cmd_eval, "accuracy and win-rate report for both stages")
     p = add("ablate", cmd_ablate, "train and score ablation arms")
-    p.add_argument("--arms", default="full,no_margin,no_mse,sft",
+    p.add_argument("--arms", type=_arm_list,
+                   default="full,no_margin,no_mse,sft",
                    help=f"comma-separated arms among {', '.join(ARMS)}; "
                         "each is a set of config overrides, and sft "
                         "scores the pretrain checkpoint")
-    p.add_argument("--seeds", default=DEFAULT_SEEDS)
+    p.add_argument("--seeds", type=_seed_list, default=DEFAULT_SEEDS)
     p = add("sweep", cmd_sweep, "margin-width sensitivity sweep")
-    p.add_argument("--gammas", default=DEFAULT_GAMMAS)
-    p.add_argument("--seeds", default=DEFAULT_SEEDS)
+    p.add_argument("--gammas", type=_gamma_list, default=DEFAULT_GAMMAS)
+    p.add_argument("--seeds", type=_seed_list, default=DEFAULT_SEEDS)
     add("pipeline", cmd_pipeline, "run every stage end to end")
     return parser
 

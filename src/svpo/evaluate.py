@@ -72,21 +72,18 @@ def _stage(name: str):
 # -- metrics ------------------------------------------------------------------
 
 def accuracy(model: Model, params: PolicyValueParams,
-             questions: list[Question], mode: str,
-             sbs_config: SBSConfig | None = None,
+             questions: list[Question], sbs_config: SBSConfig | None,
              rng_seed: int = 0) -> float:
-    """Fraction of questions whose decoded answer equals the truth."""
+    """Fraction of questions whose decoded answer equals the truth, decoded
+    greedily when `sbs_config` is None and by beam search otherwise."""
     if not questions:
         raise EmptyDataset("no questions to evaluate")
     correct = 0
     for question in questions:
-        if mode == "greedy":
+        if sbs_config is None:
             solution = greedy_decode(model, params, question)
-        elif mode == "sbs":
-            solution = sbs(model, params, question, sbs_config or SBSConfig(),
-                           rng_seed)
         else:
-            raise ValueError(f"unknown inference mode {mode!r}")
+            solution = sbs(model, params, question, sbs_config, rng_seed)
         correct += int(solution.correct)
     return correct / len(questions)
 
@@ -185,7 +182,7 @@ def experiment_config_from_dict(items: dict) -> ExperimentConfig:
     """The config of flat key=value entries (see experiment_config_to_dict).
     Refuses an unknown key, and a value whose type is not its field's: a
     bool field takes a bool, an int field an int, a float field an int or
-    a float (kept as given), a str field a str."""
+    a float (stored as a float, so 0 and 0.0 agree), a str field a str."""
     slots = _config_keys()
     top: dict = {}
     nested: dict[str, dict] = {name: {} for name in _SUBCONFIGS}
@@ -197,6 +194,8 @@ def experiment_config_from_dict(items: dict) -> ExperimentConfig:
                 and isinstance(value, bool) == (f.type == "bool")):
             raise ValueError(f"config key {key!r} needs type {f.type}, "
                              f"not {value!r}")
+        if f.type == "float":
+            value = float(value)
         (top if slot is None else nested[slot])[f.name] = value
     for name, cls in _SUBCONFIGS.items():
         top[name] = cls(**nested[name])
@@ -229,7 +228,6 @@ class Corpus:
     pairs: list[PreferencePair] = field(default_factory=list)
     solutions: list = field(default_factory=list)
     value_targets: list[ValueTarget] = field(default_factory=list)
-    pos_neg_ratio: float = 0.0
     rows: PrefixRows | None = None
 
 
@@ -287,9 +285,6 @@ def pairs_stage(corpus: Corpus, config: ExperimentConfig) -> None:
                        for i in range(config.max_value_targets)]
         corpus.pairs, corpus.value_targets, corpus.solutions = (
             pairs, targets, solutions)
-        # counted here: the ratio needs each pair's tree, which the pairs
-        # file does not keep
-        corpus.pos_neg_ratio = positive_negative_ratio(pairs)
         compile_rows(corpus)
 
 
@@ -362,11 +357,11 @@ def heldout_stage(corpus: Corpus, sft_ckpt: Checkpoint,
 def eval_accuracy_suite(corpus: Corpus, params: PolicyValueParams,
                         config: ExperimentConfig) -> dict:
     model, questions = corpus.model, corpus.test_questions
-    out = {"greedy": accuracy(model, params, questions, "greedy")}
+    out = {"greedy": accuracy(model, params, questions, None)}
     for b1 in (1, 3):
         sbs_config = dataclasses.replace(config.sbs, b1=b1)
-        out[f"sbs_b{b1}"] = accuracy(model, params, questions, "sbs",
-                                     sbs_config, rng_seed=config.seed)
+        out[f"sbs_b{b1}"] = accuracy(model, params, questions, sbs_config,
+                                     rng_seed=config.seed)
     return out
 
 
@@ -418,7 +413,7 @@ def pair_stats(corpus: Corpus) -> dict:
     return {"n_pairs": len(corpus.pairs),
             "n_value_targets": len(corpus.value_targets),
             "n_solutions": len(corpus.solutions),
-            "pos_neg_ratio": corpus.pos_neg_ratio}
+            "pos_neg_ratio": positive_negative_ratio(corpus.pairs)}
 
 
 def eval_stage(corpus: Corpus, sft_ckpt: Checkpoint, svpo_ckpt: Checkpoint,
@@ -482,7 +477,7 @@ def run_pipeline(config: ExperimentConfig,
 def save_corpus(corpus: Corpus, out: Path,
                 stages=("gen", "annotate", "pairs")) -> None:
     """gen: questions_{train,test}.jsonl; annotate: forests.jsonl; pairs:
-    pairs.jsonl, value_targets.jsonl, solutions.jsonl, pair_stats.json."""
+    pairs.jsonl, value_targets.jsonl, solutions.jsonl."""
     from .env import save_dataset
     from .mcts import save_forests
     from .pairs import save_pairs, save_solutions, save_value_targets
@@ -496,7 +491,6 @@ def save_corpus(corpus: Corpus, out: Path,
         save_pairs(corpus.pairs, out / "pairs.jsonl")
         save_value_targets(corpus.value_targets, out / "value_targets.jsonl")
         save_solutions(corpus.solutions, out / "solutions.jsonl")
-        (out / "pair_stats.json").write_text(summary_text(pair_stats(corpus)))
 
 
 def load_corpus(out: Path, config: ExperimentConfig,
@@ -511,8 +505,6 @@ def load_corpus(out: Path, config: ExperimentConfig,
         corpus.pairs = load_pairs(out / "pairs.jsonl")
         corpus.value_targets = load_value_targets(out / "value_targets.jsonl")
         corpus.solutions = load_solutions(out / "solutions.jsonl")
-        stats = json.loads((out / "pair_stats.json").read_text())
-        corpus.pos_neg_ratio = stats["pos_neg_ratio"]
         compile_rows(corpus)
     return corpus
 

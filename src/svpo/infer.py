@@ -174,19 +174,17 @@ def sbs(model: Model, params: PolicyValueParams, question: Question,
 # -- result records -----------------------------------------------------------
 
 def inference_record(model: Model, params: PolicyValueParams,
-                     question: Question, mode: str,
-                     sbs_config: SBSConfig | None = None,
+                     question: Question, sbs_config: SBSConfig | None,
                      rng_seed: int = 0) -> dict:
-    if mode == "greedy":
+    """One decode's record, greedy when `sbs_config` is None."""
+    if sbs_config is None:
         solution = greedy_decode(model, params, question)
-        b1 = b2 = score = None
-    elif mode == "sbs":
-        config = sbs_config or SBSConfig()
-        best = sbs_best(model, params, question, config, rng_seed)
-        solution = model.env.build_solution(question, best.prefix)
-        b1, b2, score = config.b1, config.b2, best.value_score
+        mode, b1, b2, score = "greedy", None, None, None
     else:
-        raise ValueError(f"unknown inference mode {mode!r}")
+        best = sbs_best(model, params, question, sbs_config, rng_seed)
+        solution = model.env.build_solution(question, best.prefix)
+        mode, b1, b2, score = ("sbs", sbs_config.b1, sbs_config.b2,
+                               best.value_score)
     return {"question_id": question.id, "mode": mode, "b1": b1, "b2": b2,
             "steps": list(solution.steps), "predicted": solution.predicted,
             "truth": question.truth, "correct": solution.correct,

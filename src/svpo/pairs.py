@@ -50,10 +50,9 @@ class PairCounts:
 @dataclass(frozen=True)
 class PreferencePair:
     """One winner/loser prefix pair. `level` is the length of the shared
-    action prefix (where the two step sequences diverge). `tree` records
-    which tree's walk emitted the pair; it stays out of the serialized
-    schema and exists for ratio accounting, so a reloaded pair has
-    none."""
+    action prefix (where the two step sequences diverge). `tree` is the
+    index, in its question's forest, of the tree whose walk emitted the
+    pair; the positive count of `positive_negative_ratio` needs it."""
 
     question_id: int
     winner: tuple[int, ...]
@@ -62,7 +61,7 @@ class PreferencePair:
     q_w: float
     q_l: float
     level: int
-    tree: int | None = None
+    tree: int
 
 
 @dataclass(frozen=True)
@@ -244,13 +243,9 @@ def extract_sft_solutions(env: Env, forest: Forest, k: int) -> list[Solution]:
 
 def positive_negative_ratio(pairs: list[PreferencePair]) -> float:
     """Negatives per positive: each emitted pair is one negative example,
-    each walked winner prefix (per question and tree) one positive.
-    Raises ValueError for a pair without a tree, such as one read back
-    with `load_pairs`, whose positives cannot be told apart."""
+    each walked winner prefix (per question and tree) one positive."""
     if not pairs:
         return 0.0
-    if any(p.tree is None for p in pairs):
-        raise ValueError("pairs without a tree give no positive count")
     positives = {(p.question_id, p.tree, p.winner) for p in pairs}
     return len(pairs) / len(positives)
 
@@ -260,14 +255,14 @@ def positive_negative_ratio(pairs: list[PreferencePair]) -> float:
 def pair_to_record(p: PreferencePair) -> dict:
     return {"question_id": p.question_id, "winner": list(p.winner),
             "loser": list(p.loser), "kind": p.kind, "q_w": p.q_w,
-            "q_l": p.q_l, "level": p.level}
+            "q_l": p.q_l, "level": p.level, "tree": p.tree}
 
 
 def pair_from_record(rec: dict) -> PreferencePair:
     return PreferencePair(
         question_id=rec["question_id"], winner=tuple(rec["winner"]),
         loser=tuple(rec["loser"]), kind=rec["kind"], q_w=rec["q_w"],
-        q_l=rec["q_l"], level=rec["level"])
+        q_l=rec["q_l"], level=rec["level"], tree=rec["tree"])
 
 
 def save_pairs(pairs: list[PreferencePair], path: str | Path) -> None:

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from svpo.cli import main
-from svpo.pairs import load_pairs, positive_negative_ratio
+from svpo.evaluate import build_corpus, experiment_config_from_dict
+from svpo.pairs import load_pairs, positive_negative_ratio, save_pairs
+from svpo.train import parse_kv_text
 
 TINY = """\
 seed = 0
@@ -45,7 +47,7 @@ def staged(tmp_path_factory):
 def test_staged_flow_artifacts(staged):
     _, out = staged
     for name in ["questions_train.jsonl", "questions_test.jsonl",
-                 "forests.jsonl", "pairs.jsonl", "pair_stats.json",
+                 "forests.jsonl", "pairs.jsonl",
                  "value_targets.jsonl", "solutions.jsonl",
                  "ckpt_pretrain.json", "pretrain_log.csv",
                  "ckpt_svpo.json", "svpo_log.csv",
@@ -56,9 +58,9 @@ def test_staged_flow_artifacts(staged):
 
 def test_staged_flow_contents(staged):
     _, out = staged
-    stats = json.loads((out / "pair_stats.json").read_text())
-    assert stats["n_pairs"] > 0
-    assert stats["pos_neg_ratio"] > 1  # negatives outnumber positives
+    data = json.loads((out / "summary.json").read_text())["data"]
+    assert data["n_pairs"] > 0
+    assert data["pos_neg_ratio"] > 1  # negatives outnumber positives
     records = [json.loads(line) for line in
                (out / "inference_greedy.jsonl").read_text().splitlines()]
     assert len(records) == 8
@@ -68,15 +70,35 @@ def test_staged_flow_contents(staged):
     assert 0.0 <= report["win_rate"]["heldout"]["explicit"] <= 1.0
 
 
-def test_reloaded_pairs_refuse_a_ratio(staged):
-    """Reloaded pairs carry no tree, so the ratio, which counts one
-    positive per (question, tree, winner), refuses them rather than
-    counting positives per (question, winner)."""
-    _, out = staged
-    reloaded = load_pairs(out / "pairs.jsonl")
-    assert reloaded and all(p.tree is None for p in reloaded)
-    with pytest.raises(ValueError):
-        positive_negative_ratio(reloaded)
+def test_reloaded_pairs_keep_their_ratio(tmp_path):
+    """Each pair record keeps its tree, so the ratio, which counts one
+    positive per (question, tree, winner), reads the same from pairs.jsonl
+    as from the pairs it was written from."""
+    corpus = build_corpus(experiment_config_from_dict(parse_kv_text(TINY)))
+    save_pairs(corpus.pairs, tmp_path / "pairs.jsonl")
+    reloaded = load_pairs(tmp_path / "pairs.jsonl")
+    assert reloaded == corpus.pairs
+    assert len({p.tree for p in reloaded}) > 1
+    assert positive_negative_ratio(reloaded) == \
+        positive_negative_ratio(corpus.pairs)
+
+
+def test_pairs_file_without_trees_is_refused(staged, tmp_path, capsys):
+    """A pairs.jsonl written before pairs kept their tree fails its first
+    reader, as a stage failure; re-running `svpo pairs` mends it."""
+    config, out = staged
+    for name in ("questions_train.jsonl", "questions_test.jsonl",
+                 "value_targets.jsonl", "solutions.jsonl"):
+        (tmp_path / name).write_bytes((out / name).read_bytes())
+    records = [json.loads(line)
+               for line in (out / "pairs.jsonl").read_text().splitlines()]
+    (tmp_path / "pairs.jsonl").write_text("".join(
+        json.dumps({k: v for k, v in r.items() if k != "tree"}) + "\n"
+        for r in records))
+    assert main(["pretrain", "--config", str(config),
+                 "--out", str(tmp_path)]) == 3
+    assert "'tree'" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt_pretrain.json").exists()
 
 
 @pytest.mark.parametrize("extra", ["", "solution_level_only = true\n"])
@@ -90,7 +112,7 @@ def test_staged_flow_equals_pipeline(tmp_path, capsys, extra):
                  "--out", str(tmp_path / "pipeline")]) == 0
     capsys.readouterr()
     names = sorted(p.name for p in (tmp_path / "pipeline").iterdir())
-    assert {"summary.json", "pair_stats.json"} <= set(names)
+    assert "summary.json" in names and "pair_stats.json" not in names
     for name in names:
         assert (tmp_path / "staged" / name).read_bytes() == \
             (tmp_path / "pipeline" / name).read_bytes(), name
@@ -170,12 +192,37 @@ def test_out_of_range_question_file_exits_2(tmp_path, capsys):
     assert not (out / "forests.jsonl").exists()
 
 
-def test_unknown_arm_exit_3(staged, capsys):
+@pytest.mark.parametrize("command,flag,value", [
+    ("ablate", "--arms", "full,warp_drive"),
+    ("ablate", "--seeds", "x"),
+    ("sweep", "--seeds", "x"),
+    ("sweep", "--gammas", "0.5,wide"),
+], ids=["unknown_arm", "ablate_seeds", "sweep_seeds", "sweep_gammas"])
+def test_usage_errors_exit_2(tmp_path, capsys, command, flag, value):
+    """A malformed list or an unknown arm is a usage error, refused
+    before any work: not even --out is created."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infer_b1_defaults_to_the_config(staged, tmp_path, capsys):
+    """Without --b1, `svpo infer --mode sbs` keeps the config's sbs_b1."""
     config, out = staged
-    code = main(["ablate", "--config", str(config), "--out", str(out),
-                 "--arms", "full,warp_drive", "--seeds", "0"])
-    assert code == 3
-    assert "error in stage 'ablate'" in capsys.readouterr().err
+    b3 = tmp_path / "b3.cfg"
+    b3.write_text(config.read_text() + "sbs_b1 = 3\n")
+    for name in ("questions_train.jsonl", "questions_test.jsonl",
+                 "ckpt_svpo.json"):
+        (tmp_path / name).write_bytes((out / name).read_bytes())
+    assert main(["infer", "--config", str(b3), "--out", str(tmp_path),
+                 "--mode", "sbs"]) == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in
+               (tmp_path / "inference_sbs_b3.jsonl").read_text().splitlines()]
+    assert len(records) == 8 and all(r["b1"] == 3 for r in records)
 
 
 @pytest.fixture(scope="module")

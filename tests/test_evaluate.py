@@ -67,14 +67,12 @@ def test_accuracy_extremes(small_world):
     question = questions[0]
     right = tuple(question.chain) + (_answer_id(env),)
     params = scripted_params(model, dict(enumerate(right)))
-    assert accuracy(model, params, [question], "greedy") == 1.0
+    assert accuracy(model, params, [question], None) == 1.0
     wrong = right[:-1] + (_answer_id(env, offset=1),)
     params = scripted_params(model, dict(enumerate(wrong)))
-    assert accuracy(model, params, [question], "greedy") == 0.0
+    assert accuracy(model, params, [question], None) == 0.0
     with pytest.raises(EmptyDataset):
-        accuracy(model, params, [], "greedy")
-    with pytest.raises(ValueError):
-        accuracy(model, params, [question], "self_consistency")
+        accuracy(model, params, [], None)
 
 
 def test_accuracy_uniform_greedy_matches_walk_oracle(small_world):
@@ -93,7 +91,7 @@ def test_accuracy_uniform_greedy_matches_walk_oracle(small_world):
         return False
 
     expected = sum(oracle_walk(q) for q in questions) / len(questions)
-    got = accuracy(model, model.zeros_params(), questions, "greedy")
+    got = accuracy(model, model.zeros_params(), questions, None)
     assert got == expected
 
 
@@ -108,7 +106,7 @@ def test_win_rate_identity_and_perfect_value_head(small_world):
                  and env.transition(env.initial_state(question), a).scratch
                  != w_state.scratch)
     pairs = [PreferencePair(question.id, (op,), (other.id,), "sibling",
-                            0.5, -0.5, 0)]
+                            0.5, -0.5, 0, tree=0)]
     params = model.init_params(seed=1)
     report = _win_rate(model, params, params, pairs, 0.1)
     assert report["implicit"] == 0.5  # identical policies tie every pair
@@ -133,7 +131,7 @@ def test_win_rate_random_params_near_half(small_world):
         for _ in range(50):
             w, l = rng.choice(ops, size=2, replace=False)
             pairs.append(PreferencePair(question.id, (int(w),), (int(l),),
-                                        "sibling", 0.0, 0.0, 0))
+                                        "sibling", 0.0, 0.0, 0, tree=0))
     accs = []
     for seed in range(20):
         params = model.init_params(seed=100 + seed, scale=0.5)
@@ -154,7 +152,8 @@ def test_batched_win_rate_matches_per_pair_scoring(small_world):
     q = questions[0]
     adds = [a.id for a in env.vocab if a.op == "add"]
     tie = PreferencePair(q.id, (adds[0], adds[1], adds[2]),
-                         (adds[1], adds[0], adds[2]), "cousin", 0.0, 0.0, 2)
+                         (adds[1], adds[0], adds[2]), "cousin", 0.0, 0.0, 2,
+                         tree=0)
     pairs.append(tie)
     # more than one kernel chunk
     pairs = pairs * (PAIR_CHUNK // len(pairs) + 1)
@@ -217,9 +216,13 @@ def test_experiment_config_roundtrip_and_rejection():
                        ("difficulty", 3)]:
         with pytest.raises(ValueError, match=key):
             experiment_config_from_dict({key: value})
-    # a float field keeps an int as an int, so summary.json keeps its bytes
+    # a float field stores an int as a float, so 0 and 0.0 write the same
+    # summary.json and checkpoint bytes
     lr = experiment_config_from_dict({"svpo_lr": 1}).svpo.lr
-    assert lr == 1 and type(lr) is int
+    assert lr == 1.0 and type(lr) is float
+    as_int, as_float = (json.dumps(experiment_config_to_dict(
+        experiment_config_from_dict({"svpo_w_margin": v}))) for v in (0, 0.0))
+    assert as_int == as_float
 
 
 def test_config_key_set_is_pinned():
@@ -289,7 +292,7 @@ def test_pipeline_artifacts_written(tiny_bundle):
     _, out = tiny_bundle
     expected = ["questions_train.jsonl", "questions_test.jsonl",
                 "forests.jsonl", "pairs.jsonl", "pairs_heldout.jsonl",
-                "value_targets.jsonl", "solutions.jsonl", "pair_stats.json",
+                "value_targets.jsonl", "solutions.jsonl",
                 "ckpt_pretrain.json", "ckpt_svpo.json", "svpo_log.csv",
                 "summary.json"]
     for name in expected:

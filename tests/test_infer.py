@@ -312,17 +312,15 @@ def test_inference_records_and_roundtrip(tmp_path, setup):
     params = model.init_params(seed=13, scale=0.5)
     keys = ["question_id", "mode", "b1", "b2", "steps", "predicted",
             "truth", "correct", "score"]
-    greedy_rec = inference_record(model, params, questions[0], "greedy")
+    greedy_rec = inference_record(model, params, questions[0], None)
     assert list(greedy_rec.keys()) == keys
     assert greedy_rec["b1"] is None and greedy_rec["b2"] is None
     assert greedy_rec["score"] is None
-    sbs_rec = inference_record(model, params, questions[0], "sbs",
+    sbs_rec = inference_record(model, params, questions[0],
                                SBSConfig(b1=3), rng_seed=2)
     assert list(sbs_rec.keys()) == keys
     assert sbs_rec["b1"] == 3 and sbs_rec["b2"] == 5
     assert isinstance(sbs_rec["score"], float)
-    with pytest.raises(ValueError):
-        inference_record(model, params, questions[0], "mcts")
 
     path = tmp_path / "results.jsonl"
     save_jsonl([greedy_rec, sbs_rec], path)

@@ -12,7 +12,7 @@ from svpo.pairs import (
     COUSIN, SIBLING, TERMINAL_KIND, PairCounts, PreferencePair, UnlabeledForest,
     classify_kind, extract_pairs, extract_sft_solutions, extract_value_targets,
     label_correct, load_pairs, load_solutions, load_value_targets,
-    pair_from_record, pair_to_record, positive_negative_ratio, save_pairs,
+    pair_from_record, positive_negative_ratio, save_pairs,
     save_solutions, save_value_targets,
 )
 
@@ -337,11 +337,10 @@ def test_pair_serialization_round_trip(searched_corpus, tmp_path):
     path = tmp_path / "pairs.jsonl"
     save_pairs(pairs, path)
     loaded = load_pairs(path)
-    for orig, back in zip(pairs, loaded):
-        assert pair_to_record(orig) == pair_to_record(back)
+    assert loaded == pairs
     rec = json.loads(path.read_text().split("\n")[0])
     assert list(rec) == ["question_id", "winner", "loser", "kind", "q_w",
-                         "q_l", "level"]
+                         "q_l", "level", "tree"]
     assert pair_from_record(rec) == loaded[0]
 
 

@@ -50,13 +50,14 @@ def test_every_artifact_writer_keeps_its_bytes(tmp_path):
 
     pairs = [PreferencePair(7, (1, 2), (1, 3), "sibling", 0.5, -1 / 3, 1,
                             tree=0),
-             PreferencePair(8, (), (6,), "terminal", 1.0, -1.0, 0)]
+             PreferencePair(8, (), (6,), "terminal", 1.0, -1.0, 0, tree=2)]
     assert written("pairs.jsonl", save_pairs, pairs) == (
         b'{"question_id": 7, "winner": [1, 2], "loser": [1, 3], '
         b'"kind": "sibling", "q_w": 0.5, "q_l": -0.3333333333333333, '
-        b'"level": 1}\n'
+        b'"level": 1, "tree": 0}\n'
         b'{"question_id": 8, "winner": [], "loser": [6], '
-        b'"kind": "terminal", "q_w": 1.0, "q_l": -1.0, "level": 0}\n')
+        b'"kind": "terminal", "q_w": 1.0, "q_l": -1.0, "level": 0, '
+        b'"tree": 2}\n')
 
     assert written("value_targets.jsonl", save_value_targets, [
         ValueTarget(7, (1, 2), 1e-05), ValueTarget(8, (), -0.0),
@@ -128,6 +129,4 @@ def test_every_artifact_writer_keeps_its_bytes(tmp_path):
     path = tmp_path / "pairs.jsonl"
     lines = path.read_text().splitlines()
     path.write_text("\n" + lines[0] + "\n  \n" + lines[1] + "\n\n")
-    assert load_pairs(path) == [
-        PreferencePair(7, (1, 2), (1, 3), "sibling", 0.5, -1 / 3, 1),
-        PreferencePair(8, (), (6,), "terminal", 1.0, -1.0, 0)]
+    assert load_pairs(path) == pairs

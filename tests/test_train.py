@@ -181,9 +181,9 @@ def kernel_case(corpus):
     op = question.chain[0]
     batch = pairs[:12] + [pairs[0], pairs[3],
                           PreferencePair(question.id, (op,), (), "sibling",
-                                         0.4, -0.2, 0),
+                                         0.4, -0.2, 0, tree=0),
                           PreferencePair(question.id, (op, answer), (op,),
-                                         "terminal", 1.0, 0.1, 1)]
+                                         "terminal", 1.0, 0.1, 1, tree=0)]
     prefixes = [(p.question_id, s) for p in batch for s in (p.winner,
                                                             p.loser)]
     assert len(set(prefixes)) < len(prefixes)
@@ -262,7 +262,7 @@ def test_batched_entry_points_raise_illegal_prefix(kernel_case):
         with pytest.raises(IllegalPrefix):
             model.prefix_rows([qid, qid], [batch[0].winner, bad])
         pair = PreferencePair(qid, batch[0].winner, bad, "sibling", 0.0,
-                              0.0, 0)
+                              0.0, 0, tree=0)
         with pytest.raises(IllegalPrefix):
             stage_rows(model, TrainData(pairs=batch[:3] + [pair]))
         solution = dataclasses.replace(sols[0], steps=bad)
