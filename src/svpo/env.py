@@ -7,11 +7,18 @@ propose a final answer (current scratch plus a small offset) and end the
 episode with reward +1 if the proposed answer equals the question's truth,
 -1 otherwise. Transitions are deterministic and cheap enough to enumerate,
 which the test oracles rely on.
+
+A `State` is a `typing.NamedTuple`: search builds one per transition,
+and a named tuple is made by one `tuple.__new__` call where a frozen
+dataclass sets each field through `object.__setattr__`. It compares and
+hashes by value and its fields cannot be assigned; `state._replace(...)`
+makes a changed copy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,8 +121,7 @@ class Question:
     difficulty: str
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     question_id: int
     steps: tuple[int, ...]
     scratch: int
@@ -141,7 +147,11 @@ def apply_op(scratch: int, action: Action) -> int:
 
 
 def compute_truth(config: EnvConfig, start: int, chain: tuple[int, ...]) -> int:
-    vocab = vocabulary(config)
+    return _run_chain(vocabulary(config), start, chain)
+
+
+def _run_chain(vocab: tuple[Action, ...], start: int,
+               chain: tuple[int, ...]) -> int:
     scratch = start
     for aid in chain:
         scratch = apply_op(scratch, vocab[aid])
@@ -170,12 +180,17 @@ def gen_dataset(seed: int, n: int, difficulty: str,
         raise ValueError("difficulty band exceeds depth budget")
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((_DATASET_STREAM, seed))))
+    # each op is op_ids[rng.integers(len(op_ids))]: the draw
+    # `rng.choice(op_ids)` makes, from the same stream, without its
+    # conversion of the list to an array
+    n_ops = len(op_ids)
     questions = []
     for i in range(n):
         total_steps = int(rng.integers(lo, hi + 1))
-        chain = tuple(int(rng.choice(op_ids)) for _ in range(total_steps - 1))
+        chain = tuple(op_ids[rng.integers(n_ops)]
+                      for _ in range(total_steps - 1))
         start = int(rng.integers(config.start_lo, config.start_hi + 1))
-        truth = compute_truth(config, start, chain)
+        truth = _run_chain(vocab, start, chain)
         questions.append(Question(
             id=seed * 1_000_000 + i, start=start, chain=chain,
             truth=truth, difficulty=difficulty))

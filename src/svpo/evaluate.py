@@ -435,14 +435,17 @@ def eval_stage(corpus: Corpus, sft_ckpt: Checkpoint, svpo_ckpt: Checkpoint,
             "max_abs_dr": max((float(row["max_abs_dr"]) for row in svpo_log),
                               default=0.0),
         }
-    return _round({
+    # only measured figures are rounded: the config block must read back
+    # as the config that ran (a beta of 1e-9 would round to 0.0)
+    return {
         "schema_version": SUMMARY_SCHEMA_VERSION,
         "config": experiment_config_to_dict(config),
-        "data": {"n_train": len(corpus.train_questions),
-                 "n_test": len(corpus.test_questions),
-                 "n_heldout_pairs": len(heldout), **pair_stats(corpus)},
-        "metrics": metrics,
-    })
+        "data": _round({"n_train": len(corpus.train_questions),
+                        "n_test": len(corpus.test_questions),
+                        "n_heldout_pairs": len(heldout),
+                        **pair_stats(corpus)}),
+        "metrics": _round(metrics),
+    }
 
 
 def run_pipeline(config: ExperimentConfig,

@@ -19,8 +19,8 @@ The probabilities are stored as lists of Python floats, since priors and
 draws read them one entry at a time. An expansion walks its sampled
 children once, transitioning each and collecting the ones that need a
 rollout; it evaluates those the memo lacks in one batched forward
-(`Model.logits` on the depth's legal ids, then `temper`) and draws each
-child's rollout step with `model.sample_distinct` and one uniform. A
+(`Model.logits` on the depth's legal ids, then `temper`) and picks each
+child's rollout step with one `model.draw` call on one uniform. A
 node's rollout distribution is reused when the node is expanded, and
 every tree after the first reuses the states the earlier trees reached,
 so the policy runs at most once per distinct state. The memo lives for
@@ -31,7 +31,8 @@ Each tree reads its generator through a `Uniforms` reader, which draws
 `rng.random(64)` blocks as lists of floats and hands out k uniforms at a
 time; reading n of them gives `rng.random(n).tolist()`, so the stream is
 the generator's own. Every categorical draw consumes that stream exactly
-as `Generator.choice` would (see `model.sample_distinct`).
+as `Generator.choice` would (see `model.draw`). Nodes hold `env.State`
+tuples, built once per transition.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import TERMINAL, DepthExceeded, Env, Question, State
-from .model import (Model, PolicyValueParams, sample_distinct,
+from .model import (Model, PolicyValueParams, draw, sample_distinct,
                     spawn_generator, temper)
 from .records import load_jsonl, save_jsonl
 
@@ -232,7 +233,7 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
             continue
         child = add_node(node_id, aid, child_state, prior)
         (r_legal, r_probs, r_tempered), u = next(policies)
-        [r_idx] = sample_distinct(r_tempered, [u])
+        r_idx = draw(r_tempered, u)
         r_action = r_legal[r_idx]
         if r_action.kind == TERMINAL:
             reward = env.terminal_reward(child_state, r_action)

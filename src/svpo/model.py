@@ -18,12 +18,19 @@ question's base row (the question-only blocks, computed once per
 question and kept by question id) with the state's few entries written
 by index. A batch holds one question's states, so the question and its
 base row are looked up only when a state's question id differs from the
-previous state's. Sampling goes through `sample_distinct`, which reads
-a Python float sequence (search keeps its probabilities as `.tolist()`
-rows) and takes its uniforms from the caller, so that a generator's
-uniforms pick what `Generator.choice` would pick from the same stream;
-a single draw is a call with one uniform. Training and win-rate scoring
-go through one batched prefix kernel, `Model.seq_logprob_grad`: it
+previous state's. Weighted sampling has one pick routine, `draw`: it
+reads a Python float sequence (search keeps its probabilities as
+`.tolist()` rows) and a uniform from the caller, and picks what
+`Generator.choice` would pick for that uniform. `sample_distinct` is a
+loop of `draw` calls over the weights left, and an MCTS rollout is one
+`draw`. Uniform sampling without replacement goes through
+`Uint32Stream.distinct`, numpy's own Floyd algorithm over a generator's
+32-bit words, which picks what `Generator.choice(n, size=k,
+replace=False)` would pick from the same stream. The softmaxes call the
+ufunc reductions `np.maximum.reduce` and `np.add.reduce` themselves,
+which `ndarray.max` and `ndarray.sum` reach through Python-level
+wrappers; the bits are the same. Training and win-rate scoring go
+through one batched prefix kernel, `Model.seq_logprob_grad`: it
 evaluates many (question, prefix) sequences at once and returns the
 gradient of any weighted sum of their log-probabilities and end-state
 values, from feature rows that `Model.prefix_rows` compiled once.
@@ -282,8 +289,9 @@ class Model:
         the rows `depth0` (answering needs one computation step)."""
         if len(depth0):
             logits[np.ix_(depth0, self._answer_ids)] = -np.inf
-        logits -= logits.max(axis=1, keepdims=True)
-        logits -= np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+        logits -= np.log(np.add.reduce(np.exp(logits), axis=1,
+                                       keepdims=True))
         return logits
 
     def legal_rows(self, state: State, *rows: np.ndarray):
@@ -421,9 +429,9 @@ def temper(logprobs: np.ndarray, temperature: float) -> np.ndarray:
     """Renormalized softmax of logprobs / temperature along the last
     axis, overflow-safe; -inf entries get probability 0."""
     z = logprobs / temperature
-    z -= z.max(axis=-1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     p = np.exp(z)
-    return p / p.sum(axis=-1, keepdims=True)
+    return p / np.add.reduce(p, axis=-1, keepdims=True)
 
 
 def _index(probs: np.ndarray, u: float) -> int:
@@ -444,40 +452,114 @@ _BOUNDARY = 1e-12
 _NORMAL = float(np.finfo(float).tiny)
 
 
+def draw(weights, u: float) -> int:
+    """The index `Generator.choice(len(weights), p=weights / sum)` picks
+    for the uniform u that the generator yields; if the weights' sum
+    underflows to zero (very low temperatures), the pick is uniform.
+    `weights` is any sequence of floats, a list or an array.
+
+    It scales u by the mass and bisects the running sums in Python
+    floats. A pick whose scaled uniform lies within 1e-12 times the mass
+    of a boundary, or whose mass is zero or subnormal, is redone in
+    choice's numpy arithmetic (`_index`)."""
+    cdf = list(accumulate(weights))
+    mass = cdf[-1]
+    x = u * mass
+    j = bisect_right(cdf, x)
+    near = _BOUNDARY * mass
+    if (not mass >= _NORMAL or (j and x - cdf[j - 1] <= near)
+            or j == len(cdf) or cdf[j] - x <= near):
+        w = np.array(weights)
+        total = w.sum()
+        j = _index(w / total if total > 0
+                   else np.full(len(w), 1.0 / len(w)), u)
+    return j
+
+
 def sample_distinct(weights, uniforms: list[float]) -> list[int]:
     """len(uniforms) distinct indices, drawn one by one without
-    replacement, each in proportion to the weights still left; pick i
+    replacement, each by `draw` over the weights still left; pick i
     reads uniforms[i], and there must be at most len(weights) of them.
-    If the remaining mass underflows to zero (very low temperatures), the
-    leftovers are treated as uniform. `weights` is any sequence of
-    floats, a list or an array.
 
     Given the uniforms a generator yields, the picks are those of one
     `Generator.choice` call per pick over the normalized weights left, so
     a caller that passes `rng.random(n).tolist()` consumes the generator
-    exactly as n such calls would. Each pick scales its uniform by the
-    mass left and bisects the running sums in Python floats. A pick whose
-    scaled uniform lies within 1e-12 times that mass of a boundary, or
-    whose mass is zero or subnormal, is redone in choice's numpy
-    arithmetic (`_index`)."""
+    exactly as n such calls would."""
     remaining = list(range(len(weights)))
     left = list(weights)
     picks: list[int] = []
     for u in uniforms:
-        cdf = list(accumulate(left))
-        mass = cdf[-1]
-        x = u * mass
-        j = bisect_right(cdf, x)
-        near = _BOUNDARY * mass
-        if (not mass >= _NORMAL or (j and x - cdf[j - 1] <= near)
-                or j == len(cdf) or cdf[j] - x <= near):
-            w = np.array(left)
-            total = w.sum()
-            j = _index(w / total if total > 0
-                       else np.full(len(w), 1.0 / len(w)), u)
+        j = draw(left, u)
         picks.append(remaining.pop(j))
         left.pop(j)
     return picks
+
+
+# `Generator.choice(n, size=k, replace=False)` shuffles the tail of
+# range(n) instead of running Floyd's algorithm above these sizes
+_FLOYD_MAX_N = 10_000
+_TAIL_SHUFFLE_FRACTION = 50
+
+
+class Uint32Stream:
+    """A generator's 32-bit words in the order numpy's samplers take
+    them: each 64-bit output of `random_raw` gives its low half, then
+    its high half (PCG64's `next_uint32` buffer, which this reader keeps
+    itself). The generator must be read through one reader alone."""
+
+    __slots__ = ("_raw", "_high")
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw = rng.bit_generator.random_raw
+        self._high: int | None = None
+
+    def _word(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        raw = self._raw()
+        self._high = raw >> 32
+        return raw & 0xFFFFFFFF
+
+    def _bounded(self, r: int) -> int:
+        """An integer in [0, r], r < 2**32, by Lemire's method on 32-bit
+        words, as numpy draws it; r = 0 reads no word."""
+        if r == 0:
+            return 0
+        span = r + 1
+        m = self._word() * span
+        threshold = (0xFFFFFFFF - r) % span
+        while m & 0xFFFFFFFF < threshold:
+            m = self._word() * span
+        return m >> 32
+
+    def distinct(self, n: int, k: int) -> list[int]:
+        """k distinct integers below n, as `Generator.choice(n, size=k,
+        replace=False)` draws them from the same stream: Floyd's
+        algorithm, then a shuffle of the picks, or for n above 10 000
+        with k above n // 50 a shuffle of the tail of range(n)."""
+        if not 0 <= k <= n <= 2**32:
+            raise ValueError(f"cannot draw {k} distinct integers below {n}")
+        bounded = self._bounded
+        if n > _FLOYD_MAX_N and k > n // _TAIL_SHUFFLE_FRACTION:
+            idx = list(range(n))
+            for i in range(n - 1, max(n - k, 1) - 1, -1):
+                j = bounded(i)
+                idx[i], idx[j] = idx[j], idx[i]
+            return idx[n - k:]
+        picks: list[int] = []
+        seen: set[int] = set()
+        for j in range(n - k, n):
+            v = bounded(j)
+            if v in seen:
+                v = j
+            seen.add(v)
+            picks.append(v)
+        for i in range(k - 1, 0, -1):
+            j = bounded(i)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
 
 
 def spawn_generator(*entropy: int) -> np.random.Generator:

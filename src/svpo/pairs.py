@@ -10,6 +10,12 @@ one positive prefix and up to four negatives, which is where the roughly
 1:4 positive:negative ratio comes from. A loser node is never reused
 within a question, and when a level has no candidates at all, one loser
 is borrowed from another tree of the same forest, sibling-like first.
+
+Losers of a kind are drawn uniformly without replacement by
+`model.Uint32Stream.distinct` over the forest's pair generator: numpy's
+own Floyd algorithm in Python, which picks what `Generator.choice(n,
+size=k, replace=False)` would pick from the same stream at a fraction of
+choice's fixed cost per call.
 """
 from __future__ import annotations
 
@@ -17,11 +23,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .env import Env, Solution
 from .mcts import Forest, SearchTree, TreeNode
-from .model import spawn_generator
+from .model import Uint32Stream, spawn_generator
 from .records import load_jsonl, save_jsonl
 
 _PAIR_STREAM = 0xBA1
@@ -110,13 +114,12 @@ def classify_kind(winner: tuple[int, ...], loser: tuple[int, ...]) -> str:
     return COUSIN
 
 
-def _draw(rng: np.random.Generator, candidates: list, k: int) -> list:
+def _draw(words: Uint32Stream, candidates: list, k: int) -> list:
     """Up to k distinct picks, candidate order held stable for determinism."""
     if not candidates or k <= 0:
         return []
     k = min(k, len(candidates))
-    idx = rng.choice(len(candidates), size=k, replace=False)
-    return [candidates[int(i)] for i in idx]
+    return [candidates[i] for i in words.distinct(len(candidates), k)]
 
 
 def extract_pairs(forest: Forest, counts: PairCounts,
@@ -128,7 +131,8 @@ def extract_pairs(forest: Forest, counts: PairCounts,
     """
     if not forest.labeled:
         raise UnlabeledForest("run label_correct before extracting pairs")
-    rng = spawn_generator(_PAIR_STREAM, rng_seed, forest.question_id)
+    words = Uint32Stream(spawn_generator(_PAIR_STREAM, rng_seed,
+                                         forest.question_id))
     used: set[tuple[int, int]] = set()
     pairs: list[PreferencePair] = []
 
@@ -160,11 +164,11 @@ def extract_pairs(forest: Forest, counts: PairCounts,
             terminals = [n for n in wrong_terminals
                          if n.state.depth != depth and (t, n.id) not in used]
             if siblings or cousins or terminals:
-                for loser in _draw(rng, siblings, counts.n_sibling):
+                for loser in _draw(words, siblings, counts.n_sibling):
                     emit(t, n_w, t, loser, SIBLING)
-                for loser in _draw(rng, cousins, counts.n_cousin):
+                for loser in _draw(words, cousins, counts.n_cousin):
                     emit(t, n_w, t, loser, COUSIN)
-                for loser in _draw(rng, terminals, counts.n_terminal):
+                for loser in _draw(words, terminals, counts.n_terminal):
                     emit(t, n_w, t, loser, TERMINAL_KIND)
             else:
                 borrowed = _cross_tree_fallback(forest, t, n_w, depth, used)

@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 
-from svpo import infer, mcts
-from svpo.env import TERMINAL, IllegalAction
+from svpo import env as envmod, infer, mcts
+from svpo.env import (
+    DIFFICULTY_STEPS, INTERMEDIATE, TERMINAL, EnvConfig, IllegalAction,
+    Question, compute_truth, vocabulary,
+)
 from svpo.model import (
     SCRATCH_HI, SCRATCH_LO, Featurizer, Gradients, Model, PolicyValueParams,
     spawn_generator, temper,
@@ -383,6 +386,17 @@ def choice_sample_distinct(weights: np.ndarray, k: int,
     return picks
 
 
+class ChoiceStream:
+    """`model.Uint32Stream` as `Generator.choice(n, size=k,
+    replace=False)` calls on the generator it reads."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def distinct(self, n: int, k: int) -> list[int]:
+        return self.rng.choice(n, size=k, replace=False).tolist()
+
+
 def _temper_probs(probs: np.ndarray, temperature: float) -> np.ndarray:
     z = np.log(np.maximum(probs, 1e-300)) / temperature
     z -= z.max()
@@ -504,3 +518,26 @@ def reference_sbs_best(model: Model, params: PolicyValueParams, question,
         trace.append(("retain", level, tuple(c.prefix for c, _ in live)))
     return max(parked + [cand for cand, _ in live],
                key=lambda c: (c.value_score, c.logprob))
+
+
+# -- reference dataset: Generator.choice draws -------------------------------
+
+def choice_gen_dataset(seed: int, n: int, difficulty: str,
+                       config: EnvConfig | None = None):
+    """`env.gen_dataset` with one `rng.choice(op_ids)` per chain op and
+    every truth from `compute_truth`. Returns the questions and the
+    generator after its last draw."""
+    config = config or EnvConfig()
+    op_ids = [a.id for a in vocabulary(config) if a.kind == INTERMEDIATE]
+    lo, hi = DIFFICULTY_STEPS[difficulty]
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((envmod._DATASET_STREAM, seed))))
+    questions = []
+    for i in range(n):
+        total_steps = int(rng.integers(lo, hi + 1))
+        chain = tuple(int(rng.choice(op_ids)) for _ in range(total_steps - 1))
+        start = int(rng.integers(config.start_lo, config.start_hi + 1))
+        questions.append(Question(seed * 1_000_000 + i, start, chain,
+                                  compute_truth(config, start, chain),
+                                  difficulty))
+    return questions, rng

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from svpo import env as envmod
 from svpo.env import (
-    INTERMEDIATE, TERMINAL, Action, DepthExceeded, Env, EnvConfig,
-    IllegalAction, NotTerminal, Question, compute_truth, gen_dataset,
-    load_dataset, question_from_record, question_to_record, save_dataset,
-    vocabulary,
+    DIFFICULTY_STEPS, INTERMEDIATE, TERMINAL, Action, DepthExceeded, Env,
+    EnvConfig, IllegalAction, NotTerminal, Question, State, compute_truth,
+    gen_dataset, load_dataset, question_from_record, question_to_record,
+    save_dataset, vocabulary,
 )
+
+from oracles import choice_gen_dataset
 
 
 def brute_force_solvable(env: Env, question: Question) -> bool:
@@ -37,6 +39,48 @@ def test_gen_dataset_deterministic():
     assert a == b
     c = gen_dataset(seed=8, n=50, difficulty="medium")
     assert a != c
+
+
+@pytest.mark.parametrize("difficulty", sorted(DIFFICULTY_STEPS))
+@pytest.mark.parametrize("config", [
+    None, EnvConfig(add_consts=(1, -3), mul_consts=(2, 3),
+                    answer_offsets=(0, 1))])
+def test_gen_dataset_matches_choice_reference(difficulty, config,
+                                              monkeypatch):
+    """gen_dataset's questions are those of one `rng.choice(op_ids)` per
+    chain op, field for field, and its generator ends where the
+    reference's does."""
+    for seed in (0, 7, 123_456):
+        made = []
+
+        class Recorded(np.random.PCG64):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "PCG64", Recorded)
+            got = gen_dataset(seed, 40, difficulty, config)
+        want, rng = choice_gen_dataset(seed, 40, difficulty, config)
+        assert got == want
+        assert all(type(aid) is int for q in got for aid in q.chain)
+        [bit_generator] = made
+        got_state, want_state = bit_generator.state, rng.bit_generator.state
+        for key in ("state", "has_uint32", "uinteger"):
+            assert got_state[key] == want_state[key]
+
+
+def test_state_is_an_immutable_value():
+    """States compare and hash by value, refuse attribute assignment and
+    change only through `_replace`, which makes a new state."""
+    a = State(3, (0, 5), 7, 2)
+    b = State(question_id=3, steps=(0, 5), scratch=7, depth=2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert State._fields == ("question_id", "steps", "scratch", "depth")
+    with pytest.raises(AttributeError):
+        a.scratch = 8
+    c = a._replace(scratch=8)
+    assert c.scratch == 8 and a.scratch == 7 and c != a
 
 
 def test_gen_dataset_ids_disjoint_across_seeds():

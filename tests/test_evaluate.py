@@ -11,7 +11,7 @@ from svpo.env import Env, EnvConfig, TERMINAL, gen_dataset
 from svpo.evaluate import (
     ARMS, Corpus, EmptyDataset, ExperimentConfig, StageFailure, accuracy,
     build_corpus, build_heldout_pairs,
-    eval_accuracy_suite, experiment_config_from_dict,
+    eval_accuracy_suite, eval_stage, experiment_config_from_dict,
     experiment_config_to_dict, run_matrix, run_pipeline,
     solution_level_pairs, summary_text, svpo_stage, win_rate,
 )
@@ -305,6 +305,21 @@ def test_pipeline_reruns_byte_identical(tiny_bundle):
     bundle, out = tiny_bundle
     again = run_pipeline(tiny_config())
     assert summary_text(again.summary) == (out / "summary.json").read_text()
+
+
+def test_summary_config_block_reads_back_as_the_config(tiny_bundle):
+    """summary.json's config block holds every value unrounded, so a
+    beta of 1e-9 and a learning rate of 5e-5 read back as the config that
+    ran; only the data and metrics blocks are rounded."""
+    bundle, _ = tiny_bundle
+    config = experiment_config_from_dict({
+        **experiment_config_to_dict(tiny_config()),
+        "svpo_beta": 1e-9, "svpo_lr": 5e-5})
+    summary = json.loads(summary_text(eval_stage(
+        bundle.corpus, bundle.sft_ckpt, bundle.svpo_ckpt, bundle.heldout, [],
+        config)))
+    assert summary["config"] == experiment_config_to_dict(config)
+    assert experiment_config_from_dict(summary["config"]) == config
 
 
 def _count_compiles(monkeypatch) -> list:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from svpo import pairs as pairs_module
 from svpo.env import TERMINAL, Env, EnvConfig, Question, gen_dataset
 from svpo.mcts import Forest, SearchConfig, SearchTree, build_forest
 from svpo.model import Model
@@ -15,6 +16,8 @@ from svpo.pairs import (
     pair_from_record, positive_negative_ratio, save_pairs,
     save_solutions, save_value_targets,
 )
+
+from oracles import ChoiceStream
 
 
 def handcraft_forest(env, question, tree_specs):
@@ -239,6 +242,20 @@ def test_pair_extraction_deterministic(searched_corpus):
     assert a == b
     c = extract_pairs(forest, PairCounts(), rng_seed=100)
     assert [(p.winner, p.loser) for p in a] != [(p.winner, p.loser) for p in c]
+
+
+def test_pair_draws_match_generator_choice(searched_corpus, monkeypatch):
+    """Every forest yields the pairs it yields when each loser draw is a
+    `Generator.choice` call on the same generator; with two siblings,
+    two cousins and two terminals per level the draws take k > 1 too."""
+    _, _, forests = searched_corpus
+    for counts in (PairCounts(), PairCounts(2, 2, 2)):
+        got = [extract_pairs(f, counts, rng_seed=5) for f in forests]
+        with monkeypatch.context() as patch:
+            patch.setattr(pairs_module, "Uint32Stream", ChoiceStream)
+            want = [extract_pairs(f, counts, rng_seed=5) for f in forests]
+        assert got == want
+    assert sum(map(len, got)) > 100
 
 
 def test_ratio_near_one_to_four(searched_corpus):
