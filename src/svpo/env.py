@@ -213,11 +213,16 @@ class Env:
         the question, for a start outside [start_lo, start_hi], a chain
         length outside 1..max_depth-1 or a chain entry that is not an
         intermediate action id; the features of such a question would
-        spill into other blocks. Nothing is registered then."""
+        spill into other blocks. It also raises for an id that an earlier
+        question of the same call holds, which would silently replace it.
+        Nothing is registered then. A later call may replace a question."""
         config = self.config
         ops = {a.id for a in self.vocab if a.kind == INTERMEDIATE}
+        ids: set[int] = set()
         for q in questions:
-            if not config.start_lo <= q.start <= config.start_hi:
+            if q.id in ids:
+                problem = "id given twice"
+            elif not config.start_lo <= q.start <= config.start_hi:
                 problem = (f"start {q.start} outside "
                            f"[{config.start_lo}, {config.start_hi}]")
             elif not 1 <= len(q.chain) < config.max_depth:
@@ -227,6 +232,7 @@ class Env:
                 problem = (f"chain entries {sorted(set(q.chain) - ops)} are "
                            f"not intermediate action ids")
             else:
+                ids.add(q.id)
                 continue
             raise InvalidQuestion(f"question {q.id}: {problem}")
         self._questions.update((q.id, q) for q in questions)

@@ -27,12 +27,11 @@ so the policy runs at most once per distinct state. The memo lives for
 one call, which has one question and one `params`, so it never outlives
 the parameters it was computed from.
 
-Each tree reads its generator through a `Uniforms` reader, which draws
-`rng.random(64)` blocks as lists of floats and hands out k uniforms at a
-time; reading n of them gives `rng.random(n).tolist()`, so the stream is
-the generator's own. Every categorical draw consumes that stream exactly
-as `Generator.choice` would (see `model.draw`). Nodes hold `env.State`
-tuples, built once per transition.
+Each tree reads its own generator directly: an expansion takes the
+uniforms for its child picks, then those for its rollouts, each as one
+`rng.random(k).tolist()` call. Every categorical draw consumes that
+stream exactly as `Generator.choice` would (see `model.draw`). Nodes
+hold `env.State` tuples, built once per transition.
 """
 from __future__ import annotations
 
@@ -48,7 +47,6 @@ from .model import (Model, PolicyValueParams, draw, sample_distinct,
 from .records import load_jsonl, save_jsonl
 
 _TREE_STREAM = 0x7EE
-_UNIFORM_BLOCK = 64  # uniforms a tree reader draws at a time
 
 
 class MCTSError(Exception):
@@ -135,32 +133,6 @@ def new_tree(env: Env, question: Question) -> SearchTree:
     return tree
 
 
-class Uniforms:
-    """A generator's uniforms, drawn in blocks of `_UNIFORM_BLOCK` as
-    Python floats and handed out k at a time. Reading n uniforms in any
-    split gives `rng.random(n).tolist()`: each double takes one draw of
-    the bit generator, so a block boundary does not move the stream."""
-
-    __slots__ = ("_rng", "_buf", "_pos")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def take(self, k: int) -> list[float]:
-        """The next k uniforms."""
-        end = self._pos + k
-        while end > len(self._buf):
-            self._buf = (self._buf[self._pos:]
-                         + self._rng.random(_UNIFORM_BLOCK).tolist())
-            end -= self._pos
-            self._pos = 0
-        out = self._buf[self._pos:end]
-        self._pos = end
-        return out
-
-
 def select(tree: SearchTree, c_puct: float = 1.25) -> int:
     """Descend by PUCT until a node with no expanded children; ties break
     toward the lowest child index."""
@@ -180,12 +152,12 @@ def select(tree: SearchTree, c_puct: float = 1.25) -> int:
 
 def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
                         params: PolicyValueParams, config: SearchConfig,
-                        uniforms: Uniforms,
+                        rng: np.random.Generator,
                         memo: dict) -> list[tuple[int, float]]:
     """Create sampled children of a non-terminal leaf and return the
     (node_id, leaf value) pairs the caller must back up.
 
-    `uniforms` is the tree's reader; `memo` is the forest's policy memo
+    `rng` is the tree's generator; `memo` is the forest's policy memo
     (see the module docstring), and an empty dict computes every
     distribution afresh. Children are added in sampled order, each
     followed by its answering rollout grandchild. Raises AlreadyExpanded
@@ -204,7 +176,7 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
     [(legal, probs, tempered)] = _policies(model, params, [state],
                                            config.temperature, memo)
     picks = sample_distinct(
-        tempered, uniforms.take(min(config.n_children, len(tempered))))
+        tempered, rng.random(min(config.n_children, len(tempered))).tolist())
     # one pass over the sampled children: (action id, prior, state,
     # reward), the reward None for a child that a rollout evaluates
     children, rollout = [], []
@@ -223,7 +195,7 @@ def expand_and_evaluate(tree: SearchTree, node_id: int, model: Model,
     if rollout:
         policies = iter(zip(
             _policies(model, params, rollout, config.temperature, memo),
-            uniforms.take(len(rollout))))
+            rng.random(len(rollout)).tolist()))
     add_node = tree.add_node
     results: list[tuple[int, float]] = []
     for aid, prior, child_state, reward in children:
@@ -296,22 +268,19 @@ def correct_solutions(forest: Forest) -> set[tuple[int, ...]]:
 
 
 def build_forest(model: Model, question: Question, params: PolicyValueParams,
-                 config: SearchConfig, rng_seed: int,
-                 trace: list | None = None) -> Forest:
+                 config: SearchConfig, rng_seed: int) -> Forest:
     """Run tree searches for one question until target_correct distinct
     correct solutions exist or max_trees is exhausted.
 
     Tree t draws from an independent generator seeded by (rng_seed, t), so
     forests are reproducible and trees are order-independent; the trees
-    share one policy memo, whose entries depend only on the state. When
-    `trace` is given, every backup is logged as (tree_index, node_id,
-    value) for replay-style verification.
+    share one policy memo, whose entries depend only on the state.
     """
     forest = Forest(question_id=question.id)
     found: set[tuple[int, ...]] = set()
     memo: dict = {}
     for t in range(config.max_trees):
-        uniforms = Uniforms(spawn_generator(_TREE_STREAM, rng_seed, t))
+        rng = spawn_generator(_TREE_STREAM, rng_seed, t)
         tree = new_tree(model.env, question)
         for _ in range(config.max_simulations):
             leaf_id = select(tree, config.c_puct)
@@ -320,11 +289,9 @@ def build_forest(model: Model, question: Question, params: PolicyValueParams,
                 updates = [(leaf_id, float(leaf.reward))]
             else:
                 updates = expand_and_evaluate(tree, leaf_id, model, params,
-                                              config, uniforms, memo)
+                                              config, rng, memo)
             for nid, value in updates:
                 backup(tree, nid, value)
-                if trace is not None:
-                    trace.append((t, nid, value))
         forest.trees.append(tree)
         found |= correct_solutions(Forest(question.id, [tree]))
         if len(found) >= config.target_correct:

@@ -23,17 +23,15 @@ reads a Python float sequence (search keeps its probabilities as
 `.tolist()` rows) and a uniform from the caller, and picks what
 `Generator.choice` would pick for that uniform. `sample_distinct` is a
 loop of `draw` calls over the weights left, and an MCTS rollout is one
-`draw`. Uniform sampling without replacement goes through
-`Uint32Stream.distinct`, numpy's own Floyd algorithm over a generator's
-32-bit words, which picks what `Generator.choice(n, size=k,
-replace=False)` would pick from the same stream. The softmaxes call the
-ufunc reductions `np.maximum.reduce` and `np.add.reduce` themselves,
-which `ndarray.max` and `ndarray.sum` reach through Python-level
-wrappers; the bits are the same. Training and win-rate scoring go
-through one batched prefix kernel, `Model.seq_logprob_grad`: it
-evaluates many (question, prefix) sequences at once and returns the
-gradient of any weighted sum of their log-probabilities and end-state
-values, from feature rows that `Model.prefix_rows` compiled once.
+`draw`; search and pair extraction read their generators directly.
+The softmaxes call the ufunc reductions `np.maximum.reduce` and
+`np.add.reduce` themselves, which `ndarray.max` and `ndarray.sum` reach
+through Python-level wrappers; the bits are the same. Training and
+win-rate scoring go through one batched prefix kernel,
+`Model.seq_logprob_grad`: it evaluates many (question, prefix) sequences
+at once and returns the gradient of any weighted sum of their
+log-probabilities and end-state values, from feature rows that
+`Model.prefix_rows` compiled once.
 """
 from __future__ import annotations
 
@@ -493,73 +491,6 @@ def sample_distinct(weights, uniforms: list[float]) -> list[int]:
         picks.append(remaining.pop(j))
         left.pop(j)
     return picks
-
-
-# `Generator.choice(n, size=k, replace=False)` shuffles the tail of
-# range(n) instead of running Floyd's algorithm above these sizes
-_FLOYD_MAX_N = 10_000
-_TAIL_SHUFFLE_FRACTION = 50
-
-
-class Uint32Stream:
-    """A generator's 32-bit words in the order numpy's samplers take
-    them: each 64-bit output of `random_raw` gives its low half, then
-    its high half (PCG64's `next_uint32` buffer, which this reader keeps
-    itself). The generator must be read through one reader alone."""
-
-    __slots__ = ("_raw", "_high")
-
-    def __init__(self, rng: np.random.Generator):
-        self._raw = rng.bit_generator.random_raw
-        self._high: int | None = None
-
-    def _word(self) -> int:
-        high = self._high
-        if high is not None:
-            self._high = None
-            return high
-        raw = self._raw()
-        self._high = raw >> 32
-        return raw & 0xFFFFFFFF
-
-    def _bounded(self, r: int) -> int:
-        """An integer in [0, r], r < 2**32, by Lemire's method on 32-bit
-        words, as numpy draws it; r = 0 reads no word."""
-        if r == 0:
-            return 0
-        span = r + 1
-        m = self._word() * span
-        threshold = (0xFFFFFFFF - r) % span
-        while m & 0xFFFFFFFF < threshold:
-            m = self._word() * span
-        return m >> 32
-
-    def distinct(self, n: int, k: int) -> list[int]:
-        """k distinct integers below n, as `Generator.choice(n, size=k,
-        replace=False)` draws them from the same stream: Floyd's
-        algorithm, then a shuffle of the picks, or for n above 10 000
-        with k above n // 50 a shuffle of the tail of range(n)."""
-        if not 0 <= k <= n <= 2**32:
-            raise ValueError(f"cannot draw {k} distinct integers below {n}")
-        bounded = self._bounded
-        if n > _FLOYD_MAX_N and k > n // _TAIL_SHUFFLE_FRACTION:
-            idx = list(range(n))
-            for i in range(n - 1, max(n - k, 1) - 1, -1):
-                j = bounded(i)
-                idx[i], idx[j] = idx[j], idx[i]
-            return idx[n - k:]
-        picks: list[int] = []
-        seen: set[int] = set()
-        for j in range(n - k, n):
-            v = bounded(j)
-            if v in seen:
-                v = j
-            seen.add(v)
-            picks.append(v)
-        for i in range(k - 1, 0, -1):
-            j = bounded(i)
-            picks[i], picks[j] = picks[j], picks[i]
-        return picks
 
 
 def spawn_generator(*entropy: int) -> np.random.Generator:

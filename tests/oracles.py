@@ -386,17 +386,6 @@ def choice_sample_distinct(weights: np.ndarray, k: int,
     return picks
 
 
-class ChoiceStream:
-    """`model.Uint32Stream` as `Generator.choice(n, size=k,
-    replace=False)` calls on the generator it reads."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-
-    def distinct(self, n: int, k: int) -> list[int]:
-        return self.rng.choice(n, size=k, replace=False).tolist()
-
-
 def _temper_probs(probs: np.ndarray, temperature: float) -> np.ndarray:
     z = np.log(np.maximum(probs, 1e-300)) / temperature
     z -= z.max()

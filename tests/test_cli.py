@@ -174,22 +174,30 @@ def test_missing_artifacts_exit_3(tmp_path, capsys):
 
 
 def test_out_of_range_question_file_exits_2(tmp_path, capsys):
-    """An edited question whose start lies outside the Env's bounds is
-    refused when the next stage loads the questions, before any search."""
+    """An edited question whose start lies outside the Env's bounds, or a
+    test question that reuses a training question's id, is refused when
+    the next stage loads the questions, before any search."""
     config = tmp_path / "tiny.cfg"
     config.write_text(TINY)
-    out = tmp_path / "out"
-    assert main(["gen", "--config", str(config), "--out", str(out)]) == 0
-    path = out / "questions_train.jsonl"
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    records[3]["spec"]["start"] = 0
-    path.write_text("".join(json.dumps(r) + "\n" for r in records))
-    capsys.readouterr()
-    assert main(["annotate", "--config", str(config),
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "input error" in err and f"question {records[3]['id']}" in err
-    assert not (out / "forests.jsonl").exists()
+    for case in ("start", "id"):
+        out = tmp_path / case
+        assert main(["gen", "--config", str(config), "--out", str(out)]) == 0
+        paths = [out / "questions_train.jsonl", out / "questions_test.jsonl"]
+        train, test = [[json.loads(line) for line in p.read_text().splitlines()]
+                       for p in paths]
+        if case == "start":
+            train[3]["spec"]["start"] = 0
+            bad = train[3]["id"]
+        else:
+            test[0]["id"] = bad = train[0]["id"]
+        for p, records in zip(paths, (train, test)):
+            p.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert main(["annotate", "--config", str(config),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and f"question {bad}:" in err
+        assert not (out / "forests.jsonl").exists()
 
 
 @pytest.mark.parametrize("command,flag,value", [

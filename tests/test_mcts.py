@@ -14,7 +14,7 @@ from svpo import mcts
 from svpo.env import Env, EnvConfig, Question, TERMINAL, gen_dataset
 from svpo.mcts import (
     AlreadyExpanded, DepthExceeded, Forest, SearchConfig, SearchTree,
-    Uniforms, backup, build_forest, correct_solutions, expand_and_evaluate,
+    backup, build_forest, correct_solutions, expand_and_evaluate,
     forest_from_record, forest_to_record, load_forests, new_tree,
     save_forests, select,
 )
@@ -93,9 +93,8 @@ def test_expand_terminal_child_value_is_reward(toy):
                           prior=1.0)
     ans0 = find_action(env, "ans+0")
     params = scripted_params(model, {1: ans0.id}, logit=25.0)
-    uniforms = Uniforms(spawn_generator(0))
     results = expand_and_evaluate(tree, child.id, model, params,
-                                  SearchConfig(), uniforms, {})
+                                  SearchConfig(), spawn_generator(0), {})
     by_node = {nid: v for nid, v in results}
     ans_nodes = [n for n in tree.nodes
                  if n.action == ans0.id and n.parent == child.id]
@@ -116,9 +115,8 @@ def test_expand_rollout_terminal_kept_as_grandchild(toy):
     ans0 = find_action(env, "ans+0")
     add2 = find_action(env, "add+2")
     params = scripted_params(model, {1: ans0.id}, logit=25.0)
-    uniforms = Uniforms(spawn_generator(1))
     results = expand_and_evaluate(tree, 0, model, params, SearchConfig(),
-                                  uniforms, {})
+                                  spawn_generator(1), {})
     assert len(results) == 5  # five distinct ops sampled at the root
     for nid, value in results:
         node = tree.nodes[nid]
@@ -138,7 +136,7 @@ def test_expand_nonterminal_rollout_backs_up_zero(toy):
     add1 = find_action(env, "add+1")
     params = scripted_params(model, {1: add1.id}, logit=25.0)
     results = expand_and_evaluate(tree, 0, model, params, SearchConfig(),
-                                  Uniforms(spawn_generator(2)), {})
+                                  spawn_generator(2), {})
     assert len(results) == 5
     for nid, value in results:
         node = tree.nodes[nid]
@@ -159,8 +157,7 @@ def test_expand_depth_cutoff_is_incorrect_terminal(toy):
                           small_env.transition(tree.root.state, add1), 1.0)
     params = small_model.zeros_params()
     results = expand_and_evaluate(tree, child.id, small_model, params,
-                                  SearchConfig(), Uniforms(spawn_generator(3)),
-                                  {})
+                                  SearchConfig(), spawn_generator(3), {})
     assert results
     for nid, value in results:
         node = tree.nodes[nid]
@@ -177,11 +174,10 @@ def test_expand_errors(toy):
     tree = new_tree(env, q)
     params = model.zeros_params()
     cfg = SearchConfig()
-    expand_and_evaluate(tree, 0, model, params, cfg,
-                        Uniforms(spawn_generator(4)), {})
+    expand_and_evaluate(tree, 0, model, params, cfg, spawn_generator(4), {})
     with pytest.raises(AlreadyExpanded):
         expand_and_evaluate(tree, 0, model, params, cfg,
-                            Uniforms(spawn_generator(5)), {})
+                            spawn_generator(5), {})
     # a non-terminal node parked at the depth budget cannot be expanded
     deep_state = tree.root.state
     for _ in range(env.config.max_depth):
@@ -189,7 +185,7 @@ def test_expand_errors(toy):
     deep = tree.add_node(0, env.vocab[0].id, deep_state, 0.1)
     with pytest.raises(DepthExceeded):
         expand_and_evaluate(tree, deep.id, model, params, cfg,
-                            Uniforms(spawn_generator(6)), {})
+                            spawn_generator(6), {})
 
 
 def test_backup_incremental_mean_exact(toy):
@@ -218,25 +214,34 @@ def test_backup_updates_whole_path_only(toy):
     assert g.Q == a.Q == tree.root.Q == 1.0 and b.Q == 0.0
 
 
-def test_bookkeeping_matches_backup_trace(toy):
+def test_bookkeeping_matches_backup_trace(toy, monkeypatch):
     """Replay-log oracle: for every node, N equals the number of traced
-    backups passing through it and Q*N equals their value sum."""
+    backups passing through it and Q*N equals their value sum. A wrapper
+    on the module global `backup` records the trace."""
     env, model, questions = toy
     params = model.init_params(seed=0)
+    trace = []
+
+    def traced(tree, node_id, value):
+        trace.append((tree, node_id, value))
+        backup(tree, node_id, value)
+
+    monkeypatch.setattr(mcts, "backup", traced)
     for q in questions:
-        trace = []
-        forest = build_forest(model, q, params, SearchConfig(), rng_seed=q.id,
-                              trace=trace)
-        sums = [dict() for _ in forest.trees]
-        counts = [dict() for _ in forest.trees]
-        for t, nid, value in trace:
-            for pid in forest.trees[t].path_ids(nid):
-                sums[t][pid] = sums[t].get(pid, 0.0) + value
-                counts[t][pid] = counts[t].get(pid, 0) + 1
-        for t, tree in enumerate(forest.trees):
+        trace.clear()
+        forest = build_forest(model, q, params, SearchConfig(), rng_seed=q.id)
+        sums, counts = {}, {}
+        for tree, nid, value in trace:
+            for pid in tree.path_ids(nid):
+                key = id(tree), pid
+                sums[key] = sums.get(key, 0.0) + value
+                counts[key] = counts.get(key, 0) + 1
+        assert len({id(tree) for tree, _, _ in trace}) == len(forest.trees)
+        for tree in forest.trees:
             for node in tree.nodes:
-                assert node.N == counts[t].get(node.id, 0)
-                assert abs(node.Q * node.N - sums[t].get(node.id, 0.0)) < 1e-9
+                key = id(tree), node.id
+                assert node.N == counts.get(key, 0)
+                assert abs(node.Q * node.N - sums.get(key, 0.0)) < 1e-9
 
 
 def test_visit_counts_monotone(toy):
@@ -457,7 +462,7 @@ def test_unit_temperature_prior_row_is_the_sampling_row(toy):
     tree = new_tree(env, questions[0])
     memo = {}
     expand_and_evaluate(tree, 0, model, params, SearchConfig(),
-                        Uniforms(spawn_generator(3)), memo)
+                        spawn_generator(3), memo)
     rows = [entry for key, entry in memo.items() if isinstance(key, tuple)]
     assert len(rows) > 1
     assert all(tempered is probs for _, probs, tempered in rows)
@@ -533,15 +538,6 @@ def test_golden_forest_structure():
         assert _structure_digest(forest) == digest
 
 
-def test_uniforms_read_the_generators_stream():
-    """Reading n uniforms in any split, across block boundaries and in
-    takes wider than a block, gives rng.random(n).tolist()."""
-    sizes = [0, 1, 5, 2, 64, 3, 130, 7, 1, 63, 64]
-    reader = Uniforms(spawn_generator(9))
-    got = [u for k in sizes for u in reader.take(k)]
-    assert got == spawn_generator(9).random(sum(sizes)).tolist()
-
-
 def test_build_forest_calls_the_module_globals(toy, monkeypatch):
     """build_forest looks `select`, `expand_and_evaluate` and `backup` up
     as module globals on every call, so a wrapper put there sees every
@@ -562,10 +558,8 @@ def test_build_forest_calls_the_module_globals(toy, monkeypatch):
 
         monkeypatch.setattr(mcts, name, counted)
     config = SearchConfig(max_simulations=30, max_trees=3, target_correct=99)
-    trace = []
-    forest = build_forest(model, questions[0], params, config, rng_seed=4,
-                          trace=trace)
+    forest = build_forest(model, questions[0], params, config, rng_seed=4)
     assert calls["select"] == len(forest.trees) * config.max_simulations
-    assert calls["backup"] == len(trace) > 0
+    assert calls["backup"] == sum(t.root.N for t in forest.trees) > 0
     # a simulation expands its leaf unless the leaf is terminal
     assert 0 < calls["expand_and_evaluate"] == terminal_leaves.count(False)

@@ -10,8 +10,8 @@ from svpo import model as model_module
 from svpo.env import DIFFICULTY_STEPS, TERMINAL, Env, Question, gen_dataset
 from svpo.model import (
     SCRATCH_HI, SCRATCH_LO, Featurizer, Model, Gradients, IllegalPrefix,
-    Uint32Stream, params_from_record, params_to_record, sample_distinct,
-    spawn_generator, temper,
+    params_from_record, params_to_record, sample_distinct, spawn_generator,
+    temper,
 )
 from svpo.model import draw as draw_pick
 from svpo.train import Checkpoint, load_checkpoint, save_checkpoint
@@ -307,50 +307,6 @@ def test_sample_distinct_falls_back_on_cdf_boundaries(weights, monkeypatch):
         assert fallbacks == [u]
         assert [draw_pick(w, u), draw_pick(w.tolist(), u)] == picks * 2
         assert fallbacks == [u] * 3
-
-
-@settings(max_examples=200, deadline=None)
-@given(calls=st.lists(st.tuples(st.integers(1, 60), st.integers(1, 60)),
-                      min_size=1, max_size=40),
-       seed=st.integers(0, 2**63))
-def test_uint32_stream_distinct_matches_generator_choice(calls, seed):
-    """A chain of `Uint32Stream.distinct(n, k)` calls, n from 1 to 60 and
-    k from 1 to n, picks what `Generator.choice(n, size=k, replace=False)`
-    picks on a twin generator, call for call, and leaves the generator's
-    128-bit state where choice leaves the twin's (the half of a 64-bit
-    output not yet used is kept by the reader, not the generator)."""
-    mine, theirs = spawn_generator(seed), spawn_generator(seed)
-    stream = Uint32Stream(mine)
-    for n, k in calls:
-        k = 1 + (k - 1) % n
-        want = theirs.choice(n, size=k, replace=False).tolist()
-        assert stream.distinct(n, k) == want
-        assert (mine.bit_generator.state["state"]
-                == theirs.bit_generator.state["state"])
-
-
-@pytest.mark.parametrize("n, k", [(10_001, 201), (10_001, 10_001),
-                                  (25_000, 501), (10_001, 200), (30_000, 7),
-                                  (3_000_000_000, 2)])
-def test_uint32_stream_distinct_on_large_ranges(n, k):
-    """For n above 10 000 and k above n // 50, choice shuffles the tail of
-    range(n), and below that fraction it runs Floyd's algorithm; the
-    reader does the same, and a small draw after it still agrees. At n =
-    3e9 Lemire's method rejects about 30% of its words, a path small n
-    almost never takes."""
-    mine, theirs = spawn_generator(n, k), spawn_generator(n, k)
-    stream = Uint32Stream(mine)
-    for _ in range(2 if n < 2**31 else 30):
-        assert (stream.distinct(n, k)
-                == theirs.choice(n, size=k, replace=False).tolist())
-    assert stream.distinct(5, 2) == theirs.choice(5, 2, replace=False).tolist()
-
-
-def test_uint32_stream_refuses_impossible_draws():
-    stream = Uint32Stream(spawn_generator(0))
-    for n, k in [(3, 4), (0, 1), (5, -1), (2**32 + 1, 1)]:
-        with pytest.raises(ValueError):
-            stream.distinct(n, k)
 
 
 def test_sample_distinct_underflow_is_uniform():

@@ -1,11 +1,11 @@
 """Pair extraction tests: labeling, the per-tree walk, kind classification,
 loser bookkeeping, value targets, and solution ranking."""
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from svpo import pairs as pairs_module
 from svpo.env import TERMINAL, Env, EnvConfig, Question, gen_dataset
 from svpo.mcts import Forest, SearchConfig, SearchTree, build_forest
 from svpo.model import Model
@@ -13,11 +13,9 @@ from svpo.pairs import (
     COUSIN, SIBLING, TERMINAL_KIND, PairCounts, PreferencePair, UnlabeledForest,
     classify_kind, extract_pairs, extract_sft_solutions, extract_value_targets,
     label_correct, load_pairs, load_solutions, load_value_targets,
-    pair_from_record, positive_negative_ratio, save_pairs,
+    pair_from_record, pair_to_record, positive_negative_ratio, save_pairs,
     save_solutions, save_value_targets,
 )
-
-from oracles import ChoiceStream
 
 
 def handcraft_forest(env, question, tree_specs):
@@ -244,18 +242,23 @@ def test_pair_extraction_deterministic(searched_corpus):
     assert [(p.winner, p.loser) for p in a] != [(p.winner, p.loser) for p in c]
 
 
-def test_pair_draws_match_generator_choice(searched_corpus, monkeypatch):
-    """Every forest yields the pairs it yields when each loser draw is a
-    `Generator.choice` call on the same generator; with two siblings,
-    two cousins and two terminals per level the draws take k > 1 too."""
+def test_golden_pairs(searched_corpus):
+    """Pins the pairs of the searched forests record by record, with the
+    default counts and with two losers of each kind per level, so draws
+    of k > 1 are pinned too."""
     _, _, forests = searched_corpus
-    for counts in (PairCounts(), PairCounts(2, 2, 2)):
-        got = [extract_pairs(f, counts, rng_seed=5) for f in forests]
-        with monkeypatch.context() as patch:
-            patch.setattr(pairs_module, "Uint32Stream", ChoiceStream)
-            want = [extract_pairs(f, counts, rng_seed=5) for f in forests]
-        assert got == want
-    assert sum(map(len, got)) > 100
+    golden = [
+        (PairCounts(), 2684, "9f9a98d36c00829bdfedb2a704e2c9ca"
+                             "fa116d5ad18160316d6bb419c7e31713"),
+        (PairCounts(2, 2, 2), 3896, "e30acf3cb50b3478a0cbfceddd2d7d6f"
+                                    "ffbfa89881972a0a5000ce4926b752ae"),
+    ]
+    for counts, n_pairs, digest in golden:
+        records = [pair_to_record(p) for f in forests
+                   for p in extract_pairs(f, counts, rng_seed=5)]
+        assert len(records) == n_pairs
+        assert hashlib.sha256(
+            json.dumps(records).encode()).hexdigest() == digest
 
 
 def test_ratio_near_one_to_four(searched_corpus):
