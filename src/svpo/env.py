@@ -204,6 +204,7 @@ class Env:
                  questions: list[Question] | None = None):
         self.config = config or EnvConfig()
         self.vocab = vocabulary(self.config)
+        self._ops = tuple(a for a in self.vocab if a.kind == INTERMEDIATE)
         self._questions: dict[int, Question] = {}
         if questions:
             self.register(questions)
@@ -213,15 +214,15 @@ class Env:
         the question, for a start outside [start_lo, start_hi], a chain
         length outside 1..max_depth-1 or a chain entry that is not an
         intermediate action id; the features of such a question would
-        spill into other blocks. It also raises for an id that an earlier
-        question of the same call holds, which would silently replace it.
-        Nothing is registered then. A later call may replace a question."""
+        spill into other blocks. It also raises for an id the Env already
+        holds, from this call or an earlier one: ids are fixed once
+        registered. Nothing is registered then."""
         config = self.config
-        ops = {a.id for a in self.vocab if a.kind == INTERMEDIATE}
+        ops = {a.id for a in self._ops}
         ids: set[int] = set()
         for q in questions:
-            if q.id in ids:
-                problem = "id given twice"
+            if q.id in ids or q.id in self._questions:
+                problem = "id already registered"
             elif not config.start_lo <= q.start <= config.start_hi:
                 problem = (f"start {q.start} outside "
                            f"[{config.start_lo}, {config.start_hi}]")
@@ -251,18 +252,16 @@ class Env:
     def initial_state(self, question: Question) -> State:
         return State(question.id, (), question.start, 0)
 
-    def legal_actions(self, state: State) -> list[Action]:
+    def legal_actions(self, state: State) -> tuple[Action, ...]:
         """Actions available in ``state``, in vocabulary order.
 
         Answering requires at least one computation step, so terminal
-        actions only become legal at depth >= 1.
+        actions only become legal at depth >= 1. Both sets are built once.
         """
         if state.depth >= self.config.max_depth:
             raise DepthExceeded(
                 f"state at depth {state.depth} has no legal actions")
-        if state.depth == 0:
-            return [a for a in self.vocab if a.kind == INTERMEDIATE]
-        return list(self.vocab)
+        return self._ops if state.depth == 0 else self.vocab
 
     def transition(self, state: State, action: Action) -> State:
         if state.depth >= self.config.max_depth:

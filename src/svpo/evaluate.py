@@ -330,14 +330,10 @@ def svpo_stage(corpus: Corpus, sft_ckpt: Checkpoint,
 def build_heldout_pairs(model: Model, params: PolicyValueParams,
                         test_questions: list[Question],
                         search: SearchConfig, counts: PairCounts,
-                        rng_seed: int,
-                        train_ids: set[int]) -> list[PreferencePair]:
+                        rng_seed: int) -> list[PreferencePair]:
     """Search the held-out questions with the given policy and extract
-    pairs; refuses question sets that overlap the training ids."""
-    overlap = train_ids & {q.id for q in test_questions}
-    if overlap:
-        raise ValueError(f"held-out questions overlap training ids: "
-                         f"{sorted(overlap)[:3]}")
+    pairs. They are disjoint from the training questions by id because
+    both splits are registered in one Env, which refuses a repeated id."""
     pairs: list[PreferencePair] = []
     for forest in labeled_forests(model, params, test_questions, search,
                                   rng_seed):
@@ -348,10 +344,9 @@ def build_heldout_pairs(model: Model, params: PolicyValueParams,
 def heldout_stage(corpus: Corpus, sft_ckpt: Checkpoint,
                   config: ExperimentConfig) -> list[PreferencePair]:
     with _stage("heldout"):
-        train_ids = {q.id for q in corpus.train_questions}
         return build_heldout_pairs(corpus.model, sft_ckpt.params,
                                    corpus.test_questions, config.search,
-                                   config.counts, config.seed, train_ids)
+                                   config.counts, config.seed)
 
 
 def eval_accuracy_suite(corpus: Corpus, params: PolicyValueParams,

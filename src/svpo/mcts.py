@@ -11,21 +11,21 @@ is worth 0. Backup is the incremental-mean update along the path to the
 root. A forest stacks trees for one question until enough distinct
 correct solutions exist or the tree budget runs out.
 
-`build_forest` keeps one policy memo per forest: the legal actions,
-probabilities and tempered probabilities of every state the forest has
-evaluated, keyed by its steps, and the legal action list of every depth
-it has reached, keyed by the depth (legal sets depend on depth alone).
-The probabilities are stored as lists of Python floats, since priors and
-draws read them one entry at a time. An expansion walks its sampled
-children once, transitioning each and collecting the ones that need a
-rollout; it evaluates those the memo lacks in one batched forward
-(`Model.logits` on the depth's legal ids, then `temper`) and picks each
-child's rollout step with one `model.draw` call on one uniform. A
-node's rollout distribution is reused when the node is expanded, and
-every tree after the first reuses the states the earlier trees reached,
-so the policy runs at most once per distinct state. The memo lives for
-one call, which has one question and one `params`, so it never outlives
-the parameters it was computed from.
+`build_forest` keeps one policy memo per forest, which holds states
+only: the legal actions (the Env's tuple for the depth), probabilities
+and tempered probabilities of every state the forest has evaluated,
+keyed by its steps. The probabilities are stored as lists of Python
+floats, since priors and draws read them one entry at a time. An
+expansion walks its sampled children once, transitioning each and
+collecting the ones that need a rollout; it evaluates those the memo
+lacks in one batched forward (`Model.logits`, sliced to the legal ids by
+`Model.legal_rows`, then `temper`) and picks each child's rollout step
+with one `model.draw` call on one uniform. A node's rollout distribution
+is reused when the node is expanded, and every tree after the first
+reuses the states the earlier trees reached, so the policy runs at most
+once per distinct state. The memo lives for one call, which has one
+question and one `params`, so it never outlives the parameters it was
+computed from.
 
 Each tree reads its own generator directly: an expansion takes the
 uniforms for its child picks, then those for its rollouts, each as one
@@ -222,21 +222,14 @@ def _policies(model: Model, params: PolicyValueParams, states,
               temperature: float, memo: dict) -> list[tuple]:
     """(legal actions, probabilities, tempered probabilities) of each
     state, read from the memo; the states it lacks get one batched
-    forward. The states sit at one depth (a node, or the rollout
-    children of one node), so they share one legal set, kept in the memo
-    under the depth. Both rows are softmaxes of the logits on that set
-    (no mask needed), as lists of floats; one list at temperature 1."""
+    forward. They sit at one depth (a node, or the rollout children of
+    one node), so one `Model.legal_rows` call slices all their logits.
+    Both rows are softmaxes of the logits on the legal set (no mask
+    needed), as lists of floats; one list at temperature 1."""
     missing = [s for s in states if s.steps not in memo]
     if missing:
         logits, _, _ = model.logits(params, missing)
-        depth = missing[0].depth
-        if depth not in memo:
-            legal = model.env.legal_actions(missing[0])
-            memo[depth] = (legal, [a.id for a in legal]
-                           if len(legal) < model.vocab_size else None)
-        legal, ids = memo[depth]
-        if ids is not None:
-            logits = logits[:, ids]
+        legal, logits = model.legal_rows(missing[0], logits)
         probs = temper(logits, 1.0).tolist()
         tempered = (probs if temperature == 1.0
                     else temper(logits, temperature).tolist())

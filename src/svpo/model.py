@@ -172,8 +172,8 @@ class Featurizer:
         self._state_blocks = tuple(self._offsets[name] for name in (
             "depth", "last", "bucket", "flags", "scaled", "parity"))
         # question id -> (Question, base row); the Question is compared by
-        # identity, so a question re-registered under the same id gets its
-        # own row
+        # identity, since `features(question, state)` may be handed two
+        # Questions under one id
         self._base: dict[int, tuple[Question, np.ndarray]] = {}
 
     def block(self, name: str) -> int:
@@ -292,15 +292,14 @@ class Model:
                                        keepdims=True))
         return logits
 
-    def legal_rows(self, state: State, *rows: np.ndarray):
-        """(legal actions of `state`, each whole-vocabulary row, or stack
-        of rows along the last axis, restricted to them). Raises
-        env.DepthExceeded at the depth budget."""
+    def legal_rows(self, state: State, rows: np.ndarray):
+        """(legal actions of `state`, `rows` restricted to them): `rows` is
+        one whole-vocabulary row or a stack of rows along the last axis.
+        Raises env.DepthExceeded at the depth budget."""
         legal = self.env.legal_actions(state)
         if len(legal) < self.vocab_size:
-            ids = [a.id for a in legal]
-            rows = tuple(row[..., ids] for row in rows)
-        return (legal, *rows)
+            rows = rows[..., [a.id for a in legal]]
+        return legal, rows
 
     def legal_logprobs(self, params: PolicyValueParams, state: State):
         """(legal actions, their log-probs, hidden activations, features)."""

@@ -353,6 +353,20 @@ def test_register_refuses_out_of_range_questions(start, chain):
     assert env.question(good.id) == good
 
 
+def test_register_refuses_an_id_already_held():
+    """Ids are fixed once registered: a later call that reuses one raises,
+    naming the id, and registers nothing from that call."""
+    first = Question(id=7, start=3, chain=(0, 5), truth=8, difficulty="easy")
+    env = Env(questions=[first])
+    fresh = Question(id=8, start=4, chain=(1,), truth=6, difficulty="easy")
+    again = Question(id=7, start=5, chain=(0,), truth=6, difficulty="easy")
+    with pytest.raises(envmod.InvalidQuestion, match="question 7:"):
+        env.register([fresh, again])
+    assert env.question(7) is first
+    with pytest.raises(KeyError):
+        env.question(fresh.id)
+
+
 def test_register_accepts_the_bounds():
     config = EnvConfig()
     edge = [Question(0, config.start_lo, (0,), 0, "easy"),

