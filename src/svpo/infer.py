@@ -73,9 +73,8 @@ def greedy_decode(model: Model, params: PolicyValueParams,
     steps: list[int] = []
     while state.depth < env.config.max_depth:
         legal, logprobs, _, _ = model.legal_logprobs(params, state)
-        pick = min(range(len(legal)),
-                   key=lambda i: (-logprobs[i], legal[i].id))
-        action = legal[pick]
+        # argmax takes the first maximum, and legal is in vocabulary order
+        action = legal[int(logprobs.argmax())]
         steps.append(action.id)
         state = env.transition(state, action)
         if action.kind == TERMINAL:
