@@ -25,9 +25,11 @@ sbs mode --b1 defaults to the config's sbs_b1. eval reports SBS at
 b1 = 1 and 3 whatever sbs_b1 holds.
 ablate, sweep, and pipeline are self-contained drivers. An ablation arm
 is a set of config overrides applied before the preference stage:
-full (none), no_margin (svpo_w_margin = 0), no_mse (svpo_w_mse = 0)
-and solution_dpo (both, trained on solution-level pairs only); the arm
-sft scores the pretrain checkpoint.
+full (none), pref_off (svpo_beta = 1e-9 and svpo_w_margin = 0, the
+control with the same schedule and no preference terms), no_margin
+(svpo_w_margin = 0), no_mse (svpo_w_mse = 0) and solution_dpo (both,
+trained on solution-level pairs only); the arm sft scores the pretrain
+checkpoint.
 A sweep arm sets svpo_gamma. Exit codes: 0 success, 2 configuration
 error (an unknown or repeated key, a non-finite number, or a value not
 of its field's type, such as `solution_level_only = no` or `seed = 1.5`),
@@ -245,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("eval", cmd_eval, "accuracy and win-rate report for both stages")
     p = add("ablate", cmd_ablate, "train and score ablation arms")
     p.add_argument("--arms", type=_arm_list,
-                   default="full,no_margin,no_mse,sft",
+                   default="full,pref_off,no_margin,no_mse,sft",
                    help=f"comma-separated arms among {', '.join(ARMS)}; "
                         "each is a set of config overrides, and sft "
                         "scores the pretrain checkpoint")

@@ -550,9 +550,12 @@ def _write_artifacts(bundle: ReportBundle, svpo_log: list[dict]) -> None:
 
 # An ablation arm is a set of config-file overrides applied to the
 # experiment config before the preference stage; None scores the pretrain
-# checkpoint instead.
+# checkpoint instead. pref_off is the control: the preference stage's
+# schedule with its DPO gradient below 1e-9 (beta must stay > 0) and no
+# margin hinge, so only the carried SFT and MSE terms train.
 ARMS = {
     "full": {},
+    "pref_off": {"svpo_beta": 1e-9, "svpo_w_margin": 0.0},
     "no_margin": {"svpo_w_margin": 0.0},
     "no_mse": {"svpo_w_mse": 0.0},
     "solution_dpo": {"svpo_w_margin": 0.0, "svpo_w_mse": 0.0,

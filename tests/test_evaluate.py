@@ -464,6 +464,6 @@ def test_run_matrix_refuses_bad_overrides_before_any_work(monkeypatch,
 
 
 def test_arm_table_is_complete():
-    assert set(ARMS) == {"full", "no_margin", "no_mse", "solution_dpo",
-                         "sft"}
+    assert set(ARMS) == {"full", "pref_off", "no_margin", "no_mse",
+                         "solution_dpo", "sft"}
     assert ARMS["solution_dpo"]["solution_level_only"] is True
