@@ -13,6 +13,12 @@ and a named tuple is made by one `tuple.__new__` call where a frozen
 dataclass sets each field through `object.__setattr__`. It compares and
 hashes by value and its fields cannot be assigned; `state._replace(...)`
 makes a changed copy.
+
+An `Env` alone decides which question ids exist and which actions a
+depth allows. An id is fixed once registered: `register` refuses one
+the Env already holds. The legal sets depend on the depth alone and are
+built once: the intermediate actions at depth 0, the whole vocabulary
+deeper down.
 """
 from __future__ import annotations
 

@@ -7,7 +7,9 @@ preference corpus, pretrain, run the preference stage, then score both
 checkpoints with greedy decoding and beam search and with implicit and
 explicit win-rates on training and held-out pairs. Held-out pairs are
 built once from the post-pretraining policy and reused for every arm, so
-ablations stay comparable.
+ablations stay comparable. Both splits are registered in one Env, whose
+ids are fixed once registered, so a test question that reuses a
+training id is refused before any search.
 
 The pairs stage (or `load_corpus` reading its files) compiles the feature
 rows of every prefix of the corpus once, into `Corpus.rows`: both
