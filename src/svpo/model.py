@@ -31,7 +31,9 @@ win-rate scoring go through one batched prefix kernel,
 `Model.seq_logprob_grad`: it evaluates many (question, prefix) sequences
 at once and returns the gradient of any weighted sum of their
 log-probabilities and end-state values, from feature rows that
-`Model.prefix_rows` compiled once.
+`Model.prefix_rows` compiled once. It sums its three weight gradients
+over fixed blocks of 256 rows, in order, so they come out the same bits
+whatever the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -366,7 +368,7 @@ class Model:
         is a handful of matmuls over the batch's rows, which one index
         takes from `rows.x` (every step's state, then every end state):
         tanh(X W_s), a log-softmax masked to the legal actions, G^T dL and
-        X^T dU.
+        X^T dU, the last two summed over 256-row blocks (`_blocked_tdot`).
 
         Returns (logprobs, values, Gradients or None without `coef`)."""
         paths = [rows.paths[qid, tuple(steps)]
@@ -398,8 +400,9 @@ class Model:
         du = np.concatenate([dlogits @ params.w_policy.T,
                              np.outer(dpre, params.w_value)])
         du *= 1.0 - hidden * hidden
-        return logprobs, values, Gradients(x.T @ du, g.T @ dlogits,
-                                           g_end.T @ dpre)
+        return logprobs, values, Gradients(
+            _blocked_tdot(x, du), _blocked_tdot(g, dlogits),
+            _blocked_tdot(g_end, dpre))
 
     def value_grad(self, params: PolicyValueParams, state: State):
         """(value, exact gradient of the tanh value head)."""
@@ -420,6 +423,22 @@ class Model:
                                              (0.0, 1.0))
         return PrefixEval(float(logprobs[0]), float(values[0]), grad_lp,
                           grad_v)
+
+
+# rows per block of a weight-gradient sum
+_BLOCK = 256
+
+
+def _blocked_tdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.T @ b, summed over fixed blocks of 256 rows in order. BLAS
+    splits one long product differently at different thread counts,
+    which moves its low bits; the blocks' products and their ordered sum
+    come out the same at 1 and 2 threads, so the gradients do not depend
+    on the thread count."""
+    out = a[:_BLOCK].T @ b[:_BLOCK]
+    for i in range(_BLOCK, len(a), _BLOCK):
+        out += a[i:i + _BLOCK].T @ b[i:i + _BLOCK]
+    return out
 
 
 def temper(logprobs: np.ndarray, temperature: float) -> np.ndarray:

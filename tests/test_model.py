@@ -1,11 +1,16 @@
 """Policy-value model tests: closed forms, sampling statistics, and
 finite-difference verification of every analytic gradient path."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import svpo
 from svpo import model as model_module
 from svpo.env import DIFFICULTY_STEPS, TERMINAL, Env, gen_dataset
 from svpo.model import (
@@ -448,6 +453,61 @@ def test_gradient_norm(setup):
     tripled = Gradients(3 * grad.w_shared, 3 * grad.w_policy,
                         3 * grad.w_value)
     assert tripled.norm() == pytest.approx(3 * grad.norm(), rel=1e-12)
+
+
+def test_blocked_tdot_is_the_whole_product():
+    """The block sum drops no row at a block edge or in a short tail."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    for n_rows in (0, 1, 255, 256, 257, 600):
+        a = rng.standard_normal((n_rows, 7))
+        for b in (rng.standard_normal((n_rows, 5)),
+                  rng.standard_normal(n_rows)):
+            got = model_module._blocked_tdot(a, b)
+            assert got.shape == (a.T @ b).shape
+            np.testing.assert_allclose(got, a.T @ b, rtol=1e-12, atol=1e-12)
+
+
+# one kernel gradient over 120 medium questions' answered chains: 659 rows,
+# three 256-row blocks; the digest of its bytes and the row count
+_KERNEL_GRADIENT = """
+import hashlib
+import numpy as np
+from svpo.env import TERMINAL, Env, gen_dataset
+from svpo.model import Model
+questions = gen_dataset(seed=5, n=120, difficulty="medium")
+model = Model(Env(questions=questions))
+answer = next(a.id for a in model.env.vocab if a.kind == TERMINAL)
+qids = [q.id for q in questions]
+prefixes = [q.chain + (answer,) for q in questions]
+rows = model.prefix_rows(qids, prefixes)
+rng = np.random.Generator(np.random.PCG64(7))
+coef = (rng.standard_normal(len(qids)), rng.standard_normal(len(qids)))
+_, _, grad = model.seq_logprob_grad(model.init_params(seed=1, scale=0.5),
+                                    rows, qids, prefixes, coef)
+blob = b"".join(getattr(grad, name).tobytes()
+                for name in ("w_shared", "w_policy", "w_value"))
+print(sum(map(len, prefixes)) + len(prefixes),
+      hashlib.sha256(blob).hexdigest())
+"""
+
+
+def test_kernel_gradient_bytes_do_not_depend_on_blas_threads():
+    """The same gradient, byte for byte, at one and two BLAS threads; each
+    count is set before numpy loads, so each runs in its own process."""
+    src = str(Path(svpo.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _KERNEL_GRADIENT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    assert int(outputs[0][0]) >= 400
+    assert outputs[0] == outputs[1]
 
 
 def test_checkpoint_round_trip_bit_exact(setup, tmp_path):
