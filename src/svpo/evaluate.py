@@ -549,9 +549,8 @@ def _write_artifacts(bundle: ReportBundle, svpo_log: list[dict]) -> None:
 
 # An ablation arm is a set of config-file overrides applied to the
 # experiment config before the preference stage; None scores the pretrain
-# checkpoint instead. pref_off is the control: the preference stage's
-# schedule with its DPO gradient below 1e-9 (beta must stay > 0) and no
-# margin hinge, so only the carried SFT and MSE terms train.
+# checkpoint instead. pref_off is the control with full's schedule: beta
+# must stay > 0, and at 1e-9 only the carried SFT and MSE terms train.
 ARMS = {
     "full": {},
     "pref_off": {"svpo_beta": 1e-9, "svpo_w_margin": 0.0},

@@ -33,7 +33,7 @@ at once and returns the gradient of any weighted sum of their
 log-probabilities and end-state values, from feature rows that
 `Model.prefix_rows` compiled once. It sums its three weight gradients
 over fixed blocks of 256 rows, in order, so they come out the same bits
-whatever the BLAS thread count.
+at one and two BLAS threads.
 """
 from __future__ import annotations
 
@@ -430,11 +430,10 @@ _BLOCK = 256
 
 
 def _blocked_tdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a.T @ b, summed over fixed blocks of 256 rows in order. BLAS
-    splits one long product differently at different thread counts,
-    which moves its low bits; the blocks' products and their ordered sum
-    come out the same at 1 and 2 threads, so the gradients do not depend
-    on the thread count."""
+    """a.T @ b, summed over fixed blocks of `_BLOCK` rows in order. BLAS
+    splits one long product differently at 1 and 2 threads, which moves
+    its low bits; the blocks' products, and so their ordered sum, come
+    out the same at both."""
     out = a[:_BLOCK].T @ b[:_BLOCK]
     for i in range(_BLOCK, len(a), _BLOCK):
         out += a[i:i + _BLOCK].T @ b[i:i + _BLOCK]
