@@ -500,7 +500,7 @@ def test_kernel_gradient_bytes_do_not_depend_on_blas_threads():
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
-                       [src, os.environ.get("PYTHONPATH", "")]))
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", _KERNEL_GRADIENT],
                               env=env, capture_output=True, text=True,
                               timeout=120)
