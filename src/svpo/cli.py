@@ -26,15 +26,15 @@ b1 = 1 and 3 whatever sbs_b1 holds.
 ablate, sweep, and pipeline are self-contained drivers. An ablation arm
 is a set of config overrides applied before the preference stage:
 full (none), pref_off (svpo_beta = 1e-9 and svpo_w_margin = 0, the
-control with the same schedule and no preference terms), no_margin
-(svpo_w_margin = 0), no_mse (svpo_w_mse = 0) and solution_dpo (both,
-trained on solution-level pairs only); the arm sft scores the pretrain
-checkpoint.
-A sweep arm sets svpo_gamma. Exit codes: 0 success, 2 configuration
-error (an unknown or repeated key, a non-finite number, or a value not
-of its field's type, such as `solution_level_only = no` or `seed = 1.5`),
-a malformed --seeds or --gammas list or an unknown arm (before any work)
-or a question file outside the Env's bounds, 3 stage failure.
+control with the same schedule that trains only the carried SFT term),
+no_margin (svpo_w_margin = 0) and solution_dpo (no_margin trained on
+solution-level pairs only); the arm sft scores the pretrain checkpoint.
+A sweep arm sets svpo_gamma. Exit codes: 0 success; 2 for a
+configuration error (an unknown or repeated key, a value outside its
+field's range or type: `seed = -1`, nan, `seed = 1.5`), a malformed or
+out-of-range --seed, --seeds, --gammas or --b1 or an unknown arm (all
+before any work), or a question file outside the Env's bounds; 3 stage
+failure.
 """
 from __future__ import annotations
 
@@ -142,14 +142,26 @@ def cmd_eval(args, config: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-# argparse types: a malformed list is a usage error (exit 2) before any work
+# argparse types: a bad list or value is a usage error (exit 2) before any work
 
 def _seed_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    seeds = [int(part) for part in text.split(",") if part.strip()]
+    if min(seeds, default=0) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0: {text!r}")
+    return seeds
 
 
 def _gamma_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    gammas = [float(part) for part in text.split(",") if part.strip()]
+    if not all(0 <= gamma < float("inf") for gamma in gammas):  # not nan
+        raise argparse.ArgumentTypeError(f"need finite gammas >= 0: {text!r}")
+    return gammas
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+    return int(text)
 
 
 def _arm_list(text: str) -> list[str]:
@@ -240,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     add("svpo", cmd_svpo, "preference optimization stage")
     p = add("infer", cmd_infer, "decode the test set with a checkpoint")
     p.add_argument("--mode", choices=("greedy", "sbs"), default="greedy")
-    p.add_argument("--b1", type=int, default=None,
+    p.add_argument("--b1", type=_positive_int, default=None,
                    help="beams kept (sbs mode; default: the config's sbs_b1)")
     p.add_argument("--ckpt", default="ckpt_svpo.json",
                    help="checkpoint filename under --out")
     add("eval", cmd_eval, "accuracy and win-rate report for both stages")
     p = add("ablate", cmd_ablate, "train and score ablation arms")
     p.add_argument("--arms", type=_arm_list,
-                   default="full,pref_off,no_margin,no_mse,sft",
+                   default="full,pref_off,no_margin,sft",
                    help=f"comma-separated arms among {', '.join(ARMS)}; "
                         "each is a set of config overrides, and sft "
                         "scores the pretrain checkpoint")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -142,11 +143,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown difficulty {self.difficulty!r}")
         if self.sft_k < 1:
             raise ValueError("sft_k must be >= 1")
-        if self.max_value_targets < 0:
-            raise ValueError("max_value_targets must be >= 0")
+        if self.seed < 0 or self.max_value_targets < 0:
+            raise ValueError("seed and max_value_targets must be >= 0")
         # train_loop runs the stage its config's type names
-        if (isinstance(self.pretrain, SVPOConfig)
-                or not isinstance(self.svpo, SVPOConfig)):
+        if not (isinstance(self.pretrain, PretrainConfig)
+                and isinstance(self.svpo, SVPOConfig)):
             raise ValueError("stage configs do not match their slots")
 
 
@@ -184,7 +185,8 @@ def experiment_config_from_dict(items: dict) -> ExperimentConfig:
     """The config of flat key=value entries (see experiment_config_to_dict).
     Refuses an unknown key, and a value whose type is not its field's: a
     bool field takes a bool, an int field an int, a float field an int or
-    a float (stored as a float, so 0 and 0.0 agree), a str field a str."""
+    a finite float (stored as a float, so 0 and 0.0 agree; nan and inf
+    would pass every range check), a str field a str."""
     slots = _config_keys()
     top: dict = {}
     nested: dict[str, dict] = {name: {} for name in _SUBCONFIGS}
@@ -198,6 +200,8 @@ def experiment_config_from_dict(items: dict) -> ExperimentConfig:
                              f"not {value!r}")
         if f.type == "float":
             value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"config key {key!r} must be finite")
         (top if slot is None else nested[slot])[f.name] = value
     for name, cls in _SUBCONFIGS.items():
         top[name] = cls(**nested[name])
@@ -324,7 +328,7 @@ def svpo_stage(corpus: Corpus, sft_ckpt: Checkpoint,
         pairs = corpus.pairs
         if config.solution_level_only:
             pairs = solution_level_pairs(corpus.env, pairs)
-        data = TrainData(pairs, corpus.solutions, corpus.value_targets)
+        data = TrainData(pairs, corpus.solutions)
         return train_loop(corpus.model, data, config.svpo, config.seed,
                           sft_ckpt, corpus.rows, log)
 
@@ -536,7 +540,7 @@ def save_eval(out: Path, heldout: list[PreferencePair],
 
 def _write_artifacts(bundle: ReportBundle, svpo_log: list[dict]) -> None:
     # no pretrain_log.csv yet: svpobench's tracing test pins ten wrapped
-    # artifact writes per run (ROADMAP item 5)
+    # artifact writes per run (ROADMAP item 11, blocked on item 8)
     out = bundle.out_dir
     out.mkdir(parents=True, exist_ok=True)
     save_corpus(bundle.corpus, out)
@@ -550,14 +554,12 @@ def _write_artifacts(bundle: ReportBundle, svpo_log: list[dict]) -> None:
 # An ablation arm is a set of config-file overrides applied to the
 # experiment config before the preference stage; None scores the pretrain
 # checkpoint instead. pref_off is the control with full's schedule: beta
-# must stay > 0, and at 1e-9 only the carried SFT and MSE terms train.
+# must stay > 0, and at 1e-9 only the carried SFT term trains.
 ARMS = {
     "full": {},
     "pref_off": {"svpo_beta": 1e-9, "svpo_w_margin": 0.0},
     "no_margin": {"svpo_w_margin": 0.0},
-    "no_mse": {"svpo_w_mse": 0.0},
-    "solution_dpo": {"svpo_w_margin": 0.0, "svpo_w_mse": 0.0,
-                     "solution_level_only": True},
+    "solution_dpo": {"svpo_w_margin": 0.0, "solution_level_only": True},
     "sft": None,
 }
 

@@ -12,17 +12,18 @@ difference from policy log-ratios against a frozen reference policy, and
 an explicit difference of value-head outputs at the two end states. Its
 loss combines a sigmoid preference term on the implicit difference, a
 hinge pushing the explicit difference past a margin, plus the reweighted
-pretraining terms. Those carried terms range over the solutions and value
-targets of the stage's TrainData; the pipeline passes the corpus's SFT
-solutions and value targets, which cycle alongside the pair batches.
+SFT term over the stage's solutions (the corpus's SFT solutions, which
+cycle alongside the pair batches). It reads no value targets.
 
 The paper's abstract says the explicit value model is trained, from the
 perspective of learning-to-rank, to replicate the behavior of the
 implicit reward model; its full text is not in this repository. This
 code reads that as: the value head learns the same pairwise ranking the
 implicit reward is trained on, through the margin hinge over the same
-winner/loser pairs the sigmoid term ranks, and the search's values
-through the MSE. No term ties the two differences' magnitudes together.
+winner/loser pairs the sigmoid term ranks. No term ties the two
+differences' magnitudes together. This repository once also carried
+pretraining's value MSE into this stage; dropping it departs from that
+earlier reading of the loss, not from a checked equation.
 
 Every loss is coefficient arithmetic over one call per batch of the
 model's batched prefix kernel, `Model.seq_logprob_grad`: it returns each
@@ -38,7 +39,6 @@ mini-batch gradient descent.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,17 +63,17 @@ class EmptyBatch(Exception):
 
 
 @dataclass
-class PretrainConfig:
-    """Pretraining: imitation plus a lightly weighted value MSE."""
+class StageConfig:
+    """What both training stages share: the SFT weight and plain
+    mini-batch gradient descent. Every loss weight is a `w_` field."""
 
     w_sft: float = 1.0
-    w_mse: float = 0.01
     lr: float = 0.05
     batch_size: int = 32
     epochs: int = 8
 
     def __post_init__(self):
-        if min(self.w_sft, self.w_mse) < 0:
+        if min(v for k, v in vars(self).items() if k.startswith("w_")) < 0:
             raise ValueError("loss weights must be >= 0")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
@@ -82,13 +82,19 @@ class PretrainConfig:
 
 
 @dataclass
-class SVPOConfig(PretrainConfig):
-    """The preference stage: the pretraining terms, reweighted, plus the
-    step-level preference term (inverse temperature beta) and the value
-    margin hinge (margin gamma, weight w_margin)."""
+class PretrainConfig(StageConfig):
+    """Pretraining: imitation plus a lightly weighted value MSE."""
+
+    w_mse: float = 0.01
+
+
+@dataclass
+class SVPOConfig(StageConfig):
+    """The preference stage: the SFT term, reweighted, plus the step-level
+    preference term (inverse temperature beta) and the value margin hinge
+    (margin gamma, weight w_margin)."""
 
     w_sft: float = 5.0
-    w_mse: float = 0.25
     epochs: int = 4
     beta: float = 0.1
     gamma: float = 0.5
@@ -100,8 +106,6 @@ class SVPOConfig(PretrainConfig):
             raise ValueError("beta must be positive")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
-        if self.w_margin < 0:
-            raise ValueError("loss weights must be >= 0")
 
 
 # the earlier factory names, which svpobench's tests import
@@ -189,21 +193,11 @@ def _dataset_prefixes(solutions: list[Solution], targets: list[ValueTarget]):
             [s.steps for s in solutions] + [t.prefix for t in targets])
 
 
-def _dataset_loss(config: PretrainConfig, sol_logprobs: np.ndarray,
-                  tgt_values: np.ndarray, targets: list[ValueTarget]):
-    """Mean solution NLL and value-target squared error, and their weighted
-    kernel coefficients (a, b) over the solutions, then the targets."""
-    n_sol, n_tgt = len(sol_logprobs), len(tgt_values)
-    err = tgt_values - np.array([t.target for t in targets], dtype=float)
-    sft = float(-sol_logprobs.sum() / n_sol) if n_sol else 0.0
-    mse = float((err * err).sum() / n_tgt) if n_tgt else 0.0
-    a = np.zeros(n_sol + n_tgt)
-    b = np.zeros(n_sol + n_tgt)
-    if n_sol:
-        a[:n_sol] = -config.w_sft / n_sol
-    if n_tgt:
-        b[n_sol:] = config.w_mse * 2.0 * err / n_tgt
-    return sft, mse, a, b
+def _sft_loss(w_sft: float, logprobs: np.ndarray):
+    """Mean solution NLL and its weighted log-prob coefficients."""
+    n = len(logprobs)
+    sft = float(-logprobs.sum() / n) if n else 0.0
+    return sft, np.full(n, -w_sft / max(n, 1))
 
 
 # -- batch losses and gradients ----------------------------------------------
@@ -211,27 +205,26 @@ def _dataset_loss(config: PretrainConfig, sol_logprobs: np.ndarray,
 def svpo_batch_grad(model: Model, params: PolicyValueParams,
                     ref_logprobs: np.ndarray, batch: list[PreferencePair],
                     config: SVPOConfig, solutions: list[Solution],
-                    targets: list[ValueTarget], rows: PrefixRows):
+                    rows: PrefixRows):
     """Mean loss terms and mean weighted gradient for one svpo step.
 
     The preference terms (dpo, margin) come from the pair batch, the
-    carried pretraining terms (sft, mse) from the solution and value-target
-    batches; an empty dataset makes its term zero. `ref_logprobs` holds the
-    batch's reference log-probs as pair_logprobs returns them, and `rows`
-    the compiled prefixes of all three batches.
+    carried sft term from the solution batch; no solutions make it zero.
+    `ref_logprobs` holds the batch's reference log-probs as pair_logprobs
+    returns them, and `rows` the compiled prefixes of both batches.
 
     Also reports the largest |implicit difference| seen: the probability
     ratio bound never binds while this stays inside the value range.
 
     Every term folds into per-prefix coefficients of one kernel call over
-    the distinct winner and loser prefixes plus the carried datasets: the
+    the distinct winner and loser prefixes plus the solutions: the
     preference term's on the log-prob path, the hinge's on the value
     path."""
     if not batch:
         raise EmptyBatch("empty pair batch")
     qids, prefixes, w, l = pair_prefixes(batch)
-    data_qids, data_prefixes = _dataset_prefixes(solutions, targets)
-    n, n_pre, n_sol = len(batch), len(prefixes), len(solutions)
+    sol_qids, sol_prefixes = _dataset_prefixes(solutions, [])
+    n, n_pre = len(batch), len(prefixes)
     terms: dict = {}
 
     def coef(logprobs, values):
@@ -241,26 +234,24 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
         dr_phi = v[w] - v[l]
         pi = config.beta * (_sigmoid(dr_pi) - 1.0)
         hinge = np.where(dr_phi < config.gamma, -config.w_margin, 0.0)
-        terms["sft"], terms["mse"], a_data, b_data = _dataset_loss(
-            config, logprobs[n_pre:n_pre + n_sol], values[n_pre + n_sol:],
-            targets)
+        terms["sft"], a_sol = _sft_loss(config.w_sft, logprobs[n_pre:])
         terms.update(
             dpo=float(_softplus(-dr_pi).sum() / n),
             margin=float(np.maximum(0.0, config.gamma - dr_phi).sum() / n))
         terms["max_abs_dr"] = float(np.abs(dr_pi).max())
         a = np.zeros(n_pre)
-        b = np.zeros(n_pre)
+        b = np.zeros(n_pre + len(a_sol))
         np.add.at(a, w, pi / n)
         np.add.at(a, l, -pi / n)
         np.add.at(b, w, hinge / n)
         np.add.at(b, l, -hinge / n)
-        return np.concatenate([a, a_data]), np.concatenate([b, b_data])
+        return np.concatenate([a, a_sol]), b
 
-    _, _, grad = model.seq_logprob_grad(params, rows, qids + data_qids,
-                                        prefixes + data_prefixes, coef)
+    _, _, grad = model.seq_logprob_grad(params, rows, qids + sol_qids,
+                                        prefixes + sol_prefixes, coef)
     max_abs_dr = terms.pop("max_abs_dr")
     total = (terms["dpo"] + config.w_margin * terms["margin"]
-             + config.w_sft * terms["sft"] + config.w_mse * terms["mse"])
+             + config.w_sft * terms["sft"])
     breakdown = LossBreakdown(total=total, **terms)
     return breakdown, grad, max_abs_dr
 
@@ -273,13 +264,17 @@ def pretrain_batch_grad(model: Model, params: PolicyValueParams,
     gradient, from one kernel call over the compiled prefixes `rows`."""
     if not solutions and not targets:
         raise EmptyBatch("nothing to pretrain on")
-    n_sol = len(solutions)
+    n_sol, n_tgt = len(solutions), len(targets)
+    target_values = np.array([t.target for t in targets], dtype=float)
     terms: dict = {}
 
     def coef(logprobs, values):
-        terms["sft"], terms["mse"], a, b = _dataset_loss(
-            config, logprobs[:n_sol], values[n_sol:], targets)
-        return a, b
+        terms["sft"], a_sol = _sft_loss(config.w_sft, logprobs[:n_sol])
+        err = values[n_sol:] - target_values
+        terms["mse"] = float((err * err).sum() / n_tgt) if n_tgt else 0.0
+        b_tgt = config.w_mse * 2.0 * err / max(n_tgt, 1)
+        return (np.concatenate([a_sol, np.zeros(n_tgt)]),
+                np.concatenate([np.zeros(n_sol), b_tgt]))
 
     _, _, grad = model.seq_logprob_grad(
         params, rows, *_dataset_prefixes(solutions, targets), coef)
@@ -299,15 +294,16 @@ def _order(n: int, rng) -> np.ndarray:
     return rng.permutation(n) if n else np.array([], int)
 
 
-def train_loop(model: Model, data: TrainData, config: PretrainConfig,
+def train_loop(model: Model, data: TrainData, config: StageConfig,
                rng_seed: int, init: Checkpoint, rows: PrefixRows,
                log: list | None = None) -> Checkpoint:
     """Run the stage that `config`'s type names from `init` and return
     the final checkpoint.
 
     In the svpo stage the `init` params (normally the pretrain result)
-    also become the frozen reference policy. `rows` are compiled prefix
-    rows covering every prefix of `data`; a superset gives the same bits.
+    also become the frozen reference policy; that stage reads the pairs
+    and solutions of `data`. `rows` are compiled prefix rows covering
+    every prefix of `data`; a superset gives the same bits.
     Deterministic in (data, config, rng_seed, init).
     """
     svpo = isinstance(config, SVPOConfig)
@@ -327,22 +323,21 @@ def train_loop(model: Model, data: TrainData, config: PretrainConfig,
     for epoch in range(config.epochs):
         rng = spawn_generator(_TRAIN_STREAM, rng_seed, epoch)
         # pair batches (preference stage only) set the epoch length there,
-        # the larger dataset sets it in pretraining; the solution and
-        # target datasets cycle alongside (permutations drawn in this order)
+        # the larger dataset in pretraining; solutions and pretraining's
+        # targets cycle alongside (permutations drawn in this order)
         pair_batches = _batches(len(data.pairs), size, rng) if svpo else []
         sol_order = _order(n_sol, rng)
         tgt_order = _order(n_tgt, rng)
-        n_steps = len(pair_batches) if svpo else max(
-            _ceil_div(n_sol, size), _ceil_div(n_tgt, size))
+        n_steps = len(pair_batches) if svpo else -(-max(n_sol, n_tgt) // size)
         for b in range(n_steps):
             sols = _cycle_slice(data.solutions, sol_order, b, size)
-            tgts = _cycle_slice(data.value_targets, tgt_order, b, size)
             if svpo:
                 idx = pair_batches[b]
                 breakdown, grad, max_dr = svpo_batch_grad(
                     model, params, ref_logprobs[idx],
-                    [data.pairs[i] for i in idx], config, sols, tgts, rows)
+                    [data.pairs[i] for i in idx], config, sols, rows)
             else:
+                tgts = _cycle_slice(data.value_targets, tgt_order, b, size)
                 breakdown, grad = pretrain_batch_grad(model, params, sols,
                                                       tgts, config, rows)
                 max_dr = 0.0
@@ -351,10 +346,6 @@ def train_loop(model: Model, data: TrainData, config: PretrainConfig,
             _log_row(log, step, stage, breakdown, grad, max_dr)
     return Checkpoint(params=params, ref_params=ref_params, step=step,
                       config=dict(vars(config)))
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 def _cycle_slice(items: list, order: np.ndarray, batch_index: int,
@@ -376,11 +367,8 @@ def _log_row(log, step: int, stage: str, breakdown: LossBreakdown,
              grad: Gradients, max_abs_dr: float) -> None:
     if log is None:
         return
-    log.append({"step": step, "stage": stage, "dpo": breakdown.dpo,
-                "margin": breakdown.margin, "sft": breakdown.sft,
-                "mse": breakdown.mse,
-                "total": breakdown.total, "grad_norm": grad.norm(),
-                "max_abs_dr": max_abs_dr})
+    log.append({"step": step, "stage": stage, **vars(breakdown),
+                "grad_norm": grad.norm(), "max_abs_dr": max_abs_dr})
 
 
 # -- serialization ------------------------------------------------------------
@@ -410,8 +398,7 @@ def save_log_csv(log: list[dict], path: str | Path) -> None:
 
 def parse_kv_text(text: str) -> dict:
     """Parse `key = value` lines; '#' starts a comment. Values are coerced
-    to int, float, or bool when they look like one; a non-finite number
-    (nan, inf), which passes every range check, and a key set twice are
+    to int, float, or bool when they look like one; a key set twice is
     refused."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -424,8 +411,6 @@ def parse_kv_text(text: str) -> dict:
         if key in out:
             raise ValueError(f"line {lineno}: {key} is set twice")
         out[key] = _coerce(value)
-        if isinstance(out[key], float) and not math.isfinite(out[key]):
-            raise ValueError(f"line {lineno}: {key} must be finite")
     return out
 
 

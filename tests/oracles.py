@@ -234,7 +234,8 @@ def svpo_pair_terms(model: Model, params: PolicyValueParams,
 
     Returns (LossBreakdown, {term: Gradients}, implicit difference). sft
     and mse are the pair-derived forms (winner NLL, winner end-state error
-    against its stored q)."""
+    against its stored q); the preference stage weights no value MSE, so
+    total leaves mse out."""
     question = model.env.question(pair.question_id)
     w_ev = model.grads_logprob_and_value(params, question, pair.winner)
     l_ev = model.grads_logprob_and_value(params, question, pair.loser)
@@ -249,8 +250,7 @@ def svpo_pair_terms(model: Model, params: PolicyValueParams,
     mse = (w_ev.value - pair.q_w) ** 2
     breakdown = LossBreakdown(
         dpo=dpo, margin=margin, sft=sft, mse=mse,
-        total=(dpo + config.w_margin * margin + config.w_sft * sft
-               + config.w_mse * mse))
+        total=dpo + config.w_margin * margin + config.w_sft * sft)
 
     def combo(*parts) -> Gradients:
         g = zero_grad(params)
@@ -280,16 +280,22 @@ def svpo_loss(model: Model, params: PolicyValueParams,
     return breakdown
 
 
+def solution_nll(model: Model, params: PolicyValueParams,
+                 solutions) -> float:
+    """Mean negative log-probability of the solutions; 0 for none."""
+    sft = 0.0
+    for sol in solutions:
+        question = model.env.question(sol.question_id)
+        sft -= model.seq_logprob(params, question, sol.steps)
+    return sft / len(solutions) if solutions else 0.0
+
+
 def pretrain_loss(model: Model, params: PolicyValueParams, solutions,
                   targets, config) -> LossBreakdown:
     """Mean solution NLL plus weighted mean squared value error."""
     if not solutions and not targets:
         raise EmptyBatch("nothing to pretrain on")
-    sft = 0.0
-    for sol in solutions:
-        question = model.env.question(sol.question_id)
-        sft -= model.seq_logprob(params, question, sol.steps)
-    sft = sft / len(solutions) if solutions else 0.0
+    sft = solution_nll(model, params, solutions)
     mse = 0.0
     for tgt in targets:
         question = model.env.question(tgt.question_id)
@@ -303,7 +309,8 @@ def pretrain_loss(model: Model, params: PolicyValueParams, solutions,
 def dataset_grad(model: Model, params: PolicyValueParams, solutions,
                  targets, config) -> Gradients:
     """Gradient of w_sft * mean NLL + w_mse * mean squared value error,
-    one solution or value target at a time."""
+    one solution or value target at a time (w_mse is read only when there
+    are targets)."""
     grad = zero_grad(params)
     for sol in solutions:
         question = model.env.question(sol.question_id)
@@ -319,10 +326,10 @@ def dataset_grad(model: Model, params: PolicyValueParams, solutions,
 
 def svpo_batch_oracle(model: Model, params: PolicyValueParams,
                       ref_params: PolicyValueParams, batch, config,
-                      solutions, targets):
+                      solutions):
     """svpo_batch_grad's (mean terms, gradient, max |implicit diff|), one
-    pair at a time; the carried terms come from the datasets (zero when
-    both are empty)."""
+    pair at a time; the carried sft term comes from the solutions (zero
+    when there are none) and mse stays zero."""
     weights = {"dpo": 1.0, "margin": config.w_margin}
     sums = dict.fromkeys(["dpo", "margin", "sft", "mse"], 0.0)
     grad = zero_grad(params)
@@ -334,11 +341,8 @@ def svpo_batch_oracle(model: Model, params: PolicyValueParams,
         for name, weight in weights.items():
             sums[name] += getattr(breakdown, name) / len(batch)
             add_scaled(grad, grads[name], weight / len(batch))
-    if solutions or targets:
-        carried = pretrain_loss(model, params, solutions, targets, config)
-        sums["sft"], sums["mse"] = carried.sft, carried.mse
-        add_scaled(grad, dataset_grad(model, params, solutions, targets,
-                                      config))
+    sums["sft"] = solution_nll(model, params, solutions)
+    add_scaled(grad, dataset_grad(model, params, solutions, [], config))
     return sums, grad, max_abs_dr
 
 

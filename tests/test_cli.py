@@ -153,11 +153,19 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert main(["pipeline", "--config", str(bad),
                      "--out", str(out)]) == 2, line
         assert "config error" in capsys.readouterr().err
+    # a negative seed, in the file or from --seed, would fail inside gen
+    for text, seed in ((TINY.replace("seed = 0", "seed = -1"), []),
+                       (TINY, ["--seed", "-1"])):
+        bad.write_text(text)
+        assert main(["pipeline", "--config", str(bad), "--out", str(out)]
+                    + seed) == 2
+        assert "seed and max_value_targets must be >= 0" in \
+            capsys.readouterr().err
     # pretraining's config holds only the fields its loss reads, and the
-    # preference stage has no coupling weight
+    # preference stage has neither a coupling weight nor a value MSE
     for line in ("pretrain_beta = 1", "pretrain_gamma = 1",
                  "pretrain_w_margin = 1", "pretrain_stage = 1",
-                 "svpo_w_reg = 0.001"):
+                 "svpo_w_reg = 0.001", "svpo_w_mse = 0.25"):
         bad.write_text(TINY + line + "\n")
         capsys.readouterr()
         assert main(["pipeline", "--config", str(bad),
@@ -205,10 +213,18 @@ def test_out_of_range_question_file_exits_2(tmp_path, capsys):
     ("ablate", "--seeds", "x"),
     ("sweep", "--seeds", "x"),
     ("sweep", "--gammas", "0.5,wide"),
-], ids=["unknown_arm", "ablate_seeds", "sweep_seeds", "sweep_gammas"])
+    ("sweep", "--gammas", "0.5,nan"),
+    ("sweep", "--gammas", "inf"),
+    ("sweep", "--gammas", "-1"),
+    ("ablate", "--seeds", "0,-1"),
+    ("infer", "--b1", "0"),
+], ids=["unknown_arm", "ablate_seeds", "sweep_seeds", "sweep_gammas",
+        "sweep_gamma_nan", "sweep_gamma_inf", "sweep_gamma_negative",
+        "ablate_seed_negative", "infer_b1_zero"])
 def test_usage_errors_exit_2(tmp_path, capsys, command, flag, value):
-    """A malformed list or an unknown arm is a usage error, refused
-    before any work: not even --out is created."""
+    """A malformed list, an out-of-range seed, gamma or beam width, or an
+    unknown arm is a usage error, refused before any work: not even --out
+    is created."""
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([command, flag, value, "--out", str(out)])

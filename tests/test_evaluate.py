@@ -233,7 +233,7 @@ def test_config_key_set_is_pinned():
         "search_n_children", "search_target_correct", "search_temperature",
         "seed", "sft_k", "solution_level_only",
         "svpo_batch_size", "svpo_beta", "svpo_epochs", "svpo_gamma",
-        "svpo_lr", "svpo_w_margin", "svpo_w_mse", "svpo_w_sft",
+        "svpo_lr", "svpo_w_margin", "svpo_w_sft",
     ]
 
 
@@ -261,6 +261,22 @@ def test_arm_overrides_change_exactly_their_fields(arm):
 def tiny_bundle(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipeline")
     return run_pipeline(tiny_config(), out_dir=out), out
+
+
+def test_preference_stage_reads_no_value_targets(tiny_bundle):
+    """The preference stage trains on pairs and SFT solutions only: from
+    one pretrain checkpoint, corpora that differ only in their value
+    targets (negated, or none, rows kept) give byte-identical params."""
+    bundle, _ = tiny_bundle
+    corpus = bundle.corpus
+    assert corpus.value_targets
+    negated = [dataclasses.replace(t, target=-t.target)
+               for t in corpus.value_targets]
+    trained = [json.dumps(params_to_record(svpo_stage(
+        dataclasses.replace(corpus, value_targets=targets), bundle.sft_ckpt,
+        bundle.config).params)) for targets in (negated, [])]
+    assert trained[0] == trained[1] == json.dumps(
+        params_to_record(bundle.svpo_ckpt.params))
 
 
 def test_pipeline_summary_shape(tiny_bundle):
@@ -339,12 +355,14 @@ def test_pipeline_compiles_each_corpus_once(monkeypatch):
 
 
 def test_pipeline_preference_stage_carries_pretraining_terms(tiny_bundle):
+    """Of pretraining's terms the preference stage carries the SFT term
+    only; its log keeps the mse column, which reads 0."""
     _, out = tiny_bundle
     with open(out / "svpo_log.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows
     assert all(float(row["sft"]) > 0.0 for row in rows)
-    assert all(float(row["mse"]) > 0.0 for row in rows)
+    assert all(float(row["mse"]) == 0.0 for row in rows)
 
 
 def test_every_training_arm_changes_the_trained_params(tiny_bundle):
@@ -451,7 +469,8 @@ def test_run_matrix_compiles_each_seeds_rows_once(monkeypatch):
 
 
 @pytest.mark.parametrize("overrides", [{"svpo_gamma": -1.0},
-                                       {"svpo_gama": 1.0}])
+                                       {"svpo_gama": 1.0},
+                                       {"svpo_gamma": float("nan")}])
 def test_run_matrix_refuses_bad_overrides_before_any_work(monkeypatch,
                                                           overrides):
     def no_work(config):
@@ -464,6 +483,6 @@ def test_run_matrix_refuses_bad_overrides_before_any_work(monkeypatch,
 
 
 def test_arm_table_is_complete():
-    assert set(ARMS) == {"full", "pref_off", "no_margin", "no_mse",
-                         "solution_dpo", "sft"}
+    assert set(ARMS) == {"full", "pref_off", "no_margin", "solution_dpo",
+                         "sft"}
     assert ARMS["solution_dpo"]["solution_level_only"] is True

@@ -22,8 +22,8 @@ from svpo.train import (
 
 from oracles import (
     dataset_grad, fd_relative_error, implicit_reward_diff,
-    max_abs_implicit_diff, pretrain_loss, svpo_batch_oracle, svpo_loss,
-    svpo_pair_terms, value_diff,
+    max_abs_implicit_diff, pretrain_loss, solution_nll, svpo_batch_oracle,
+    svpo_loss, svpo_pair_terms, value_diff,
 )
 
 
@@ -84,8 +84,9 @@ def test_total_is_the_weighted_sum(corpus):
     config = default_svpo_config()
     breakdown = svpo_loss(model, params, ref, pairs[1], config)
     expected = (breakdown.dpo + config.w_margin * breakdown.margin
-                + config.w_sft * breakdown.sft + config.w_mse * breakdown.mse)
+                + config.w_sft * breakdown.sft)
     assert breakdown.total == pytest.approx(expected, abs=1e-12)
+    assert breakdown.mse > 0.0  # reported, but the stage weights no MSE
 
 
 def test_reweighting_shifts_total_linearly(corpus):
@@ -139,15 +140,15 @@ def test_fd_per_term(corpus, term):
 
 def test_fd_batch_gradient(corpus):
     model, params, ref, config, _ = _fd_setup(corpus)
-    _, _, pairs, solutions, targets = corpus
+    _, _, pairs, solutions, _ = corpus
     batch = [p for p in pairs
              if abs(config.gamma - value_diff(model, params, p)) > 1e-2][:3]
     assert len(batch) == 3
-    sols, tgts = solutions[:3], targets[:5]
-    rows = stage_rows(model, TrainData(batch, sols, tgts))
+    sols = solutions[:3]
+    rows = stage_rows(model, TrainData(batch, sols))
     _, analytic, _ = svpo_batch_grad(model, params,
                                      pair_logprobs(model, ref, batch, rows)[0],
-                                     batch, config, sols, tgts, rows)
+                                     batch, config, sols, rows)
 
     def f(p):
         total = 0.0
@@ -155,7 +156,7 @@ def test_fd_batch_gradient(corpus):
             breakdown = svpo_loss(model, p, ref, pair, config)
             total += breakdown.dpo + config.w_margin * breakdown.margin
         return (total / len(batch)
-                + pretrain_loss(model, p, sols, tgts, config).total)
+                + config.w_sft * solution_nll(model, p, sols))
 
     rng = np.random.default_rng(42)
     assert fd_relative_error(f, params, analytic, rng, n_coords=20) < 1e-4
@@ -197,21 +198,21 @@ def kernel_case(corpus):
 
 @pytest.mark.parametrize("carried", ["empty", "datasets"])
 def test_batched_svpo_grad_matches_per_pair_oracle(kernel_case, carried):
-    model, params, ref, batch, sols, tgts = kernel_case
+    model, params, ref, batch, sols, _ = kernel_case
     config = default_svpo_config()
     if carried == "empty":
-        sols, tgts = [], []
-    rows = stage_rows(model, TrainData(batch, sols, tgts))
+        sols = []
+    rows = stage_rows(model, TrainData(batch, sols))
     breakdown, grad, max_dr = svpo_batch_grad(
         model, params, pair_logprobs(model, ref, batch, rows)[0], batch,
-        config, sols, tgts, rows)
+        config, sols, rows)
     terms, want, want_dr = svpo_batch_oracle(model, params, ref, batch,
-                                             config, sols, tgts)
+                                             config, sols)
     for name, value in terms.items():
         assert getattr(breakdown, name) == pytest.approx(value, rel=1e-10,
                                                          abs=1e-14)
-    if carried == "empty":
-        assert breakdown.sft == breakdown.mse == 0.0
+    assert breakdown.mse == 0.0
+    assert (breakdown.sft == 0.0) == (carried == "empty")
     assert max_dr == pytest.approx(want_dr, rel=1e-10)
     _assert_grads_close(grad, want)
 
@@ -338,9 +339,9 @@ def test_preference_stage_descends(corpus):
     rows = stage_rows(model, data)
     ref_logprobs, _ = pair_logprobs(model, init.params, pairs, rows)
     before, _, _ = svpo_batch_grad(model, init.params, ref_logprobs, pairs,
-                                   config, [], [], rows)
+                                   config, [], rows)
     after, _, _ = svpo_batch_grad(model, ckpt.params, ref_logprobs,
-                                  pairs, config, [], [], rows)
+                                  pairs, config, [], rows)
     assert after.total < before.total
     assert after.dpo < before.dpo
 
@@ -362,7 +363,7 @@ def test_empty_inputs_raise(corpus):
                _init_ckpt(model))
     with pytest.raises(EmptyBatch):
         svpo_batch_grad(model, model.zeros_params(), np.zeros((0, 2)), [],
-                        default_svpo_config(), [], [],
+                        default_svpo_config(), [],
                         stage_rows(model, TrainData()))
     with pytest.raises(EmptyBatch):
         pretrain_batch_grad(model, model.zeros_params(), [], [],
@@ -414,14 +415,18 @@ def test_checkpoint_roundtrip(tmp_path, corpus):
 def test_config_validation():
     for cls in (PretrainConfig, SVPOConfig):
         for bad in ({"lr": -0.1}, {"batch_size": 0}, {"epochs": 0},
-                    {"w_sft": -1.0}, {"w_mse": -1.0}):
+                    {"w_sft": -1.0}):
             with pytest.raises(ValueError):
                 cls(**bad)
     for bad in ({"beta": 0.0}, {"gamma": -0.5}, {"w_margin": -1.0}):
         with pytest.raises(ValueError):
             SVPOConfig(**bad)
+    with pytest.raises(ValueError):
+        PretrainConfig(w_mse=-1.0)
     with pytest.raises(TypeError):  # no preference terms in pretraining
         PretrainConfig(beta=0.1)
+    with pytest.raises(TypeError):  # no value MSE in the preference stage
+        SVPOConfig(w_mse=0.25)
 
 
 def test_kv_config_files():
