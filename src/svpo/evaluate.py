@@ -11,11 +11,10 @@ ablations stay comparable. Both splits are registered in one Env, whose
 ids are fixed once registered, so a test question that reuses a
 training id is refused before any search.
 
-The pairs stage (or `load_corpus` reading its files) compiles the feature
-rows of every prefix of the corpus once, into `Corpus.rows`: both
-training stages, every ablation arm and the training-pair win rates read
-them. The held-out pairs are compiled once per seed, where they are
-scored.
+The pairs stage (or `load_corpus` reading its files) compiles every
+prefix of the corpus once, into `Corpus.rows`: both training stages,
+every ablation arm and the training-pair win rates look their prefix ids
+up there once. The held-out pairs are compiled once per seed.
 """
 from __future__ import annotations
 
@@ -43,7 +42,7 @@ from .pairs import (
 from .records import load_csv
 from .train import (
     Checkpoint, PretrainConfig, SVPOConfig, TrainData, load_checkpoint,
-    pair_logprobs, stage_rows, train_loop,
+    pair_ids, pair_logprobs, stage_rows, train_loop,
 )
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -103,11 +102,12 @@ def win_rate(model: Model, params: PolicyValueParams,
     "implicit" is None."""
     if not pairs:
         raise EmptyDataset("no pairs to evaluate")
-    logprobs, values = pair_logprobs(model, params, pairs, rows)
+    ids = pair_ids(rows, pairs)
+    logprobs, values = pair_logprobs(model, params, ids, rows)
     n = len(pairs)
     implicit = None
     if ref_params is not None:
-        ratio = logprobs - pair_logprobs(model, ref_params, pairs, rows)[0]
+        ratio = logprobs - pair_logprobs(model, ref_params, ids, rows)[0]
         implicit = _credit(beta * (ratio[:, 0] - ratio[:, 1])) / n
     return {"implicit": implicit,
             "explicit": _credit(values[:, 0] - values[:, 1]) / n,

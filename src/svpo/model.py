@@ -28,12 +28,12 @@ The softmaxes call the ufunc reductions `np.maximum.reduce` and
 `np.add.reduce` themselves, which `ndarray.max` and `ndarray.sum` reach
 through Python-level wrappers; the bits are the same. Training and
 win-rate scoring go through one batched prefix kernel,
-`Model.seq_logprob_grad`: it evaluates many (question, prefix) sequences
-at once and returns the gradient of any weighted sum of their
-log-probabilities and end-state values, from feature rows that
-`Model.prefix_rows` compiled once. It sums its three weight gradients
-over fixed blocks of 256 rows, in order, so they come out the same bits
-at one and two BLAS threads.
+`Model.seq_logprob_grad`: it evaluates a batch of prefix ids, which
+`Model.prefix_rows` gave the prefixes it compiled once, and returns the
+gradient of any weighted sum of their log-probabilities and end-state
+values. It sums its three weight gradients over fixed blocks of 256
+rows, in order, so they come out the same bits at one and two BLAS
+threads.
 """
 from __future__ import annotations
 
@@ -105,12 +105,20 @@ class PrefixEval:
 
 @dataclass(frozen=True)
 class PrefixRows:
-    """Prefixes compiled for the batched kernel: the feature rows of their
-    distinct states, and per (question id, step tuple) the row indices of
-    its states from start to end."""
+    """Compiled prefixes. Prefix id i is the row of its end state in `x`;
+    its steps are actions[start[i]:][:length[i]], taken from the states at
+    rows before[start[i]:][:length[i]]. `ids` maps each key to its id."""
 
     x: np.ndarray  # (distinct states, d)
-    paths: dict[tuple[int, tuple[int, ...]], list[int]]
+    start: np.ndarray
+    length: np.ndarray
+    before: np.ndarray
+    actions: np.ndarray
+    ids: dict[tuple[int, tuple[int, ...]], int]
+
+    def lookup(self, keys) -> np.ndarray:
+        """The ids of compiled (question id, steps) keys."""
+        return np.array([self.ids[q, tuple(s)] for q, s in keys], np.intp)
 
 
 def init_params(d: int, h: int, vocab: int, seed: int,
@@ -312,9 +320,8 @@ class Model:
     def seq_logprob(self, params: PolicyValueParams, question: Question,
                     steps) -> float:
         """Sum of step log-probs over a whole prefix; 0.0 for the empty one."""
-        qids, prefixes = [question.id], [steps]
         logprobs, _, _ = self.seq_logprob_grad(
-            params, self.prefix_rows(qids, prefixes), qids, prefixes)
+            params, self.prefix_rows([(question.id, steps)]), [len(steps)])
         return float(logprobs[0])
 
     def value(self, params: PolicyValueParams, state: State) -> float:
@@ -328,62 +335,70 @@ class Model:
 
     # -- the batched prefix kernel: training and scoring -----------------
 
-    def prefix_rows(self, question_ids, prefixes) -> PrefixRows:
-        """Compile prefixes for `seq_logprob_grad`: every distinct state
-        along them is replayed through the Env, and all of them are
-        featurized in one `Featurizer.rows` call. Raises IllegalPrefix when
-        a prefix leaves the legal action set."""
+    def prefix_rows(self, keys) -> PrefixRows:
+        """Compile (question id, steps) keys for `seq_logprob_grad`: every
+        distinct state along them is replayed through the Env, and all of
+        them are featurized in one `Featurizer.rows` call. A key passed
+        twice gets one id; a prefix compiled alone has id len(steps).
+        Raises IllegalPrefix when a prefix leaves the legal action set."""
         env = self.env
-        states, paths, seen = [], {}, {}  # seen: state key -> (row, state)
-        for qid, steps in zip(question_ids, prefixes):
-            steps = tuple(steps)
-            question = env.question(qid)
-            path = []
+        # ids holds every distinct state's row while compiling; only the
+        # compiled prefixes (start >= 0) keep theirs
+        states, ids, start, before, actions = [], {}, [], [], []
+        for qid, steps in keys:
+            steps, path = tuple(steps), []
             for t, aid in enumerate((None,) + steps):
-                key = (qid, steps[:t])
-                if key not in seen:
+                row = ids.setdefault((qid, steps[:t]), len(states))
+                if row == len(states):
                     try:
-                        state = (env.initial_state(question) if aid is None
-                                 else env.transition(state, env.action(aid)))
+                        states.append(
+                            env.initial_state(env.question(qid)) if not t
+                            else env.transition(states[path[-1]],
+                                                env.action(aid)))
                     except (IllegalAction, DepthExceeded) as exc:
                         raise IllegalPrefix(f"prefix {steps} of question "
                                             f"{qid}: {exc}") from exc
-                    seen[key] = (len(states), state)
-                    states.append(state)
-                row, state = seen[key]
+                    start.append(-1)
                 path.append(row)
-            paths[qid, steps] = path
-        return PrefixRows(self.featurizer.rows(env, states), paths)
+            if start[row] < 0:
+                start[row] = len(before)
+                before += path[:-1]
+                actions += steps
+        arrays = (np.array(a, dtype=np.intp) for a in (
+            start, [len(s.steps) for s in states], before, actions))
+        return PrefixRows(self.featurizer.rows(env, states), *arrays,
+                          {key: row for key, row in ids.items()
+                           if start[row] >= 0})
 
     def seq_logprob_grad(self, params: PolicyValueParams, rows: PrefixRows,
-                         question_ids, prefixes, coef=None):
+                         ids, coef=None):
         """The batched prefix kernel: every prefix's seq_logprob and
         end-state value in one pass, and optionally one gradient.
 
-        Prefix i is the step tuple `prefixes[i]` of question
-        `question_ids[i]`, compiled into `rows` by `prefix_rows`. `coef`
-        gives per-prefix coefficients (a, b), as arrays or scalars, or as a
-        function of (logprobs, values) that returns them; the gradient is
-        then that of sum_i a_i * logprob_i + b_i * value_i. The whole pass
-        is a handful of matmuls over the batch's rows, which one index
-        takes from `rows.x` (every step's state, then every end state):
-        tanh(X W_s), a log-softmax masked to the legal actions, G^T dL and
-        X^T dU, the last two summed over 256-row blocks (`_blocked_tdot`).
+        Prefix i is the one with id `ids[i]` in `rows`, which `prefix_rows`
+        compiled. `coef` gives per-prefix coefficients (a, b), as arrays or
+        scalars, or as a function of (logprobs, values) that returns them;
+        the gradient is then that of sum_i a_i * logprob_i + b_i * value_i.
+        The whole pass is a handful of matmuls over the batch's rows, which
+        one index takes from `rows.x` (every step's state, then every end
+        state): tanh(X W_s), a log-softmax masked to the legal actions,
+        G^T dL and X^T dU, the last two summed over 256-row blocks
+        (`_blocked_tdot`).
 
         Returns (logprobs, values, Gradients or None without `coef`)."""
-        paths = [rows.paths[qid, tuple(steps)]
-                 for qid, steps in zip(question_ids, prefixes)]
-        x = rows.x[[row for path in paths for row in path[:-1]]
-                   + [path[-1] for path in paths]]
-        lengths = np.array([len(path) - 1 for path in paths], dtype=np.intp)
-        chosen = np.array([a for s in prefixes for a in s], dtype=np.intp)
-        n, n_steps = len(prefixes), len(chosen)
+        ids = np.asarray(ids, dtype=np.intp)
+        lengths = rows.length[ids]
+        n, n_steps = len(ids), int(lengths.sum())
         segment = np.repeat(np.arange(n), lengths)
-        depth0 = (np.cumsum(lengths) - lengths)[lengths > 0]
+        offsets = np.cumsum(lengths) - lengths
+        at = np.arange(n_steps)
+        flat = np.repeat(rows.start[ids] - offsets, lengths) + at
+        x = rows.x[np.concatenate([rows.before[flat], ids])]
+        chosen = rows.actions[flat]
+        depth0 = offsets[lengths > 0]
         hidden = np.tanh(x @ params.w_shared)
         g, g_end = hidden[:n_steps], hidden[n_steps:]
         logp = self._log_softmax(g @ params.w_policy, depth0)
-        at = np.arange(n_steps)
         logprobs = np.bincount(segment, weights=logp[at, chosen],
                                minlength=n)
         # a row-wise sum, unlike a matrix-vector product, gives equal end
@@ -406,21 +421,18 @@ class Model:
 
     def value_grad(self, params: PolicyValueParams, state: State):
         """(value, exact gradient of the tanh value head)."""
-        qids, prefixes = [state.question_id], [state.steps]
-        _, values, grad = self.seq_logprob_grad(
-            params, self.prefix_rows(qids, prefixes), qids, prefixes,
-            (0.0, 1.0))
+        rows = self.prefix_rows([(state.question_id, state.steps)])
+        _, values, grad = self.seq_logprob_grad(params, rows,
+                                                [len(state.steps)], (0.0, 1.0))
         return float(values[0]), grad
 
     def grads_logprob_and_value(self, params: PolicyValueParams,
                                 question: Question, steps) -> PrefixEval:
         """Evaluate one prefix: seq_logprob, end-state value, both gradients."""
-        qids, prefixes = [question.id], [steps]
-        rows = self.prefix_rows(qids, prefixes)
-        logprobs, values, grad_lp = self.seq_logprob_grad(
-            params, rows, qids, prefixes, (1.0, 0.0))
-        _, _, grad_v = self.seq_logprob_grad(params, rows, qids, prefixes,
-                                             (0.0, 1.0))
+        rows, ids = self.prefix_rows([(question.id, steps)]), [len(steps)]
+        logprobs, values, grad_lp = self.seq_logprob_grad(params, rows, ids,
+                                                          (1.0, 0.0))
+        _, _, grad_v = self.seq_logprob_grad(params, rows, ids, (0.0, 1.0))
         return PrefixEval(float(logprobs[0]), float(values[0]), grad_lp,
                           grad_v)
 

@@ -30,11 +30,11 @@ model's batched prefix kernel, `Model.seq_logprob_grad`: it returns each
 prefix's log-probability and end-state value, and the gradient of
 sum_i a_i * logprob_i + b_i * value_i for per-prefix coefficients that
 the loss derives from them. A corpus's prefixes (pairs, solutions and
-value targets) are compiled into feature rows once (`stage_rows`), and
-every batch of both stages indexes into them; `train_loop` takes those
-rows and its starting checkpoint from the caller. Reference
-log-probabilities are computed once per stage. The optimizer is plain
-mini-batch gradient descent.
+value targets) are compiled once (`stage_rows`); `train_loop` takes
+those rows and its starting checkpoint from the caller, looks the
+stage's prefix ids up once, and every batch is then an id array.
+Reference log-probabilities are computed once per stage. The optimizer
+is plain mini-batch gradient descent.
 """
 from __future__ import annotations
 
@@ -144,34 +144,40 @@ class TrainData:
 PAIR_CHUNK = 256  # pairs per kernel call in whole-dataset passes
 
 
-def pair_prefixes(pairs: list[PreferencePair]):
-    """(question ids, prefixes) of the distinct winner and loser prefixes
-    of a pair list, and each pair's winner and loser index among them."""
-    index: dict[tuple[int, tuple[int, ...]], int] = {}
-    winners = [index.setdefault((p.question_id, p.winner), len(index))
-               for p in pairs]
-    losers = [index.setdefault((p.question_id, p.loser), len(index))
-              for p in pairs]
-    return ([qid for qid, _ in index], [steps for _, steps in index],
-            np.array(winners, dtype=np.intp), np.array(losers, dtype=np.intp))
+def first_appearance(ids: np.ndarray):
+    """(the distinct entries of `ids` in order of first appearance, read
+    column by column, and each entry's index among them, in the shape of
+    `ids`). For (n, 2) pair ids: winners first, then losers."""
+    flat = ids.ravel(order="F")
+    _, first, inverse = np.unique(flat, return_index=True,
+                                  return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # first-appearance rank
+    return flat[np.sort(first)], rank[inverse].reshape(ids.shape, order="F")
+
+
+def pair_ids(rows: PrefixRows, pairs: list[PreferencePair]) -> np.ndarray:
+    """The (len(pairs), 2) ids of each pair's winner and loser prefix."""
+    return rows.lookup((p.question_id, steps) for p in pairs
+                       for steps in (p.winner, p.loser)).reshape(-1, 2)
 
 
 def stage_rows(model: Model, data: TrainData) -> PrefixRows:
     """Every prefix of the pairs, solutions and targets, compiled."""
-    qids, prefixes, _, _ = pair_prefixes(data.pairs)
-    more = _dataset_prefixes(data.solutions, data.value_targets)
-    return model.prefix_rows(qids + more[0], prefixes + more[1])
+    return model.prefix_rows(
+        [(p.question_id, p.winner) for p in data.pairs]
+        + [(p.question_id, p.loser) for p in data.pairs]
+        + [(s.question_id, s.steps) for s in data.solutions]
+        + [(t.question_id, t.prefix) for t in data.value_targets])
 
 
-def pair_logprobs(model: Model, params: PolicyValueParams,
-                  pairs: list[PreferencePair], rows: PrefixRows):
-    """(log-probs, end-state values), each (len(pairs), 2) with winner and
-    loser columns, PAIR_CHUNK pairs per kernel call over `rows`."""
-    out = np.empty((2, len(pairs), 2))
-    for start in range(0, len(pairs), PAIR_CHUNK):
-        qids, prefixes, w, l = pair_prefixes(pairs[start:start + PAIR_CHUNK])
-        lp, v, _ = model.seq_logprob_grad(params, rows, qids, prefixes)
-        at = np.stack([w, l], axis=1)
+def pair_logprobs(model: Model, params: PolicyValueParams, ids: np.ndarray,
+                  rows: PrefixRows):
+    """(log-probs, end-state values) of the (n, 2) pair ids `ids`, each
+    (n, 2), PAIR_CHUNK pairs per kernel call over `rows`."""
+    out = np.empty((2, len(ids), 2))
+    for start in range(0, len(ids), PAIR_CHUNK):
+        distinct, at = first_appearance(ids[start:start + PAIR_CHUNK])
+        lp, v, _ = model.seq_logprob_grad(params, rows, distinct)
         out[:, start:start + PAIR_CHUNK] = np.stack([lp, v])[:, at]
     return out
 
@@ -186,13 +192,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def _dataset_prefixes(solutions: list[Solution], targets: list[ValueTarget]):
-    """(question ids, prefixes): the solutions, then the value targets."""
-    return ([s.question_id for s in solutions]
-            + [t.question_id for t in targets],
-            [s.steps for s in solutions] + [t.prefix for t in targets])
-
-
 def _sft_loss(w_sft: float, logprobs: np.ndarray):
     """Mean solution NLL and its weighted log-prob coefficients."""
     n = len(logprobs)
@@ -203,13 +202,14 @@ def _sft_loss(w_sft: float, logprobs: np.ndarray):
 # -- batch losses and gradients ----------------------------------------------
 
 def svpo_batch_grad(model: Model, params: PolicyValueParams,
-                    ref_logprobs: np.ndarray, batch: list[PreferencePair],
-                    config: SVPOConfig, solutions: list[Solution],
+                    ref_logprobs: np.ndarray, ids: np.ndarray,
+                    config: SVPOConfig, sol_ids: np.ndarray,
                     rows: PrefixRows):
     """Mean loss terms and mean weighted gradient for one svpo step.
 
-    The preference terms (dpo, margin) come from the pair batch, the
-    carried sft term from the solution batch; no solutions make it zero.
+    The preference terms (dpo, margin) come from the pair batch, whose
+    (n, 2) winner and loser ids `ids` holds, the carried sft term from
+    the solution ids `sol_ids`; no solutions make it zero.
     `ref_logprobs` holds the batch's reference log-probs as pair_logprobs
     returns them, and `rows` the compiled prefixes of both batches.
 
@@ -220,11 +220,11 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
     the distinct winner and loser prefixes plus the solutions: the
     preference term's on the log-prob path, the hinge's on the value
     path."""
-    if not batch:
+    if not len(ids):
         raise EmptyBatch("empty pair batch")
-    qids, prefixes, w, l = pair_prefixes(batch)
-    sol_qids, sol_prefixes = _dataset_prefixes(solutions, [])
-    n, n_pre = len(batch), len(prefixes)
+    distinct, at = first_appearance(ids)
+    w, l = at.T
+    n, n_pre = len(ids), len(distinct)
     terms: dict = {}
 
     def coef(logprobs, values):
@@ -247,8 +247,8 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
         np.add.at(b, l, -hinge / n)
         return np.concatenate([a, a_sol]), b
 
-    _, _, grad = model.seq_logprob_grad(params, rows, qids + sol_qids,
-                                        prefixes + sol_prefixes, coef)
+    _, _, grad = model.seq_logprob_grad(
+        params, rows, np.concatenate([distinct, sol_ids]), coef)
     max_abs_dr = terms.pop("max_abs_dr")
     total = (terms["dpo"] + config.w_margin * terms["margin"]
              + config.w_sft * terms["sft"])
@@ -257,15 +257,15 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
 
 
 def pretrain_batch_grad(model: Model, params: PolicyValueParams,
-                        solutions: list[Solution],
-                        targets: list[ValueTarget], config: PretrainConfig,
+                        sol_ids: np.ndarray, tgt_ids: np.ndarray,
+                        target_values: np.ndarray, config: PretrainConfig,
                         rows: PrefixRows):
     """Mean solution NLL plus weighted mean squared value error, and its
-    gradient, from one kernel call over the compiled prefixes `rows`."""
-    if not solutions and not targets:
+    gradient, from one kernel call over the solution ids, then the value
+    target ids (whose targets `target_values` holds), of `rows`."""
+    if not len(sol_ids) and not len(tgt_ids):
         raise EmptyBatch("nothing to pretrain on")
-    n_sol, n_tgt = len(solutions), len(targets)
-    target_values = np.array([t.target for t in targets], dtype=float)
+    n_sol, n_tgt = len(sol_ids), len(tgt_ids)
     terms: dict = {}
 
     def coef(logprobs, values):
@@ -277,22 +277,13 @@ def pretrain_batch_grad(model: Model, params: PolicyValueParams,
                 np.concatenate([np.zeros(n_sol), b_tgt]))
 
     _, _, grad = model.seq_logprob_grad(
-        params, rows, *_dataset_prefixes(solutions, targets), coef)
+        params, rows, np.concatenate([sol_ids, tgt_ids]), coef)
     total = config.w_sft * terms["sft"] + config.w_mse * terms["mse"]
     breakdown = LossBreakdown(total=total, **terms)
     return breakdown, grad
 
 
 # -- the loop -----------------------------------------------------------------
-
-def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
-    order = rng.permutation(n)
-    return [order[i:i + batch_size] for i in range(0, n, batch_size)]
-
-
-def _order(n: int, rng) -> np.ndarray:
-    return rng.permutation(n) if n else np.array([], int)
-
 
 def train_loop(model: Model, data: TrainData, config: StageConfig,
                rng_seed: int, init: Checkpoint, rows: PrefixRows,
@@ -314,47 +305,44 @@ def train_loop(model: Model, data: TrainData, config: StageConfig,
         raise EmptyBatch("pretrain stage needs solutions or targets")
     params = init.params.copy()
     ref_params = init.params.copy() if svpo else None
+    sols, tgts = data.solutions, data.value_targets
+    pairs = pair_ids(rows, data.pairs)
+    sol_ids = rows.lookup((s.question_id, s.steps) for s in sols)
+    tgt_ids = rows.lookup((t.question_id, t.prefix) for t in tgts)
+    tgt_values = np.array([t.target for t in tgts], dtype=float)
     if svpo:
-        ref_logprobs, _ = pair_logprobs(model, ref_params, data.pairs, rows)
+        ref_logprobs, _ = pair_logprobs(model, ref_params, pairs, rows)
 
-    step = init.step
-    size = config.batch_size
-    n_sol, n_tgt = len(data.solutions), len(data.value_targets)
+    step, size = init.step, config.batch_size
+    n_sol, n_tgt = len(sol_ids), len(tgt_ids)
     for epoch in range(config.epochs):
         rng = spawn_generator(_TRAIN_STREAM, rng_seed, epoch)
         # pair batches (preference stage only) set the epoch length there,
         # the larger dataset in pretraining; solutions and pretraining's
         # targets cycle alongside (permutations drawn in this order)
-        pair_batches = _batches(len(data.pairs), size, rng) if svpo else []
-        sol_order = _order(n_sol, rng)
-        tgt_order = _order(n_tgt, rng)
-        n_steps = len(pair_batches) if svpo else -(-max(n_sol, n_tgt) // size)
+        pair_order = rng.permutation(len(pairs)) if svpo else None
+        sol_order = rng.permutation(n_sol)
+        tgt_order = rng.permutation(n_tgt)
+        n_steps = -(-(len(pairs) if svpo else max(n_sol, n_tgt)) // size)
         for b in range(n_steps):
-            sols = _cycle_slice(data.solutions, sol_order, b, size)
+            at = b * size + np.arange(size)
+            sol_at = sol_order[at % n_sol] if n_sol else sol_order
             if svpo:
-                idx = pair_batches[b]
+                idx = pair_order[b * size:(b + 1) * size]
                 breakdown, grad, max_dr = svpo_batch_grad(
-                    model, params, ref_logprobs[idx],
-                    [data.pairs[i] for i in idx], config, sols, rows)
+                    model, params, ref_logprobs[idx], pairs[idx], config,
+                    sol_ids[sol_at], rows)
             else:
-                tgts = _cycle_slice(data.value_targets, tgt_order, b, size)
-                breakdown, grad = pretrain_batch_grad(model, params, sols,
-                                                      tgts, config, rows)
+                tgt_at = tgt_order[at % n_tgt] if n_tgt else tgt_order
+                breakdown, grad = pretrain_batch_grad(
+                    model, params, sol_ids[sol_at], tgt_ids[tgt_at],
+                    tgt_values[tgt_at], config, rows)
                 max_dr = 0.0
             _apply(params, grad, config.lr)
             step += 1
             _log_row(log, step, stage, breakdown, grad, max_dr)
     return Checkpoint(params=params, ref_params=ref_params, step=step,
                       config=dict(vars(config)))
-
-
-def _cycle_slice(items: list, order: np.ndarray, batch_index: int,
-                 batch_size: int) -> list:
-    # Both pretrain datasets advance in lockstep; the shorter one wraps.
-    if len(items) == 0:
-        return []
-    start = batch_index * batch_size
-    return [items[order[(start + i) % len(order)]] for i in range(batch_size)]
 
 
 def _apply(params: PolicyValueParams, grad: Gradients, lr: float) -> None:

@@ -147,12 +147,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     for line in ("svpo_lr = nan", "pretrain_lr = inf", "difficulty = hrad",
                  "solution_level_only = no", "n_train = true",
-                 "seed = 1.5", "search_n_children = 2.5", "seed = 1"):
+                 "search_n_children = 2.5", "seed = 1"):
         bad.write_text(TINY + line + "\n")
         capsys.readouterr()
         assert main(["pipeline", "--config", str(bad),
                      "--out", str(out)]) == 2, line
         assert "config error" in capsys.readouterr().err
+    # the float seed replaces TINY's, so the type check (not the
+    # repeated-key rule) is what refuses it
+    bad.write_text(TINY.replace("seed = 0", "seed = 1.5"))
+    assert main(["pipeline", "--config", str(bad), "--out", str(out)]) == 2
+    assert "'seed' needs type int" in capsys.readouterr().err
     # a negative seed, in the file or from --seed, would fail inside gen
     for text, seed in ((TINY.replace("seed = 0", "seed = -1"), []),
                        (TINY, ["--seed", "-1"])):

@@ -383,9 +383,9 @@ def test_seq_logprob_gradient_finite_difference(setup):
         params = model.init_params(seed=500 + trial, scale=0.8)
         q = questions[int(rng.integers(len(questions)))]
         steps, _ = random_prefix(env, q, rng)
-        rows = model.prefix_rows([q.id], [steps])
-        _, _, grad = model.seq_logprob_grad(params, rows, [q.id], [steps],
-                                            (1.0, 0.0))
+        rows = model.prefix_rows([(q.id, steps)])
+        _, _, grad = model.seq_logprob_grad(
+            params, rows, rows.lookup([(q.id, steps)]), (1.0, 0.0))
         err = fd_relative_error(
             lambda p, q=q, steps=steps: model.seq_logprob(p, q, steps),
             params, grad, rng)
@@ -419,9 +419,9 @@ def test_policy_grad_invariant_to_uniform_logit_shift(setup):
         params = model.init_params(seed=40 + trial, scale=1.0)
         q = questions[int(rng.integers(len(questions)))]
         steps, _ = random_prefix(env, q, rng)
-        rows = model.prefix_rows([q.id], [steps])
-        _, _, grad = model.seq_logprob_grad(params, rows, [q.id], [steps],
-                                            (1.0, 0.0))
+        rows = model.prefix_rows([(q.id, steps)])
+        _, _, grad = model.seq_logprob_grad(
+            params, rows, rows.lookup([(q.id, steps)]), (1.0, 0.0))
         assert np.allclose(grad.w_policy.sum(axis=1), 0.0, atol=1e-12)
 
 
@@ -432,9 +432,9 @@ def test_grads_logprob_and_value_consistent(setup):
     params = model.init_params(seed=77, scale=0.6)
     steps, state = random_prefix(env, q, rng)
     ev = model.grads_logprob_and_value(params, q, steps)
-    rows = model.prefix_rows([q.id], [steps])
-    (lp,), _, glp = model.seq_logprob_grad(params, rows, [q.id], [steps],
-                                           (1.0, 0.0))
+    rows = model.prefix_rows([(q.id, steps)])
+    (lp,), _, glp = model.seq_logprob_grad(
+        params, rows, rows.lookup([(q.id, steps)]), (1.0, 0.0))
     v, gv = model.value_grad(params, state)
     assert ev.logprob == lp and ev.value == v
     assert np.array_equal(ev.grad_logprob.w_shared, glp.w_shared)
@@ -445,8 +445,9 @@ def test_gradient_norm(setup):
     env, model, questions = setup
     params = model.init_params(seed=8, scale=0.3)
     qids, prefixes = [questions[0].id], [(0,)]
+    rows = model.prefix_rows(zip(qids, prefixes))
     _, _, grad = model.seq_logprob_grad(
-        params, model.prefix_rows(qids, prefixes), qids, prefixes, (1.0, 0.0))
+        params, rows, rows.lookup(zip(qids, prefixes)), (1.0, 0.0))
     flat = np.concatenate([grad.w_shared.ravel(), grad.w_policy.ravel(),
                            grad.w_value.ravel()])
     assert grad.norm() == pytest.approx(np.linalg.norm(flat), rel=1e-12)
@@ -479,11 +480,12 @@ model = Model(Env(questions=questions))
 answer = next(a.id for a in model.env.vocab if a.kind == TERMINAL)
 qids = [q.id for q in questions]
 prefixes = [q.chain + (answer,) for q in questions]
-rows = model.prefix_rows(qids, prefixes)
+rows = model.prefix_rows(zip(qids, prefixes))
 rng = np.random.Generator(np.random.PCG64(7))
 coef = (rng.standard_normal(len(qids)), rng.standard_normal(len(qids)))
+ids = rows.lookup(zip(qids, prefixes))
 _, _, grad = model.seq_logprob_grad(model.init_params(seed=1, scale=0.5),
-                                    rows, qids, prefixes, coef)
+                                    rows, ids, coef)
 blob = b"".join(getattr(grad, name).tobytes()
                 for name in ("w_shared", "w_policy", "w_value"))
 print(sum(map(len, prefixes)) + len(prefixes),
@@ -636,16 +638,27 @@ def test_prefix_rows_featurize_each_distinct_state_once(setup, monkeypatch):
         return featurize(env, states)
 
     monkeypatch.setattr(model.featurizer, "rows", counted)
-    rows = model.prefix_rows(qids, prefixes)
+    rows = model.prefix_rows(zip(qids, prefixes))
     assert len(calls) == len(set(calls)) == len(distinct) == len(rows.x)
     assert set(calls) == distinct
+    # a (question, steps) prefix passed twice gets one id, and only the
+    # compiled prefixes get ids
+    ids = rows.lookup(zip(qids, prefixes))
+    assert ids[0] == ids[3] and len(rows.ids) == len(set(zip(qids, prefixes)))
     params = model.init_params(seed=3, scale=0.5)
-    logprobs, values, _ = model.seq_logprob_grad(params, rows, qids, prefixes)
+    logprobs, values, _ = model.seq_logprob_grad(params, rows, ids)
+
+    def path_x(rows, i):
+        # the feature rows of prefix i's states, from start to end
+        begin = rows.start[i]
+        return rows.x[np.append(
+            rows.before[begin:begin + rows.length[i]], i)]
+
     for i, (qid, steps) in enumerate(zip(qids, prefixes)):
-        alone = model.prefix_rows([qid], [steps])
-        assert np.array_equal(rows.x[rows.paths[qid, steps]],
-                              alone.x[alone.paths[qid, steps]])
-        (lp,), (v,), _ = model.seq_logprob_grad(params, alone, [qid], [steps])
+        alone = model.prefix_rows([(qid, steps)])
+        (one,) = alone.lookup([(qid, steps)])
+        assert np.array_equal(path_x(rows, ids[i]), path_x(alone, one))
+        (lp,), (v,), _ = model.seq_logprob_grad(params, alone, [one])
         assert logprobs[i] == pytest.approx(lp, rel=1e-12, abs=1e-15)
         assert values[i] == pytest.approx(v, rel=1e-12, abs=1e-15)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from svpo.env import TERMINAL, Env, EnvConfig, gen_dataset
+from svpo.evaluate import solution_level_pairs
 from svpo.mcts import SearchConfig, build_forest
 from svpo.model import IllegalPrefix, Model, params_to_record
 from svpo.pairs import (
@@ -16,8 +17,9 @@ from svpo.pairs import (
 from svpo.train import (
     Checkpoint, EmptyBatch, PretrainConfig, SVPOConfig, TrainData,
     default_pretrain_config, default_svpo_config, load_checkpoint,
-    pair_logprobs, parse_kv_text, pretrain_batch_grad, save_checkpoint,
-    stage_rows, svpo_batch_grad, train_loop,
+    first_appearance, pair_ids, pair_logprobs, parse_kv_text,
+    pretrain_batch_grad, save_checkpoint, stage_rows, svpo_batch_grad,
+    train_loop,
 )
 
 from oracles import (
@@ -44,6 +46,19 @@ def corpus():
         solutions.extend(extract_sft_solutions(env, forest, 4))
     assert len(pairs) >= 20 and solutions and targets
     return env, model, pairs, solutions, targets
+
+
+_NO_IDS = np.zeros(0, dtype=np.intp)
+
+
+def _sol_ids(rows, solutions):
+    return rows.lookup((s.question_id, s.steps) for s in solutions)
+
+
+def _tgt(rows, targets):
+    """(the targets' prefix ids, their target values)."""
+    return (rows.lookup((t.question_id, t.prefix) for t in targets),
+            np.array([t.target for t in targets]))
 
 
 # -- closed-form term values ------------------------------------------------
@@ -146,9 +161,10 @@ def test_fd_batch_gradient(corpus):
     assert len(batch) == 3
     sols = solutions[:3]
     rows = stage_rows(model, TrainData(batch, sols))
+    ids = pair_ids(rows, batch)
     _, analytic, _ = svpo_batch_grad(model, params,
-                                     pair_logprobs(model, ref, batch, rows)[0],
-                                     batch, config, sols, rows)
+                                     pair_logprobs(model, ref, ids, rows)[0],
+                                     ids, config, _sol_ids(rows, sols), rows)
 
     def f(p):
         total = 0.0
@@ -203,9 +219,10 @@ def test_batched_svpo_grad_matches_per_pair_oracle(kernel_case, carried):
     if carried == "empty":
         sols = []
     rows = stage_rows(model, TrainData(batch, sols))
+    ids = pair_ids(rows, batch)
     breakdown, grad, max_dr = svpo_batch_grad(
-        model, params, pair_logprobs(model, ref, batch, rows)[0], batch,
-        config, sols, rows)
+        model, params, pair_logprobs(model, ref, ids, rows)[0], ids,
+        config, _sol_ids(rows, sols), rows)
     terms, want, want_dr = svpo_batch_oracle(model, params, ref, batch,
                                              config, sols)
     for name, value in terms.items():
@@ -221,18 +238,21 @@ def test_batched_pretrain_grad_matches_per_solution_oracle(kernel_case):
     model, params, _, _, sols, tgts = kernel_case
     config = default_pretrain_config()
     rows = stage_rows(model, TrainData(solutions=sols, value_targets=tgts))
-    breakdown, grad = pretrain_batch_grad(model, params, sols, tgts, config,
-                                          rows)
+    sol_ids, (tgt_ids, values) = _sol_ids(rows, sols), _tgt(rows, tgts)
+    breakdown, grad = pretrain_batch_grad(model, params, sol_ids, tgt_ids,
+                                          values, config, rows)
     want = pretrain_loss(model, params, sols, tgts, config)
     assert breakdown.sft == pytest.approx(want.sft, rel=1e-10)
     assert breakdown.mse == pytest.approx(want.mse, rel=1e-10)
     assert breakdown.total == pytest.approx(want.total, rel=1e-10)
     _assert_grads_close(grad, dataset_grad(model, params, sols, tgts, config))
     # either dataset alone
-    _, only_sols = pretrain_batch_grad(model, params, sols, [], config, rows)
+    _, only_sols = pretrain_batch_grad(model, params, sol_ids, _NO_IDS,
+                                       _NO_IDS, config, rows)
     _assert_grads_close(only_sols,
                         dataset_grad(model, params, sols, [], config))
-    _, only_tgts = pretrain_batch_grad(model, params, [], tgts, config, rows)
+    _, only_tgts = pretrain_batch_grad(model, params, _NO_IDS, tgt_ids,
+                                       values, config, rows)
     _assert_grads_close(only_tgts,
                         dataset_grad(model, params, [], tgts, config))
 
@@ -242,7 +262,8 @@ def test_fd_pretrain_batch_gradient(kernel_case):
     # weight the value term up so both paths carry comparable gradient
     config = default_pretrain_config(w_mse=1.0)
     rows = stage_rows(model, TrainData(solutions=sols, value_targets=tgts))
-    _, analytic = pretrain_batch_grad(model, params, sols, tgts, config, rows)
+    _, analytic = pretrain_batch_grad(model, params, _sol_ids(rows, sols),
+                                      *_tgt(rows, tgts), config, rows)
 
     def f(p):
         return pretrain_loss(model, p, sols, tgts, config).total
@@ -261,7 +282,7 @@ def test_batched_entry_points_raise_illegal_prefix(kernel_case):
     too_long = (0,) * (env.config.max_depth + 1)
     for bad in [(answer,), too_long, (0, -1), (0, len(env.vocab))]:
         with pytest.raises(IllegalPrefix):
-            model.prefix_rows([qid, qid], [batch[0].winner, bad])
+            model.prefix_rows([(qid, batch[0].winner), (qid, bad)])
         pair = PreferencePair(qid, batch[0].winner, bad, "sibling", 0.0,
                               0.0, 0, tree=0)
         with pytest.raises(IllegalPrefix):
@@ -317,6 +338,73 @@ def test_training_is_deterministic(corpus):
     assert json.dumps(params_to_record(other.params)) != rec_a
 
 
+def test_superset_rows_train_bit_identically(corpus):
+    """train_loop over rows compiled from a strict superset of `data`
+    writes the same params and log rows, bit for bit, as over rows
+    compiled from exactly `data`. The extra prefixes (other questions')
+    are compiled first, so every id of `data` shifts. Both stages, and
+    the solution-level pair subset the preference stage may train on."""
+    env, model, pairs, solutions, targets = corpus
+    qids = sorted({p.question_id for p in pairs})
+    ours = set(qids[::2])
+
+    def split(items):
+        return ([x for x in items if x.question_id in ours],
+                [x for x in items if x.question_id not in ours])
+
+    (pairs, other_pairs), (sols, other_sols), (tgts, other_tgts) = (
+        split(pairs), split(solutions), split(targets))
+    level = solution_level_pairs(env, pairs)
+    assert other_pairs and other_sols and other_tgts and level
+    superset = stage_rows(model, TrainData(other_pairs + pairs,
+                                           other_sols + sols,
+                                           other_tgts + tgts))
+    cases = [
+        (TrainData(solutions=sols, value_targets=tgts),
+         default_pretrain_config(epochs=2, batch_size=16)),
+        (TrainData(pairs, sols), default_svpo_config(epochs=2, batch_size=8)),
+        (TrainData(level, sols), default_svpo_config(epochs=2, batch_size=4)),
+    ]
+    for data, config in cases:
+        exact = stage_rows(model, data)
+        assert len(exact.x) < len(superset.x)
+        keys = [(s.question_id, s.steps) for s in data.solutions]
+        assert (exact.lookup(keys) != superset.lookup(keys)).all()
+        assert (pair_ids(exact, data.pairs)
+                != pair_ids(superset, data.pairs)).all()
+        runs = []
+        for rows in (exact, superset):
+            log = []
+            ckpt = train_loop(model, data, config, 3, _init_ckpt(model),
+                              rows, log)
+            runs.append((json.dumps(params_to_record(ckpt.params)),
+                         json.dumps(log)))
+        assert runs[0] == runs[1]
+
+
+def test_first_appearance_matches_a_dict_dedupe():
+    """Distinct pair ids in order of first appearance, winners before
+    losers, as a dict dedupe over the pairs gives them."""
+
+    def reference(ids):
+        index: dict = {}
+        winners = [index.setdefault(w, len(index)) for w in ids[:, 0]]
+        losers = [index.setdefault(l, len(index)) for l in ids[:, 1]]
+        return list(index), np.array([winners, losers]).T.reshape(-1, 2)
+
+    rng = np.random.Generator(np.random.PCG64(8))
+    cases = [np.zeros((0, 2), dtype=np.intp),
+             np.full((7, 2), 5, dtype=np.intp),
+             rng.integers(0, 30, (60, 2)).astype(np.intp),
+             rng.integers(0, 1000, (40, 2)).astype(np.intp)]
+    for ids in cases:
+        distinct, at = first_appearance(ids)
+        want_distinct, want_at = reference(ids)
+        assert distinct.tolist() == want_distinct
+        assert at.shape == ids.shape and at.tolist() == want_at.tolist()
+        assert np.array_equal(distinct[at], ids)
+
+
 def test_pretraining_descends(corpus):
     _, model, pairs, solutions, targets = corpus
     config = default_pretrain_config(epochs=6, batch_size=16)
@@ -337,11 +425,12 @@ def test_preference_stage_descends(corpus):
     data = TrainData(pairs=pairs)
     ckpt = _train(model, data, config, 2, init)
     rows = stage_rows(model, data)
-    ref_logprobs, _ = pair_logprobs(model, init.params, pairs, rows)
-    before, _, _ = svpo_batch_grad(model, init.params, ref_logprobs, pairs,
-                                   config, [], rows)
+    ids = pair_ids(rows, pairs)
+    ref_logprobs, _ = pair_logprobs(model, init.params, ids, rows)
+    before, _, _ = svpo_batch_grad(model, init.params, ref_logprobs, ids,
+                                   config, _NO_IDS, rows)
     after, _, _ = svpo_batch_grad(model, ckpt.params, ref_logprobs,
-                                  pairs, config, [], rows)
+                                  ids, config, _NO_IDS, rows)
     assert after.total < before.total
     assert after.dpo < before.dpo
 
@@ -362,12 +451,13 @@ def test_empty_inputs_raise(corpus):
         _train(model, TrainData(), default_pretrain_config(), 0,
                _init_ckpt(model))
     with pytest.raises(EmptyBatch):
-        svpo_batch_grad(model, model.zeros_params(), np.zeros((0, 2)), [],
-                        default_svpo_config(), [],
+        svpo_batch_grad(model, model.zeros_params(), np.zeros((0, 2)),
+                        np.zeros((0, 2), dtype=np.intp),
+                        default_svpo_config(), _NO_IDS,
                         stage_rows(model, TrainData()))
     with pytest.raises(EmptyBatch):
-        pretrain_batch_grad(model, model.zeros_params(), [], [],
-                            default_pretrain_config(),
+        pretrain_batch_grad(model, model.zeros_params(), _NO_IDS, _NO_IDS,
+                            _NO_IDS, default_pretrain_config(),
                             stage_rows(model, TrainData()))
 
 
