@@ -477,7 +477,10 @@ def run_pipeline(config: ExperimentConfig,
 
 def save_corpus(corpus: Corpus, out: Path,
                 stages=("gen", "annotate", "pairs")) -> None:
-    """gen: questions_{train,test}.jsonl; annotate: forests.jsonl; pairs:
+    """gen: questions_{train,test}.jsonl; annotate: forests.jsonl, each tree
+    six columns (parent, action, N, Q, prior, reward; entry i is node i)
+    from which loading derives node ids (positions), terminal flags (a
+    reward is set) and, if labeled, correct flags (`label_correct`); pairs:
     pairs.jsonl, value_targets.jsonl, solutions.jsonl."""
     from .env import save_dataset
     from .mcts import save_forests

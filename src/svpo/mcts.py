@@ -32,6 +32,12 @@ uniforms for its child picks, then those for its rollouts, each as one
 `rng.random(k).tolist()` call. Every categorical draw consumes that
 stream exactly as `Generator.choice` would (see `model.draw`). Nodes
 hold `env.State` tuples, built once per transition.
+
+A forests.jsonl line holds `question_id`, `labeled` and each tree as six
+columns (`parent`, `action`, `N`, `Q`, `prior`, `reward`; entry i is node
+i). Loading derives a node's id (its position), state (replayed), terminal
+flag (it has a reward: search sets one on exactly the answer, depth-cutoff
+and answering-rollout nodes) and correct flag (`label_correct` if labeled).
 """
 from __future__ import annotations
 
@@ -41,19 +47,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import TERMINAL, DepthExceeded, Env, Question, State
+from .env import TERMINAL, DepthExceeded, Env, EnvError, Question, State
 from .model import (Model, PolicyValueParams, draw, sample_distinct,
                     spawn_generator, temper)
 from .records import load_jsonl, save_jsonl
 
 _TREE_STREAM = 0x7EE
+_COLUMNS = ("parent", "action", "N", "Q", "prior", "reward")  # of a record
 
 
-class MCTSError(Exception):
-    pass
-
-
-class AlreadyExpanded(MCTSError):
+class AlreadyExpanded(Exception):
     pass
 
 
@@ -260,6 +263,20 @@ def correct_solutions(forest: Forest) -> set[tuple[int, ...]]:
     return found
 
 
+def label_correct(forest: Forest) -> Forest:
+    """Mark every node with a correct terminal at or below it, walking
+    each arena backwards (a parent precedes its children); idempotent."""
+    for tree in forest.trees:
+        nodes = tree.nodes
+        for node in nodes:
+            node.correct = node.terminal and node.reward == 1
+        for node in reversed(nodes):
+            if node.correct and node.parent is not None:
+                nodes[node.parent].correct = True
+    forest.labeled = True
+    return forest
+
+
 def build_forest(model: Model, question: Question, params: PolicyValueParams,
                  config: SearchConfig, rng_seed: int) -> Forest:
     """Run tree searches for one question until target_correct distinct
@@ -295,38 +312,38 @@ def build_forest(model: Model, question: Question, params: PolicyValueParams,
 # -- (de)serialization ------------------------------------------------------
 
 def forest_to_record(forest: Forest) -> dict:
-    trees = [{"nodes": [{"id": n.id, "parent": n.parent, "action": n.action,
-                         "N": n.N, "Q": n.Q, "prior": n.prior,
-                         "terminal": n.terminal, "reward": n.reward,
-                         "correct": n.correct} for n in tree.nodes]}
-             for tree in forest.trees]
     return {"question_id": forest.question_id, "labeled": forest.labeled,
-            "trees": trees}
+            "trees": [{c: [getattr(n, c) for n in tree.nodes]
+                       for c in _COLUMNS} for tree in forest.trees]}
 
 
 def forest_from_record(env: Env, rec: dict) -> Forest:
-    question = env.question(rec["question_id"])
-    forest = Forest(question_id=rec["question_id"], labeled=rec["labeled"])
-    for tree_rec in rec["trees"]:
-        tree = SearchTree(question_id=rec["question_id"])
-        for nrec in tree_rec["nodes"]:
-            parent = nrec["parent"]
-            if parent is None:
-                state = env.initial_state(question)
-            else:
-                parent_state = tree.nodes[parent].state
-                state = env.transition(parent_state,
-                                       env.action(nrec["action"]))
-            node = tree.add_node(parent, nrec["action"], state, nrec["prior"],
-                                 terminal=nrec["terminal"],
-                                 reward=nrec["reward"])
-            node.N = nrec["N"]
-            node.Q = nrec["Q"]
-            node.correct = nrec["correct"]
-            if node.id != nrec["id"]:
-                raise ValueError("forest dump ids are not arena-ordered")
+    """The forest a record holds (module docstring). Raises ValueError,
+    naming the question, tree and node, on unequal columns, a parent not
+    null (node 0) or in [0, i) (node i), or an action the Env refuses."""
+    qid = rec["question_id"]
+    root = env.initial_state(env.question(qid))
+    forest = Forest(question_id=qid, labeled=rec["labeled"])
+    for t, tree_rec in enumerate(rec["trees"]):
+        tree = SearchTree(question_id=qid)
+        nodes = tree.nodes
+        try:
+            for parent, action, n, q, prior, reward in zip(
+                    *(tree_rec[c] for c in _COLUMNS), strict=True):
+                i = len(nodes)
+                if (parent is None) != (i == 0) or i and not 0 <= parent < i:
+                    raise ValueError(f"parent {parent} is not "
+                                     + ("null" if i == 0 else f"in [0, {i})"))
+                state = (env.transition(nodes[parent].state,
+                                        env.action(action)) if i else root)
+                node = tree.add_node(parent, action, state, prior,
+                                     reward is not None, reward)
+                node.N, node.Q = n, q
+        except (ValueError, TypeError, EnvError) as exc:
+            raise ValueError(f"question {qid}, tree {t}, node {len(nodes)}: "
+                             f"{exc}") from exc
         forest.trees.append(tree)
-    return forest
+    return label_correct(forest) if forest.labeled else forest
 
 
 def save_forests(forests: list[Forest], path: str | Path) -> None:

@@ -342,19 +342,19 @@ class Model:
         twice gets one id; a prefix compiled alone has id len(steps).
         Raises IllegalPrefix when a prefix leaves the legal action set."""
         env = self.env
-        # ids holds every distinct state's row while compiling; only the
-        # compiled prefixes (start >= 0) keep theirs
-        states, ids, start, before, actions = [], {}, [], [], []
+        # every distinct state's row, keyed by the edge that reaches it:
+        # (None, question id) for a root, (row, action id) for a step
+        states, edges, ids, start, before, actions = [], {}, {}, [], [], []
         for qid, steps in keys:
             steps, path = tuple(steps), []
-            for t, aid in enumerate((None,) + steps):
-                row = ids.setdefault((qid, steps[:t]), len(states))
+            for aid in (qid,) + steps:
+                row = edges.setdefault((path[-1] if path else None, aid),
+                                       len(states))
                 if row == len(states):
                     try:
                         states.append(
-                            env.initial_state(env.question(qid)) if not t
-                            else env.transition(states[path[-1]],
-                                                env.action(aid)))
+                            env.transition(states[path[-1]], env.action(aid))
+                            if path else env.initial_state(env.question(qid)))
                     except (IllegalAction, DepthExceeded) as exc:
                         raise IllegalPrefix(f"prefix {steps} of question "
                                             f"{qid}: {exc}") from exc
@@ -364,11 +364,10 @@ class Model:
                 start[row] = len(before)
                 before += path[:-1]
                 actions += steps
+                ids[qid, steps] = row
         arrays = (np.array(a, dtype=np.intp) for a in (
             start, [len(s.steps) for s in states], before, actions))
-        return PrefixRows(self.featurizer.rows(env, states), *arrays,
-                          {key: row for key, row in ids.items()
-                           if start[row] >= 0})
+        return PrefixRows(self.featurizer.rows(env, states), *arrays, ids)
 
     def seq_logprob_grad(self, params: PolicyValueParams, rows: PrefixRows,
                          ids, coef=None):

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import mcts
 from .env import Env, Solution
 from .mcts import Forest, SearchTree, TreeNode
 from .model import spawn_generator
@@ -34,6 +35,7 @@ SIBLING = "sibling"
 COUSIN = "cousin"
 TERMINAL_KIND = "terminal"
 _KIND_ORDER = (SIBLING, COUSIN, TERMINAL_KIND)  # cross-tree loser preference
+label_correct = mcts.label_correct  # in mcts, whose loader labels too
 
 
 class UnlabeledForest(Exception):
@@ -76,22 +78,6 @@ class ValueTarget:
     question_id: int
     prefix: tuple[int, ...]
     target: float
-
-
-def label_correct(forest: Forest) -> Forest:
-    """Mark every node with a correct terminal at or below it. Idempotent;
-    re-labeling a labeled forest is a no-op."""
-    for tree in forest.trees:
-        for node in tree.nodes:
-            node.correct = False
-        for node in tree.nodes:
-            if node.terminal and node.reward == 1:
-                cur: int | None = node.id
-                while cur is not None:
-                    tree.nodes[cur].correct = True
-                    cur = tree.nodes[cur].parent
-    forest.labeled = True
-    return forest
 
 
 def _divergence(a: tuple[int, ...], b: tuple[int, ...]) -> int:

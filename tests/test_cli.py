@@ -101,6 +101,25 @@ def test_pairs_file_without_trees_is_refused(staged, tmp_path, capsys):
     assert not (tmp_path / "ckpt_pretrain.json").exists()
 
 
+def test_forests_file_with_a_broken_tree_is_refused(staged, tmp_path,
+                                                    capsys):
+    """A node whose parent points outside the nodes before it fails
+    `svpo pairs`, naming the question and node, before any pairs file."""
+    config, out = staged
+    for name in ("questions_train.jsonl", "questions_test.jsonl"):
+        (tmp_path / name).write_bytes((out / name).read_bytes())
+    records = [json.loads(line)
+               for line in (out / "forests.jsonl").read_text().splitlines()]
+    records[0]["trees"][0]["parent"][3] = -1
+    (tmp_path / "forests.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in records))
+    assert main(["pairs", "--config", str(config),
+                 "--out", str(tmp_path)]) == 3
+    qid = records[0]["question_id"]
+    assert f"question {qid}, tree 0, node 3:" in capsys.readouterr().err
+    assert not (tmp_path / "pairs.jsonl").exists()
+
+
 @pytest.mark.parametrize("extra", ["", "solution_level_only = true\n"])
 def test_staged_flow_equals_pipeline(tmp_path, capsys, extra):
     """Every file `svpo pipeline` writes, the staged commands write with

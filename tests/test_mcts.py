@@ -15,8 +15,8 @@ from svpo.env import Env, EnvConfig, Question, TERMINAL, gen_dataset
 from svpo.mcts import (
     AlreadyExpanded, DepthExceeded, Forest, SearchConfig, SearchTree,
     backup, build_forest, correct_solutions, expand_and_evaluate,
-    forest_from_record, forest_to_record, load_forests, new_tree,
-    save_forests, select,
+    forest_from_record, forest_to_record, label_correct, load_forests,
+    new_tree, save_forests, select,
 )
 from svpo.model import Model, spawn_generator
 
@@ -368,23 +368,53 @@ def test_forest_round_trip_and_stable_dump(toy, tmp_path):
     params = model.init_params(seed=4)
     forests = [build_forest(model, q, params, SearchConfig(), rng_seed=q.id)
                for q in questions[:3]]
+    forests += [label_correct(build_forest(model, q, params, SearchConfig(),
+                                           rng_seed=q.id))
+                for q in questions[:3]]
     path = tmp_path / "forests.jsonl"
     save_forests(forests, path)
     loaded = load_forests(env, path)
-    assert [forest_to_record(f) for f in loaded] == \
-           [forest_to_record(f) for f in forests]
-    # states reconstructed by replay agree with the original search states
-    for orig, back in zip(forests, loaded):
-        for to, tb in zip(orig.trees, back.trees):
-            for no, nb in zip(to.nodes, tb.nodes):
-                assert no.state == nb.state
+    # every node field, the derived ones (id, terminal, correct and the
+    # state replayed from its parent's) included, equals the saved node's
+    def fields(forest):
+        return forest.labeled, [
+            [(n.id, n.parent, n.action, n.N, n.Q, n.prior, n.terminal,
+              n.reward, n.correct, n.state) for n in tree.nodes]
+            for tree in forest.trees]
+    assert [fields(f) for f in loaded] == [fields(f) for f in forests]
+    assert any(n.correct for f in loaded for t in f.trees for n in t.nodes)
     path2 = tmp_path / "forests2.jsonl"
     save_forests(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
     rec = forest_to_record(forests[0])
-    node_fields = list(rec["trees"][0]["nodes"][0])
-    assert node_fields == ["id", "parent", "action", "N", "Q", "prior",
-                           "terminal", "reward", "correct"]
+    assert list(rec["trees"][0]) == ["parent", "action", "N", "Q", "prior",
+                                     "reward"]
+
+
+@pytest.mark.parametrize("column, node, value", [
+    ("parent", 0, 0),        # node 0 is not the root
+    ("parent", 3, None),     # a later node has no parent
+    ("parent", 3, -1),       # a negative parent
+    ("parent", 3, 3),        # a parent at or after the node
+    ("Q", -1, "drop"),       # a column shorter than the others
+    ("action", 3, None),     # a missing action
+    ("action", 3, 99),       # an action outside the vocabulary
+])
+def test_forest_from_record_refuses_broken_structure(toy, column, node,
+                                                     value):
+    env, model, questions = toy
+    q = questions[0]
+    rec = forest_to_record(label_correct(build_forest(
+        model, q, model.init_params(seed=4), SearchConfig(), rng_seed=1)))
+    tree = rec["trees"][0]
+    node %= len(tree[column])
+    if value == "drop":
+        del tree[column][node]
+    else:
+        tree[column][node] = value
+    with pytest.raises(ValueError,
+                       match=rf"^question {q.id}, tree 0, node {node}: "):
+        forest_from_record(env, rec)
 
 
 def test_search_config_validation():
@@ -427,8 +457,7 @@ def test_build_forest_matches_choice_reference(difficulty):
 
 def _split_priors(record):
     """(the forest record without priors, its priors in node order)."""
-    priors = [node.pop("prior") for tree in record["trees"]
-              for node in tree["nodes"]]
+    priors = [p for tree in record["trees"] for p in tree.pop("prior")]
     return record, priors
 
 

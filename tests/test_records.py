@@ -40,13 +40,10 @@ def test_every_artifact_writer_keeps_its_bytes(tmp_path):
         b'"difficulty": "hard"}\n')
 
     assert written("forests.jsonl", save_forests, [_forest()]) == (
-        b'{"question_id": 7, "labeled": true, "trees": [{"nodes": ['
-        b'{"id": 0, "parent": null, "action": null, "N": 3, '
-        b'"Q": 0.30000000000000004, "prior": 1.0, "terminal": false, '
-        b'"reward": null, "correct": true}, '
-        b'{"id": 1, "parent": 0, "action": 5, "N": 2, "Q": -1.0, '
-        b'"prior": 0.25, "terminal": true, "reward": -1, '
-        b'"correct": false}]}]}\n')
+        b'{"question_id": 7, "labeled": true, "trees": [{'
+        b'"parent": [null, 0], "action": [null, 5], "N": [3, 2], '
+        b'"Q": [0.30000000000000004, -1.0], "prior": [1.0, 0.25], '
+        b'"reward": [null, -1]}]}\n')
 
     pairs = [PreferencePair(7, (1, 2), (1, 3), "sibling", 0.5, -1 / 3, 1,
                             tree=0),
