@@ -32,9 +32,9 @@ solution-level pairs only); the arm sft scores the pretrain checkpoint.
 A sweep arm sets svpo_gamma. Exit codes: 0 success; 2 for a
 configuration error (an unknown or repeated key, a value outside its
 field's range or type: `seed = -1`, nan, `seed = 1.5`), a malformed or
-out-of-range --seed, --seeds, --gammas or --b1 or an unknown arm (all
-before any work), or a question file outside the Env's bounds; 3 stage
-failure.
+out-of-range --seed, --seeds, --gammas or --b1, an empty list or one
+that repeats an entry, or an unknown arm (all before any work), or a
+question file outside the Env's bounds; 3 stage failure.
 """
 from __future__ import annotations
 
@@ -144,32 +144,32 @@ def cmd_eval(args, config: ExperimentConfig, out: Path) -> int:
 
 # argparse types: a bad list or value is a usage error (exit 2) before any work
 
-def _seed_list(text: str) -> list[int]:
-    seeds = [int(part) for part in text.split(",") if part.strip()]
-    if min(seeds, default=0) < 0:
-        raise argparse.ArgumentTypeError(f"seeds must be >= 0: {text!r}")
-    return seeds
+def _list_of(parse, ok, what: str):
+    """An argparse type: distinct comma-separated `what`, at least one."""
+    def entries(text: str) -> list:
+        try:
+            items = [parse(part.strip()) for part in text.split(",")
+                     if part.strip()]
+        except ValueError:
+            items = []
+        if not (items and len(set(items)) == len(items)
+                and all(map(ok, items))):
+            raise argparse.ArgumentTypeError(
+                f"need distinct comma-separated {what}: {text!r}")
+        return items
+    return entries
 
 
-def _gamma_list(text: str) -> list[float]:
-    gammas = [float(part) for part in text.split(",") if part.strip()]
-    if not all(0 <= gamma < float("inf") for gamma in gammas):  # not nan
-        raise argparse.ArgumentTypeError(f"need finite gammas >= 0: {text!r}")
-    return gammas
+_seed_list = _list_of(int, lambda seed: seed >= 0, "seeds >= 0")
+_gamma_list = _list_of(float, lambda gamma: 0 <= gamma < float("inf"),
+                       "finite gammas >= 0")  # nan fails both comparisons
+_arm_list = _list_of(str, ARMS.__contains__, f"arms among {', '.join(ARMS)}")
 
 
 def _positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
     return int(text)
-
-
-def _arm_list(text: str) -> list[str]:
-    arms = [arm.strip() for arm in text.split(",") if arm.strip()]
-    for arm in arms:
-        if arm not in ARMS:
-            raise argparse.ArgumentTypeError(f"unknown arm {arm!r}")
-    return arms
 
 
 def cmd_ablate(args, config: ExperimentConfig, out: Path) -> int:

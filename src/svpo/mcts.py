@@ -319,21 +319,34 @@ def forest_to_record(forest: Forest) -> dict:
 
 def forest_from_record(env: Env, rec: dict) -> Forest:
     """The forest a record holds (module docstring). Raises ValueError,
-    naming the question, tree and node, on unequal columns, a parent not
-    null (node 0) or in [0, i) (node i), or an action the Env refuses."""
+    naming the question, and the tree and node where there is one, on a
+    missing key or column, unequal columns, a root (node 0) with a parent,
+    action or reward, a parent not in [0, i) (node i), or an action the
+    Env refuses."""
     qid = rec["question_id"]
+    try:
+        labeled, trees = rec["labeled"], rec["trees"]
+    except KeyError as exc:
+        raise ValueError(f"question {qid}: no {exc} key") from exc
     root = env.initial_state(env.question(qid))
-    forest = Forest(question_id=qid, labeled=rec["labeled"])
-    for t, tree_rec in enumerate(rec["trees"]):
+    forest = Forest(question_id=qid, labeled=labeled)
+    for t, tree_rec in enumerate(trees):
+        try:
+            columns = [tree_rec[c] for c in _COLUMNS]
+        except KeyError as exc:
+            raise ValueError(f"question {qid}, tree {t}: no {exc} "
+                             "column") from exc
         tree = SearchTree(question_id=qid)
         nodes = tree.nodes
         try:
-            for parent, action, n, q, prior, reward in zip(
-                    *(tree_rec[c] for c in _COLUMNS), strict=True):
+            for parent, action, n, q, prior, reward in zip(*columns,
+                                                           strict=True):
                 i = len(nodes)
-                if (parent is None) != (i == 0) or i and not 0 <= parent < i:
-                    raise ValueError(f"parent {parent} is not "
-                                     + ("null" if i == 0 else f"in [0, {i})"))
+                if i == 0 and (parent, action, reward) != (None, None, None):
+                    raise ValueError(f"root parent {parent}, action {action}"
+                                     f" or reward {reward} is not null")
+                if i and (parent is None or not 0 <= parent < i):
+                    raise ValueError(f"parent {parent} is not in [0, {i})")
                 state = (env.transition(nodes[parent].state,
                                         env.action(action)) if i else root)
                 node = tree.add_node(parent, action, state, prior,
@@ -343,7 +356,7 @@ def forest_from_record(env: Env, rec: dict) -> Forest:
             raise ValueError(f"question {qid}, tree {t}, node {len(nodes)}: "
                              f"{exc}") from exc
         forest.trees.append(tree)
-    return label_correct(forest) if forest.labeled else forest
+    return label_correct(forest) if labeled else forest
 
 
 def save_forests(forests: list[Forest], path: str | Path) -> None:

@@ -32,9 +32,10 @@ sum_i a_i * logprob_i + b_i * value_i for per-prefix coefficients that
 the loss derives from them. A corpus's prefixes (pairs, solutions and
 value targets) are compiled once (`stage_rows`); `train_loop` takes
 those rows and its starting checkpoint from the caller, looks the
-stage's prefix ids up once, and every batch is then an id array.
-Reference log-probabilities are computed once per stage. The optimizer
-is plain mini-batch gradient descent.
+stage's prefix ids up once, and every batch is then an id array, whose
+repeats are scored where they sit. Reference log-probabilities are
+computed once per stage, each distinct prefix of a chunk of pairs once.
+The optimizer is plain mini-batch gradient descent.
 """
 from __future__ import annotations
 
@@ -144,17 +145,6 @@ class TrainData:
 PAIR_CHUNK = 256  # pairs per kernel call in whole-dataset passes
 
 
-def first_appearance(ids: np.ndarray):
-    """(the distinct entries of `ids` in order of first appearance, read
-    column by column, and each entry's index among them, in the shape of
-    `ids`). For (n, 2) pair ids: winners first, then losers."""
-    flat = ids.ravel(order="F")
-    _, first, inverse = np.unique(flat, return_index=True,
-                                  return_inverse=True)
-    rank = np.argsort(np.argsort(first))  # first-appearance rank
-    return flat[np.sort(first)], rank[inverse].reshape(ids.shape, order="F")
-
-
 def pair_ids(rows: PrefixRows, pairs: list[PreferencePair]) -> np.ndarray:
     """The (len(pairs), 2) ids of each pair's winner and loser prefix."""
     return rows.lookup((p.question_id, steps) for p in pairs
@@ -176,9 +166,12 @@ def pair_logprobs(model: Model, params: PolicyValueParams, ids: np.ndarray,
     (n, 2), PAIR_CHUNK pairs per kernel call over `rows`."""
     out = np.empty((2, len(ids), 2))
     for start in range(0, len(ids), PAIR_CHUNK):
-        distinct, at = first_appearance(ids[start:start + PAIR_CHUNK])
+        # corpus order repeats prefixes within a chunk: score each once
+        distinct, at = np.unique(ids[start:start + PAIR_CHUNK].ravel(),
+                                 return_inverse=True)
         lp, v, _ = model.seq_logprob_grad(params, rows, distinct)
-        out[:, start:start + PAIR_CHUNK] = np.stack([lp, v])[:, at]
+        out[:, start:start + PAIR_CHUNK] = np.stack([lp, v])[
+            :, at.reshape(-1, 2)]
     return out
 
 
@@ -217,38 +210,30 @@ def svpo_batch_grad(model: Model, params: PolicyValueParams,
     ratio bound never binds while this stays inside the value range.
 
     Every term folds into per-prefix coefficients of one kernel call over
-    the distinct winner and loser prefixes plus the solutions: the
-    preference term's on the log-prob path, the hinge's on the value
-    path."""
+    the winners, then the losers, then the solutions: the preference
+    term's on the log-prob path, the hinge's on the value path. A prefix
+    that recurs in the batch is scored at each place it occurs."""
     if not len(ids):
         raise EmptyBatch("empty pair batch")
-    distinct, at = first_appearance(ids)
-    w, l = at.T
-    n, n_pre = len(ids), len(distinct)
+    n = len(ids)
     terms: dict = {}
 
     def coef(logprobs, values):
-        lp, v = logprobs[:n_pre], values[:n_pre]
-        dr_pi = config.beta * ((lp[w] - ref_logprobs[:, 0])
-                               - (lp[l] - ref_logprobs[:, 1]))
-        dr_phi = v[w] - v[l]
-        pi = config.beta * (_sigmoid(dr_pi) - 1.0)
-        hinge = np.where(dr_phi < config.gamma, -config.w_margin, 0.0)
-        terms["sft"], a_sol = _sft_loss(config.w_sft, logprobs[n_pre:])
+        dr_pi = config.beta * ((logprobs[:n] - ref_logprobs[:, 0])
+                               - (logprobs[n:2 * n] - ref_logprobs[:, 1]))
+        dr_phi = values[:n] - values[n:2 * n]
+        pi = config.beta * (_sigmoid(dr_pi) - 1.0) / n
+        hinge = np.where(dr_phi < config.gamma, -config.w_margin, 0.0) / n
+        terms["sft"], a_sol = _sft_loss(config.w_sft, logprobs[2 * n:])
         terms.update(
             dpo=float(_softplus(-dr_pi).sum() / n),
             margin=float(np.maximum(0.0, config.gamma - dr_phi).sum() / n))
         terms["max_abs_dr"] = float(np.abs(dr_pi).max())
-        a = np.zeros(n_pre)
-        b = np.zeros(n_pre + len(a_sol))
-        np.add.at(a, w, pi / n)
-        np.add.at(a, l, -pi / n)
-        np.add.at(b, w, hinge / n)
-        np.add.at(b, l, -hinge / n)
-        return np.concatenate([a, a_sol]), b
+        return (np.concatenate([pi, -pi, a_sol]),
+                np.concatenate([hinge, -hinge, np.zeros(len(a_sol))]))
 
     _, _, grad = model.seq_logprob_grad(
-        params, rows, np.concatenate([distinct, sol_ids]), coef)
+        params, rows, np.concatenate([ids[:, 0], ids[:, 1], sol_ids]), coef)
     max_abs_dr = terms.pop("max_abs_dr")
     total = (terms["dpo"] + config.w_margin * terms["margin"]
              + config.w_sft * terms["sft"])

@@ -3,6 +3,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,17 +12,7 @@ from svpo.evaluate import build_corpus, experiment_config_from_dict
 from svpo.pairs import load_pairs, positive_negative_ratio, save_pairs
 from svpo.train import parse_kv_text
 
-TINY = """\
-seed = 0
-n_train = 20
-n_test = 8
-difficulty = easy
-search_max_simulations = 40
-search_max_trees = 6
-pretrain_epochs = 2
-svpo_epochs = 1
-max_value_targets = 1200
-"""
+TINY = (Path(__file__).parent / "tiny.cfg").read_text()
 
 
 def run_staged(config, out):
@@ -101,22 +92,34 @@ def test_pairs_file_without_trees_is_refused(staged, tmp_path, capsys):
     assert not (tmp_path / "ckpt_pretrain.json").exists()
 
 
-def test_forests_file_with_a_broken_tree_is_refused(staged, tmp_path,
-                                                    capsys):
-    """A node whose parent points outside the nodes before it fails
-    `svpo pairs`, naming the question and node, before any pairs file."""
+@pytest.mark.parametrize("column, node, value", [
+    ("parent", 3, -1),       # a parent outside the nodes before it
+    ("reward", 0, 1),        # a root with a reward
+    ("action", 0, 2),        # a root with an action
+    ("Q", None, None),       # a tree without one of its columns
+], ids=["parent", "root_reward", "root_action", "missing_column"])
+def test_forests_file_with_a_broken_tree_is_refused(staged, tmp_path, capsys,
+                                                    column, node, value):
+    """A broken tree fails `svpo pairs`, naming the question and tree,
+    before any pairs file."""
     config, out = staged
     for name in ("questions_train.jsonl", "questions_test.jsonl"):
         (tmp_path / name).write_bytes((out / name).read_bytes())
     records = [json.loads(line)
                for line in (out / "forests.jsonl").read_text().splitlines()]
-    records[0]["trees"][0]["parent"][3] = -1
+    tree = records[0]["trees"][0]
+    if node is None:
+        del tree[column]
+    else:
+        tree[column][node] = value
     (tmp_path / "forests.jsonl").write_text(
         "".join(json.dumps(r) + "\n" for r in records))
     assert main(["pairs", "--config", str(config),
                  "--out", str(tmp_path)]) == 3
     qid = records[0]["question_id"]
-    assert f"question {qid}, tree 0, node 3:" in capsys.readouterr().err
+    where = f"question {qid}, tree 0" + ("" if node is None
+                                          else f", node {node}")
+    assert where + ":" in capsys.readouterr().err
     assert not (tmp_path / "pairs.jsonl").exists()
 
 
@@ -242,13 +245,21 @@ def test_out_of_range_question_file_exits_2(tmp_path, capsys):
     ("sweep", "--gammas", "-1"),
     ("ablate", "--seeds", "0,-1"),
     ("infer", "--b1", "0"),
+    ("ablate", "--seeds", ","),
+    ("ablate", "--arms", ","),
+    ("sweep", "--gammas", ","),
+    ("ablate", "--seeds", "0,0"),
+    ("ablate", "--arms", "full,full"),
+    ("sweep", "--gammas", "0.5,0.50"),
 ], ids=["unknown_arm", "ablate_seeds", "sweep_seeds", "sweep_gammas",
         "sweep_gamma_nan", "sweep_gamma_inf", "sweep_gamma_negative",
-        "ablate_seed_negative", "infer_b1_zero"])
+        "ablate_seed_negative", "infer_b1_zero", "ablate_seeds_empty",
+        "ablate_arms_empty", "sweep_gammas_empty", "ablate_seeds_repeated",
+        "ablate_arms_repeated", "sweep_gammas_repeated"])
 def test_usage_errors_exit_2(tmp_path, capsys, command, flag, value):
-    """A malformed list, an out-of-range seed, gamma or beam width, or an
-    unknown arm is a usage error, refused before any work: not even --out
-    is created."""
+    """A malformed, empty or repeating list, an out-of-range seed, gamma
+    or beam width, or an unknown arm is a usage error, refused before any
+    work: not even --out is created."""
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([command, flag, value, "--out", str(out)])

@@ -393,6 +393,8 @@ def test_forest_round_trip_and_stable_dump(toy, tmp_path):
 
 @pytest.mark.parametrize("column, node, value", [
     ("parent", 0, 0),        # node 0 is not the root
+    ("reward", 0, 1),        # a root with a reward
+    ("action", 0, 2),        # a root with an action
     ("parent", 3, None),     # a later node has no parent
     ("parent", 3, -1),       # a negative parent
     ("parent", 3, 3),        # a parent at or after the node
@@ -414,6 +416,18 @@ def test_forest_from_record_refuses_broken_structure(toy, column, node,
         tree[column][node] = value
     with pytest.raises(ValueError,
                        match=rf"^question {q.id}, tree 0, node {node}: "):
+        forest_from_record(env, rec)
+
+
+@pytest.mark.parametrize("key", ["labeled", "trees"])
+def test_forest_from_record_refuses_a_missing_key(toy, key):
+    env, model, questions = toy
+    q = questions[0]
+    rec = forest_to_record(label_correct(build_forest(
+        model, q, model.init_params(seed=4), SearchConfig(), rng_seed=1)))
+    del rec[key]
+    with pytest.raises(ValueError,
+                       match=rf"^question {q.id}: no '{key}' key$"):
         forest_from_record(env, rec)
 
 

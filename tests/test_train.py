@@ -15,9 +15,9 @@ from svpo.pairs import (
     extract_sft_solutions, extract_value_targets, label_correct,
 )
 from svpo.train import (
-    Checkpoint, EmptyBatch, PretrainConfig, SVPOConfig, TrainData,
-    default_pretrain_config, default_svpo_config, load_checkpoint,
-    first_appearance, pair_ids, pair_logprobs, parse_kv_text,
+    PAIR_CHUNK, Checkpoint, EmptyBatch, PretrainConfig, SVPOConfig,
+    TrainData, default_pretrain_config, default_svpo_config,
+    load_checkpoint, pair_ids, pair_logprobs, parse_kv_text,
     pretrain_batch_grad, save_checkpoint, stage_rows, svpo_batch_grad,
     train_loop,
 )
@@ -382,27 +382,24 @@ def test_superset_rows_train_bit_identically(corpus):
         assert runs[0] == runs[1]
 
 
-def test_first_appearance_matches_a_dict_dedupe():
-    """Distinct pair ids in order of first appearance, winners before
-    losers, as a dict dedupe over the pairs gives them."""
-
-    def reference(ids):
-        index: dict = {}
-        winners = [index.setdefault(w, len(index)) for w in ids[:, 0]]
-        losers = [index.setdefault(l, len(index)) for l in ids[:, 1]]
-        return list(index), np.array([winners, losers]).T.reshape(-1, 2)
-
-    rng = np.random.Generator(np.random.PCG64(8))
-    cases = [np.zeros((0, 2), dtype=np.intp),
-             np.full((7, 2), 5, dtype=np.intp),
-             rng.integers(0, 30, (60, 2)).astype(np.intp),
-             rng.integers(0, 1000, (40, 2)).astype(np.intp)]
-    for ids in cases:
-        distinct, at = first_appearance(ids)
-        want_distinct, want_at = reference(ids)
-        assert distinct.tolist() == want_distinct
-        assert at.shape == ids.shape and at.tolist() == want_at.tolist()
-        assert np.array_equal(distinct[at], ids)
+def test_pair_logprobs_dedupe_gives_the_undeduped_bits(corpus):
+    """Scoring each distinct prefix of a chunk once gives the bits that
+    scoring every winner and loser of the chunk does, in corpus order,
+    where prefixes repeat both within and across chunks."""
+    _, model, pairs, _, _ = corpus
+    pairs = pairs * (PAIR_CHUNK // len(pairs) + 2)
+    rows = stage_rows(model, TrainData(pairs=pairs))
+    ids = pair_ids(rows, pairs)
+    chunks = [ids[s:s + PAIR_CHUNK] for s in range(0, len(ids), PAIR_CHUNK)]
+    assert len(chunks) > 1 and len(set(chunks[0].ravel())) < chunks[0].size
+    assert set(chunks[0].ravel()) & set(chunks[1].ravel())
+    params = model.init_params(seed=2)
+    want = np.concatenate(
+        [np.stack(model.seq_logprob_grad(params, rows, chunk.ravel())[:2])
+         .reshape(2, -1, 2) for chunk in chunks], axis=1)
+    got = pair_logprobs(model, params, ids, rows)
+    assert got.shape == (2, len(pairs), 2)
+    assert np.array_equal(got, want)
 
 
 def test_pretraining_descends(corpus):
