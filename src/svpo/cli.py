@@ -180,16 +180,12 @@ def cmd_ablate(args, config: ExperimentConfig, out: Path) -> int:
     for arm in arms:
         for seed in seeds:
             metrics = results[arm][seed]
-            row = {"arm": arm, "seed": seed, **metrics["accuracy"]}
-            rates = metrics.get("win_rate")
-            if rates:
-                row.update({
-                    "wr_train_implicit": rates["train"]["implicit"],
-                    "wr_train_explicit": rates["train"]["explicit"],
-                    "wr_heldout_implicit": rates["heldout"]["implicit"],
-                    "wr_heldout_explicit": rates["heldout"]["explicit"],
-                })
-            rows.append(row)
+            rates = metrics["win_rate"]
+            rows.append({"arm": arm, "seed": seed, **metrics["accuracy"],
+                         "wr_train_implicit": rates["train"]["implicit"],
+                         "wr_train_explicit": rates["train"]["explicit"],
+                         "wr_heldout_implicit": rates["heldout"]["implicit"],
+                         "wr_heldout_explicit": rates["heldout"]["explicit"]})
     _write_csv(out / "ablation.csv", rows)
     (out / "ablation.json").write_text(
         summary_text(_round(_stringify_keys(results))))

@@ -259,7 +259,8 @@ class Env:
         return State(question.id, (), question.start, 0)
 
     def legal_actions(self, state: State) -> tuple[Action, ...]:
-        """Actions available in ``state``, in vocabulary order.
+        """Actions available in ``state``: a prefix of the vocabulary,
+        which lists the intermediate actions before the answers.
 
         Answering requires at least one computation step, so terminal
         actions only become legal at depth >= 1. Both sets are built once.

@@ -372,13 +372,15 @@ def eval_win_rates(corpus: Corpus, params: PolicyValueParams,
                    beta: float) -> dict:
     """Win rates on the training pairs (scored on `corpus.rows`) and on
     the held-out pairs (on `heldout_rows`), and their gap; see `win_rate`
-    for a missing reference policy."""
+    for a missing reference policy. A held-out search that found no pairs
+    leaves both held-out rates and both gaps None, with "n_pairs" 0."""
     train = win_rate(corpus.model, params, ref_params, corpus.pairs, beta,
                      corpus.rows)
     held = win_rate(corpus.model, params, ref_params, heldout, beta,
-                    heldout_rows)
+                    heldout_rows) if heldout else \
+        {"implicit": None, "explicit": None, "n_pairs": 0}
     return {"train": train, "heldout": held,
-            "gap": {key: None if train[key] is None
+            "gap": {key: None if held[key] is None or train[key] is None
                     else train[key] - held[key]
                     for key in ("implicit", "explicit")}}
 
@@ -593,7 +595,7 @@ def run_matrix(config: ExperimentConfig, seeds: list[int], arms: dict,
         heldout = heldout_stage(corpus, sft_ckpt, cfg) if with_win_rates \
             else []
         heldout_rows = stage_rows(corpus.model, TrainData(pairs=heldout)) \
-            if heldout else None
+            if with_win_rates else None
         for arm, arm_config in arm_configs.items():
             arm_cfg = cfg
             # the pretrain checkpoint has no reference policy of its own
@@ -603,7 +605,7 @@ def run_matrix(config: ExperimentConfig, seeds: list[int], arms: dict,
                 ckpt = svpo_stage(corpus, sft_ckpt, arm_cfg)
                 params, ref = ckpt.params, ckpt.ref_params
             out = {"accuracy": eval_accuracy_suite(corpus, params, arm_cfg)}
-            if heldout:
+            if with_win_rates:
                 out["win_rate"] = eval_win_rates(corpus, params, ref, heldout,
                                                  heldout_rows,
                                                  arm_cfg.svpo.beta)

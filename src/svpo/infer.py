@@ -23,11 +23,11 @@ at the same depth and so has the same legal actions: a level costs one
 `legal_rows` and one `temper` call over the stacked live rows, one
 `sample_distinct` call per live beam (b1 at most), and one forward. A
 level whose every pick answers leaves no child to score, and the search
-ends there without a forward. Live beams are kept as parallel lists,
-only the returned candidate becomes a `BeamCandidate`, and only the
-best answer so far is kept, its reward computed once. Greedy decoding
-evaluates one state per step. Sampling goes through
-`model.sample_distinct`, which MCTS expansion uses too: given a
+ends there without a forward. A beam or parked answer is kept as its
+`State`, whose steps are its prefix; only the returned candidate
+becomes a `BeamCandidate`, and only the best answer so far is kept, its
+reward computed once. Greedy decoding keeps one state. Sampling goes
+through `model.sample_distinct`, which MCTS expansion uses too: given a
 generator's uniforms it picks what as many `Generator.choice` calls
 would from the same stream.
 """
@@ -70,16 +70,14 @@ def greedy_decode(model: Model, params: PolicyValueParams,
     out; probability ties break toward the lowest action id."""
     env = model.env
     state = env.initial_state(question)
-    steps: list[int] = []
     while state.depth < env.config.max_depth:
-        legal, logprobs, _, _ = model.legal_logprobs(params, state)
+        legal, logprobs = model.legal_logprobs(params, state)
         # argmax takes the first maximum, and legal is in vocabulary order
         action = legal[int(logprobs.argmax())]
-        steps.append(action.id)
         state = env.transition(state, action)
         if action.kind == TERMINAL:
             break
-    return env.build_solution(question, steps)
+    return env.build_solution(question, state.steps)
 
 
 def sbs_best(model: Model, params: PolicyValueParams, question: Question,
@@ -97,42 +95,38 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
     uniforms: list[float] = []
     root = env.initial_state(question)
     logp, values, _, _ = model.policy_value(params, [root])
-    # live beams as parallel lists: prefixes, log-probs, value scores and
-    # states, with their whole-vocabulary log-prob rows in `logp`
-    live, live_logprobs, live_values = [()], [0.0], [float(values[0])]
-    states = [root]
-    best = None  # parked answer: ((score, logprob), prefix, state, action)
+    # live beams as parallel lists: states, log-probs and value scores,
+    # with their whole-vocabulary log-prob rows in `logp`
+    states, live_logprobs, live_values = [root], [0.0], [float(values[0])]
+    best = None  # parked answer: ((score, logprob), state, action)
     level = 0
     # a state at the Env's depth budget has no legal actions
-    while live and level < env.config.max_depth:
+    while states and level < env.config.max_depth:
         # every live beam sits at depth `level`, so all share one legal set
         legal, logp = model.legal_rows(states[0], logp)
         probs = temper(logp, config.temperature).tolist()
         rows = logp.tolist()
         n = min(config.b2, len(legal))
         # the level's non-answering children, as parallel lists
-        prefixes, logprobs, children, parents = [], [], [], []
+        logprobs, children, parents = [], [], []
         for beam_idx, state in enumerate(states):
             start = (beam_idx * env.config.max_depth + level) * width
             if start + n > len(uniforms):  # the slot's first block
                 uniforms += rng.random(env.config.max_depth * width).tolist()
             picks = sample_distinct(probs[beam_idx], uniforms[start:start + n])
-            beam_prefix = live[beam_idx]
             if trace is not None:
-                trace.append(("expand", level, beam_idx, beam_prefix,
+                trace.append(("expand", level, beam_idx, state.steps,
                               tuple(legal[i].id for i in picks)))
             beam_logprob, row = live_logprobs[beam_idx], rows[beam_idx]
             for i in picks:
                 action = legal[i]
-                prefix = beam_prefix + (action.id,)
                 logprob = beam_logprob + row[i]
                 if action.kind == TERMINAL:
                     # scored by the value of the state answered from
                     key = (live_values[beam_idx], logprob)
                     if best is None or key > best[0]:
-                        best = (key, prefix, state, action)
+                        best = (key, state, action)
                     continue
-                prefixes.append(prefix)
                 logprobs.append(logprob)
                 children.append(env.transition(state, action))
                 parents.append(beam_idx)
@@ -144,21 +138,20 @@ def sbs_best(model: Model, params: PolicyValueParams, question: Question,
             logp = logp[keep]
         else:  # every pick answered: the search ends without a forward
             keep = []
-        live = [prefixes[j] for j in keep]
+        states = [children[j] for j in keep]
         live_logprobs = [logprobs[j] for j in keep]
         live_values = [values[j] for j in keep]
-        states = [children[j] for j in keep]
         if trace is not None:
-            trace.append(("retain", level, tuple(live)))
+            trace.append(("retain", level, tuple(s.steps for s in states)))
         level += 1
-    if live:
-        top = max(range(len(live)),
+    if states:
+        top = max(range(len(states)),
                   key=lambda j: (live_values[j], live_logprobs[j]))
         key = (live_values[top], live_logprobs[top])
         if best is None or key > best[0]:
-            return BeamCandidate(live[top], key[1], key[0], False)
-    (score, logprob), prefix, state, action = best
-    return BeamCandidate(prefix, logprob, score, True,
+            return BeamCandidate(states[top].steps, key[1], key[0], False)
+    (score, logprob), state, action = best
+    return BeamCandidate(state.steps + (action.id,), logprob, score, True,
                          env.terminal_reward(state, action))
 
 

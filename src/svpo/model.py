@@ -43,7 +43,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .env import INTERMEDIATE, TERMINAL, Env, EnvConfig, Question, State
+from .env import INTERMEDIATE, Env, EnvConfig, Question, State
 from .env import DepthExceeded, IllegalAction  # re-raised with context
 
 HIDDEN = 32  # width of the shared tanh layer
@@ -257,8 +257,6 @@ class Model:
         self.featurizer = Featurizer(env.config)
         self.d = self.featurizer.dim
         self.vocab_size = len(env.vocab)
-        self._answer_ids = np.array(
-            [a.id for a in env.vocab if a.kind == TERMINAL], dtype=np.intp)
 
     # -- constructors -----------------------------------------------------
 
@@ -293,10 +291,11 @@ class Model:
         return logp, values, hidden, x
 
     def _log_softmax(self, logits: np.ndarray, depth0) -> np.ndarray:
-        """Row-wise log-softmax in place, with the answers masked out of
-        the rows `depth0` (answering needs one computation step)."""
+        """Row-wise log-softmax in place, with the answers, the columns
+        past the intermediate actions, masked out of the rows `depth0`
+        (answering needs one computation step)."""
         if len(depth0):
-            logits[np.ix_(depth0, self._answer_ids)] = -np.inf
+            logits[depth0, self.featurizer.n_ops:] = -np.inf
         logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
         logits -= np.log(np.add.reduce(np.exp(logits), axis=1,
                                        keepdims=True))
@@ -304,18 +303,16 @@ class Model:
 
     def legal_rows(self, state: State, rows: np.ndarray):
         """(legal actions of `state`, `rows` restricted to them): `rows` is
-        one whole-vocabulary row or a stack of rows along the last axis.
-        Raises env.DepthExceeded at the depth budget."""
+        one whole-vocabulary row or a stack of rows along the last axis,
+        and the legal set is a vocabulary prefix, so this is a view of the
+        first columns. Raises env.DepthExceeded at the depth budget."""
         legal = self.env.legal_actions(state)
-        if len(legal) < self.vocab_size:
-            rows = rows[..., [a.id for a in legal]]
-        return legal, rows
+        return legal, rows[..., :len(legal)]
 
     def legal_logprobs(self, params: PolicyValueParams, state: State):
-        """(legal actions, their log-probs, hidden activations, features)."""
-        logp, _, hidden, x = self.policy_value(params, [state])
-        legal, logprobs = self.legal_rows(state, logp[0])
-        return legal, logprobs, hidden[0], x[0]
+        """(legal actions, their log-probs)."""
+        logp = self.policy_value(params, [state])[0]
+        return self.legal_rows(state, logp[0])
 
     def seq_logprob(self, params: PolicyValueParams, question: Question,
                     steps) -> float:

@@ -23,6 +23,10 @@ from svpo.train import EmptyBatch, LossBreakdown
 
 FD_EPS = 1e-5
 
+# a vocabulary unlike the default one in every block's size
+ODD_VOCAB = EnvConfig(add_consts=(3,), mul_consts=(2, 3),
+                      answer_offsets=(0, -1))
+
 
 # -- flat parameter vectors and one-step sampling ----------------------------
 
@@ -80,7 +84,7 @@ def sample_step(model: Model, params: PolicyValueParams, state,
     """Sample a legal action id at the given temperature (> 0)."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    legal, logprobs, _, _ = model.legal_logprobs(params, state)
+    legal, logprobs = model.legal_logprobs(params, state)
     return legal[draw(temper(logprobs, temperature), as_generator(rng))].id
 
 
@@ -166,7 +170,7 @@ def reference_features(featurizer: Featurizer, question, state) -> np.ndarray:
 def step_logprob(model: Model, params: PolicyValueParams, state,
                  action_id: int) -> float:
     """Log-prob of one legal action in one state."""
-    legal, logprobs, _, _ = model.legal_logprobs(params, state)
+    legal, logprobs = model.legal_logprobs(params, state)
     for i, a in enumerate(legal):
         if a.id == action_id:
             return float(logprobs[i])
@@ -175,7 +179,7 @@ def step_logprob(model: Model, params: PolicyValueParams, state,
 
 def action_distribution(model: Model, params: PolicyValueParams, state):
     """(legal actions, untempered probabilities)."""
-    legal, logprobs, _, _ = model.legal_logprobs(params, state)
+    legal, logprobs = model.legal_logprobs(params, state)
     return legal, np.exp(logprobs)
 
 
@@ -486,7 +490,7 @@ def reference_sbs_best(model: Model, params: PolicyValueParams, question,
             break
         pool = []
         for beam_idx, (beam, state) in enumerate(live):
-            legal, logprobs, _, _ = model.legal_logprobs(params, state)
+            legal, logprobs = model.legal_logprobs(params, state)
             rng = spawn_generator(infer._SBS_STREAM, rng_seed, question.id)
             rng.random((beam_idx * env.config.max_depth + level) * width)
             picks = choice_sample_distinct(

@@ -8,11 +8,18 @@ from pathlib import Path
 import pytest
 
 from svpo.cli import main
-from svpo.evaluate import build_corpus, experiment_config_from_dict
+from svpo.evaluate import (
+    ARMS, build_corpus, experiment_config_from_dict, heldout_stage,
+    pretrain_stage, run_matrix,
+)
 from svpo.pairs import load_pairs, positive_negative_ratio, save_pairs
 from svpo.train import parse_kv_text
 
 TINY = (Path(__file__).parent / "tiny.cfg").read_text()
+# hard questions, one held out, and a search too small to find pairs on
+# it at every seed: none at seed 0, some at seed 3
+SPARSE = ("n_train = 6\nn_test = 1\ndifficulty = hard\n"
+          "search_max_simulations = 8\nsearch_max_trees = 1\n")
 
 
 def run_staged(config, out):
@@ -138,6 +145,72 @@ def test_staged_flow_equals_pipeline(tmp_path, capsys, extra):
     for name in names:
         assert (tmp_path / "staged" / name).read_bytes() == \
             (tmp_path / "pipeline" / name).read_bytes(), name
+
+
+def sparse_heldout_pairs(seed: int) -> list:
+    """The held-out pairs of the `SPARSE` config at `seed`."""
+    cfg = experiment_config_from_dict({**parse_kv_text(SPARSE), "seed": seed})
+    corpus = build_corpus(cfg)
+    return heldout_stage(corpus, pretrain_stage(corpus, cfg), cfg)
+
+
+def test_run_without_heldout_pairs_finishes(tmp_path, capsys):
+    """A held-out search that finds no pairs ends neither `svpo pipeline`
+    nor `svpo eval`: both write every file, pairs_heldout.jsonl empty,
+    and the held-out win rates and gaps read null, the form the sft
+    arm's implicit rate takes, while the training win rates stand."""
+    assert sparse_heldout_pairs(0) == []
+    config = tmp_path / "sparse.cfg"
+    config.write_text(SPARSE)
+    assert main(["pipeline", "--config", str(config),
+                 "--out", str(tmp_path / "pipeline")]) == 0
+    run_staged(config, tmp_path / "staged")
+    capsys.readouterr()
+    for name in ("summary.json", "ckpt_svpo.json", "pairs_heldout.jsonl"):
+        assert (tmp_path / "staged" / name).read_bytes() == \
+            (tmp_path / "pipeline" / name).read_bytes(), name
+    assert (tmp_path / "pipeline" / "pairs_heldout.jsonl").read_text() == ""
+    summary = json.loads((tmp_path / "pipeline" / "summary.json").read_text())
+    assert summary["data"]["n_heldout_pairs"] == 0
+    rates = summary["metrics"]["win_rate"]
+    assert rates["heldout"] == {"implicit": None, "explicit": None,
+                                "n_pairs": 0}
+    assert rates["gap"] == {"implicit": None, "explicit": None}
+    assert rates["train"]["n_pairs"] > 0
+    assert isinstance(rates["train"]["explicit"], float)
+
+
+def test_ablate_keeps_its_columns_without_heldout_pairs(tmp_path, capsys):
+    """A seed whose held-out search finds no pairs keeps its training win
+    rates in `run_matrix`, and `svpo ablate` writes every row with the
+    same columns, that seed's held-out cells empty, when it comes first."""
+    assert sparse_heldout_pairs(0) == [] and sparse_heldout_pairs(3)
+    results = run_matrix(experiment_config_from_dict(parse_kv_text(SPARSE)),
+                         [0, 3], {"full": ARMS["full"]}, with_win_rates=True)
+    empty, found = (results["full"][seed]["win_rate"] for seed in (0, 3))
+    assert empty["heldout"] == {"implicit": None, "explicit": None,
+                                "n_pairs": 0}
+    assert empty["train"]["n_pairs"] > 0
+    assert isinstance(empty["train"]["explicit"], float)
+    assert found["heldout"]["n_pairs"] > 0
+    config = tmp_path / "sparse.cfg"
+    config.write_text(SPARSE)
+    assert main(["ablate", "--config", str(config), "--out", str(tmp_path),
+                 "--arms", "full,sft", "--seeds", "0,3"]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "ablation.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert [(row["arm"], row["seed"]) for row in rows] == [
+        ("full", "0"), ("full", "3"), ("sft", "0"), ("sft", "3")]
+    assert "wr_heldout_explicit" in reader.fieldnames
+    assert all(None not in row for row in rows)  # no cell past the header
+    for row in rows:
+        held = row["wr_heldout_explicit"]
+        assert (held == "") == (row["seed"] == "0")
+        assert row["wr_train_explicit"] != ""
+    assert set(json.loads((tmp_path / "ablation.json").read_text())) == \
+        {"full", "sft"}
 
 
 def test_pipeline_command_deterministic(tmp_path, capsys):

@@ -13,7 +13,9 @@ from svpo.env import (
     save_dataset, vocabulary,
 )
 
-from oracles import choice_gen_dataset
+from svpo.model import Model
+
+from oracles import ODD_VOCAB, choice_gen_dataset
 
 
 def brute_force_solvable(env: Env, question: Question) -> bool:
@@ -130,22 +132,27 @@ def test_hand_worked_chain():
 
 
 def test_legal_actions_depth_gating():
-    env = Env()
-    q = gen_dataset(seed=2, n=1, difficulty="medium")[0]
-    env.register([q])
-    s0 = env.initial_state(q)
-    acts0 = env.legal_actions(s0)
-    assert acts0 and all(a.kind == INTERMEDIATE for a in acts0)
-    s1 = env.transition(s0, acts0[0])
-    acts1 = env.legal_actions(s1)
-    assert any(a.kind == TERMINAL for a in acts1)
-    n_ops = len(env.config.add_consts) + len(env.config.mul_consts)
-    assert len(acts1) == n_ops + len(env.config.answer_offsets)
-    # same state shape at any depth in [1, max_depth): count is fixed
-    s = s1
-    while s.depth < env.config.max_depth - 1:
-        s = env.transition(s, acts0[0])
-        assert len(env.legal_actions(s)) == len(acts1)
+    """At every depth the legal set is a prefix of the vocabulary, which
+    `Model.legal_rows` and the depth-0 answer mask rely on: exactly the
+    intermediate actions at depth 0, as many as the model's op-histogram
+    block is wide, and the whole vocabulary deeper down. Checked on the
+    default vocabulary and on `ODD_VOCAB`."""
+    for config in (EnvConfig(), ODD_VOCAB):
+        env = Env(config)
+        q = gen_dataset(seed=2, n=1, difficulty="medium", config=config)[0]
+        env.register([q])
+        s = env.initial_state(q)
+        acts0 = env.legal_actions(s)
+        assert acts0 == tuple(a for a in env.vocab if a.kind == INTERMEDIATE)
+        assert Model(env).featurizer.n_ops == len(acts0)
+        n_ops = len(config.add_consts) + len(config.mul_consts)
+        assert len(acts0) == n_ops
+        while s.depth < config.max_depth:
+            legal = env.legal_actions(s)
+            assert legal == env.vocab[:len(legal)]
+            assert legal == (acts0 if s.depth == 0 else env.vocab)
+            s = env.transition(s, acts0[0])
+        assert len(env.vocab) == n_ops + len(config.answer_offsets)
 
 
 def test_legal_actions_at_depth_budget_raises():

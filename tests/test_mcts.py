@@ -511,7 +511,7 @@ def test_unit_temperature_prior_row_is_the_sampling_row(toy):
     assert all(tempered is probs for _, probs, tempered in rows)
     root = tree.root
     for node in (root, tree.nodes[root.children[0]]):
-        legal, logprobs, _, _ = model.legal_logprobs(params, node.state)
+        legal, logprobs = model.legal_logprobs(params, node.state)
         got_legal, probs, _ = memo[node.state.steps]
         assert got_legal == legal
         np.testing.assert_allclose(probs, np.exp(logprobs), rtol=1e-14,

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import svpo
 from svpo import model as model_module
-from svpo.env import DIFFICULTY_STEPS, TERMINAL, Env, gen_dataset
+from svpo.env import DIFFICULTY_STEPS, TERMINAL, Env, EnvConfig, gen_dataset
 from svpo.model import (
     SCRATCH_HI, SCRATCH_LO, Featurizer, Model, Gradients, IllegalPrefix,
     params_from_record, params_to_record, sample_distinct, spawn_generator,
@@ -22,7 +22,7 @@ from svpo.model import draw as draw_pick
 from svpo.train import Checkpoint, load_checkpoint, save_checkpoint
 
 from oracles import (
-    action_distribution, as_generator, choice_sample_distinct, draw,
+    ODD_VOCAB, action_distribution, as_generator, choice_sample_distinct, draw,
     fd_relative_error, reference_features, sample_step, scripted_params,
     step_logprob, value_bump_params,
 )
@@ -73,7 +73,7 @@ def test_step_distribution_normalizes(seed):
     params = model.init_params(seed=seed, scale=1.0)
     q = questions[int(rng.integers(len(questions)))]
     _, state = random_prefix(env, q, rng, allow_terminal=False)
-    legal, logprobs, _, _ = model.legal_logprobs(params, state)
+    legal, logprobs = model.legal_logprobs(params, state)
     assert abs(np.exp(logprobs).sum() - 1.0) < 1e-12
     assert np.all(logprobs <= 0.0)
 
@@ -597,25 +597,32 @@ def test_featurizer_rows_match_reference(difficulty, seed, walks, scratches):
     assert fz.rows(env, []).shape == (0, fz.dim)
 
 
-def test_policy_value_is_the_masked_log_softmax_of_logits(setup):
+def test_policy_value_is_the_masked_log_softmax_of_logits():
     """policy_value's log-probs are `_log_softmax` of `logits` with the
     depth-0 rows masked, bit for bit, on a depth-0 and a deeper state;
-    hidden activations and features are the same arrays, and an empty
-    state list gives empty arrays."""
-    env, model, questions = setup
-    params = model.init_params(seed=4, scale=0.5)
-    state = env.initial_state(questions[0])
-    states = [state, env.transition(state, env.vocab[1])]
-    logits, hidden, x = model.logits(params, states)
-    want = model.policy_value(params, states)
-    logp = model._log_softmax(logits, [0])
-    for got, expect in zip((logp, hidden, x), (want[0], want[2], want[3])):
-        assert np.array_equal(got, expect)
-    assert np.isneginf(logp[0, model._answer_ids]).all()
-    assert np.isfinite(logp[1]).all()
-    empty = model.logits(params, [])
-    assert [a.shape for a in empty] == [(0, model.vocab_size),
-                                        (0, params.h), (0, model.d)]
+    the mask covers exactly the answers. Hidden activations and features
+    are the same arrays, and an empty state list gives empty arrays.
+    Checked on the default vocabulary and on `ODD_VOCAB`."""
+    for config in (EnvConfig(), ODD_VOCAB):
+        questions = gen_dataset(seed=5, n=2, difficulty="medium",
+                                config=config)
+        env = Env(config, questions)
+        model = Model(env)
+        params = model.init_params(seed=4, scale=0.5)
+        state = env.initial_state(questions[0])
+        states = [state, env.transition(state, env.vocab[1])]
+        logits, hidden, x = model.logits(params, states)
+        want = model.policy_value(params, states)
+        logp = model._log_softmax(logits, [0])
+        for got, expect in zip((logp, hidden, x), (want[0], want[2], want[3])):
+            assert np.array_equal(got, expect)
+        answers = [a.kind == TERMINAL for a in env.vocab]
+        assert np.isneginf(logp[0, answers]).all()
+        assert np.isfinite(logp[0, np.logical_not(answers)]).all()
+        assert np.isfinite(logp[1]).all()
+        empty = model.logits(params, [])
+        assert [a.shape for a in empty] == [(0, model.vocab_size),
+                                            (0, params.h), (0, model.d)]
 
 
 def test_prefix_rows_featurize_each_distinct_state_once(setup, monkeypatch):
